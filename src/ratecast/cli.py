@@ -35,6 +35,7 @@ from .validation import (
     fit_family,
     chronological_split,
     nested_cv,
+    rmse,
 )
 
 
@@ -46,7 +47,10 @@ def _write_json(path: str, payload: dict) -> None:
 
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_features(path: str):
@@ -172,10 +176,18 @@ def _resolve_params(args: argparse.Namespace) -> HyperParams:
     if args.params and args.from_cv:
         raise ValueError("pass either --params or --from-cv, not both")
     if args.params:
-        return HyperParams.from_dict(_read_json(args.params))
-    if args.from_cv:
-        return HyperParams.from_dict(_read_json(args.from_cv)["best_params"])
-    return HyperParams()
+        path, payload = args.params, _read_json(args.params)
+    elif args.from_cv:
+        path, cv = args.from_cv, _read_json(args.from_cv)
+        if not isinstance(cv, dict) or "best_params" not in cv:
+            raise ValueError(f"{path}: lacks field 'best_params'")
+        payload = cv["best_params"]
+    else:
+        return HyperParams()
+    try:
+        return HyperParams.from_dict(payload)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -212,7 +224,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         rows = np.arange(n_train, X.shape[0])
     preds = predict(model, X[rows])
     actual = y[rows]
-    score = float(np.sqrt(np.mean((preds - actual) ** 2)))
+    score = rmse(preds, actual)
     if args.pairs:
         with open(args.pairs, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -110,6 +111,9 @@ def _parse_row(row_index: int, row: Sequence[str]) -> TransferEvent:
         transfer_rate_mbs = float(rec["transfer_rate_mbs"])
     except ValueError as exc:
         raise CsvRowError(row_index, f"bad numeric field: {exc}") from exc
+    for name, value in (("file_size_gb", file_size_gb), ("transfer_rate_mbs", transfer_rate_mbs)):
+        if not math.isfinite(value):
+            raise CsvRowError(row_index, f"non-finite {name}: {rec[name]!r}")
     try:
         stage = Stage(rec["stage"])
     except ValueError as exc:
@@ -138,8 +142,9 @@ def parse_event_csv(source: IO[bytes] | IO[str]) -> list[TransferEvent]:
     """Parse a transfer-event CSV stream into a list of events.
 
     The header must match :data:`CSV_COLUMNS` exactly. Event ids are assigned
-    as the 0-based data-row index in order of appearance. Unparseable rows
-    raise :class:`CsvRowError` rather than being skipped.
+    as the 0-based data-row index in order of appearance. Unparseable rows,
+    including NaN or infinite sizes and rates, raise :class:`CsvRowError`
+    rather than being skipped.
     """
     if isinstance(source, io.TextIOBase):
         text = source

@@ -31,22 +31,19 @@ import numpy as np
 
 from .events import TransferEvent
 from .lags import (
-    LagInfo,
     LagKeyKind,
     compute_chunk_time_offset,
     compute_concurrency,
     compute_keyed_lags,
-    _check_sorted,
+    _sorted_times,
 )
 
 ALL_GROUPS = ("A", "B", "C1", "C2", "D1", "D2", "D3", "E")
 
 MISSING_SENTINEL = -1.0
 
-ONE_HOT_FIELDS = ("instrument", "source_fs", "target_fs", "target_host", "node")
-
-#: Static one-hot blocks that belong to group A (node is a key, not a feature).
-_GROUP_A_ONE_HOT = ("instrument", "source_fs", "target_fs", "target_host")
+#: One-hot blocks of group A (node is a lag and concurrency key, not a feature).
+ONE_HOT_FIELDS = ("instrument", "source_fs", "target_fs", "target_host")
 
 _D1_KEYED_KINDS = (
     LagKeyKind.SAME_INSTRUMENT,
@@ -101,10 +98,9 @@ class ColumnMeta:
 
 @dataclass
 class FeatureMatrix:
-    """Row-per-event numeric matrix with per-cell missingness and column metadata."""
+    """Row-per-event numeric matrix with column metadata."""
 
     values: np.ndarray
-    missing_mask: np.ndarray
     columns: list[ColumnMeta]
     event_ids: np.ndarray
 
@@ -121,16 +117,17 @@ class FeatureMatrix:
 
 
 def compute_time_features(
-    event: TransferEvent, tz_offset_hours: float = 0.0
-) -> tuple[int, int]:
-    """(day_of_week, hour_of_day) of the start time; day 0 is Monday.
+    events: Sequence[TransferEvent], tz_offset_hours: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """(day_of_week, hour_of_day) arrays of the start times; day 0 is Monday.
 
     A fixed UTC offset shifts the clock; no daylight-saving rules are applied.
     """
-    shifted = event.start_time + int(round(tz_offset_hours * 3600.0))
-    days, seconds = divmod(shifted, 86400)
+    shifted = np.array([e.start_time for e in events], dtype=np.int64)
+    shifted += int(round(tz_offset_hours * 3600.0))
+    days, seconds = np.divmod(shifted, 86400)
     day_of_week = (days + 3) % 7  # 1970-01-01 was a Thursday
-    return int(day_of_week), int(seconds // 3600)
+    return day_of_week, seconds // 3600
 
 
 class CategoricalEncoder:
@@ -209,7 +206,6 @@ class _MatrixBuilder:
     def __init__(self, n_rows: int):
         self.n = n_rows
         self.cols: list[np.ndarray] = []
-        self.mask: list[np.ndarray] = []
         self.meta: list[ColumnMeta] = []
 
     def add(
@@ -220,47 +216,19 @@ class _MatrixBuilder:
         values: np.ndarray,
         missing: np.ndarray | None = None,
     ) -> None:
-        values = np.asarray(values, dtype=float)
-        if missing is None:
-            missing = np.zeros(self.n, dtype=bool)
-        out = values.copy()
-        out[missing] = MISSING_SENTINEL
+        out = np.array(values, dtype=float)
+        if missing is not None:
+            out[missing] = MISSING_SENTINEL
         self.cols.append(out)
-        self.mask.append(missing.astype(bool))
         self.meta.append(ColumnMeta(name, group, origin))
 
     def add_indicator(self, name: str, group: str, missing: np.ndarray) -> None:
         self.cols.append(missing.astype(float))
-        self.mask.append(np.zeros(self.n, dtype=bool))
         self.meta.append(ColumnMeta(name, group, "indicator"))
 
     def finish(self, event_ids: np.ndarray) -> FeatureMatrix:
-        if self.cols:
-            values = np.column_stack(self.cols)
-            mask = np.column_stack(self.mask)
-        else:
-            values = np.zeros((self.n, 0))
-            mask = np.zeros((self.n, 0), dtype=bool)
-        return FeatureMatrix(
-            values=values, missing_mask=mask, columns=self.meta, event_ids=event_ids
-        )
-
-
-def _lag_arrays(
-    lag_maps: list[dict[int, LagInfo]], order: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    n = len(lag_maps)
-    rate = np.empty(n)
-    size = np.empty(n)
-    tdiff = np.empty(n)
-    missing = np.empty(n, dtype=bool)
-    for i, per_order in enumerate(lag_maps):
-        info = per_order[order]
-        missing[i] = not info.present
-        rate[i] = info.transfer_rate_mbs
-        size[i] = info.file_size_gb
-        tdiff[i] = info.time_diff_s
-    return rate, size, tdiff, missing
+        values = np.column_stack(self.cols) if self.cols else np.zeros((self.n, 0))
+        return FeatureMatrix(values=values, columns=self.meta, event_ids=event_ids)
 
 
 def _needed_lag_orders(spec: FeatureSpec) -> dict[LagKeyKind, set[int]]:
@@ -295,110 +263,85 @@ def assemble_features(
     then (concurrency, chunk timing); perturbing any later-starting event
     leaves row i unchanged.
     """
-    _check_sorted(events)
+    starts, stops, ids = _sorted_times(events)
     n = len(events)
     builder = _MatrixBuilder(n)
+    sizes = np.array([e.file_size_gb for e in events])
+    rates = np.array([e.transfer_rate_mbs for e in events])
 
-    lag_results: dict[LagKeyKind, list[dict[int, LagInfo]]] = {}
-    for kind, orders in _needed_lag_orders(spec).items():
-        lag_results[kind] = compute_keyed_lags(events, kind, orders)
+    lag_rows = {
+        kind: compute_keyed_lags(events, kind, orders)
+        for kind, orders in _needed_lag_orders(spec).items()
+    }
+
+    def add_lag_block(group: str, kind: LagKeyKind, order: int, stats: tuple[str, ...]) -> None:
+        rows = lag_rows[kind][order]
+        missing = rows < 0
+        # Absent lags (-1) gather the last row; the sentinel overwrites them.
+        gathered = {
+            "rate": rates[rows],
+            "file_size": sizes[rows],
+            "time_diff": starts - stops[rows],
+        }
+        prefix = f"{group}.{kind.value}.lag{order}"
+        for stat in stats:
+            builder.add(
+                f"{prefix}.{stat}",
+                group,
+                f"lag:{kind.value}:{order}:{stat}",
+                gathered[stat],
+                missing,
+            )
+        builder.add_indicator(f"{prefix}.missing", group, missing)
 
     # Group A
-    builder.add(
-        "A.file_size",
-        "A",
-        "numeric:file_size_gb",
-        np.array([e.file_size_gb for e in events]),
-    )
+    builder.add("A.file_size", "A", "numeric:file_size_gb", sizes)
     encoded, metas, _ = encode_categoricals(events)
     for j, meta in enumerate(metas):
-        if meta.origin.startswith("one_hot:"):
-            field_name = meta.origin.split(":", 1)[1].split("=", 1)[0]
-            if field_name not in _GROUP_A_ONE_HOT:
-                continue
-        column = encoded[:, j] if n else np.zeros(0)
-        builder.add(meta.name, "A", meta.origin, column)
+        builder.add(meta.name, "A", meta.origin, encoded[:, j])
 
     # Group B
     if "B" in spec.groups:
-        dows = np.empty(n)
-        hours = np.empty(n)
-        for i, e in enumerate(events):
-            dows[i], hours[i] = compute_time_features(e, tz_offset_hours)
+        dows, hours = compute_time_features(events, tz_offset_hours)
         builder.add("B.day_of_week", "B", "calendar:day_of_week", dows)
         builder.add("B.hour_of_day", "B", "calendar:hour_of_day", hours)
 
     # Groups C1/C2
     if "C1" in spec.groups:
         for kind in _C1_KINDS:
-            counts = compute_concurrency(events, kind)
+            total, _ = compute_concurrency(events, kind)
             builder.add(
-                f"C1.{kind.value}.active_jobs",
-                "C1",
-                f"concurrency:{kind.value}:total",
-                counts.total.astype(float),
+                f"C1.{kind.value}.active_jobs", "C1", f"concurrency:{kind.value}:total", total
             )
     if "C2" in spec.groups:
         for kind in _C2_KINDS:
-            counts = compute_concurrency(events, kind)
+            total, unique = compute_concurrency(events, kind)
             builder.add(
-                f"C2.{kind.value}.active_jobs",
-                "C2",
-                f"concurrency:{kind.value}:total",
-                counts.total.astype(float),
+                f"C2.{kind.value}.active_jobs", "C2", f"concurrency:{kind.value}:total", total
             )
             builder.add(
                 f"C2.{kind.value}.unique_experiments",
                 "C2",
                 f"concurrency:{kind.value}:unique_experiments",
-                counts.unique_experiments.astype(float),
+                unique,
             )
 
     # Group D1
     if "D1" in spec.groups:
         for kind in _D1_KEYED_KINDS:
-            rate, _, tdiff, missing = _lag_arrays(lag_results[kind], 1)
-            prefix = f"D1.{kind.value}.lag1"
-            builder.add(f"{prefix}.rate", "D1", f"lag:{kind.value}:1:rate", rate, missing)
-            builder.add(
-                f"{prefix}.time_diff", "D1", f"lag:{kind.value}:1:time_diff", tdiff, missing
-            )
-            builder.add_indicator(f"{prefix}.missing", "D1", missing)
-        rate, size, _, missing = _lag_arrays(lag_results[LagKeyKind.OVERALL], 1)
-        builder.add("D1.overall.lag1.rate", "D1", "lag:overall:1:rate", rate, missing)
-        builder.add(
-            "D1.overall.lag1.file_size", "D1", "lag:overall:1:file_size", size, missing
-        )
-        builder.add_indicator("D1.overall.lag1.missing", "D1", missing)
-        rate, _, _, missing = _lag_arrays(lag_results[LagKeyKind.OVERALL], 5)
-        builder.add("D1.overall.lag5.rate", "D1", "lag:overall:5:rate", rate, missing)
-        builder.add_indicator("D1.overall.lag5.missing", "D1", missing)
+            add_lag_block("D1", kind, 1, ("rate", "time_diff"))
+        add_lag_block("D1", LagKeyKind.OVERALL, 1, ("rate", "file_size"))
+        add_lag_block("D1", LagKeyKind.OVERALL, 5, ("rate",))
 
     # Group D2
     if "D2" in spec.groups:
         for order in range(1, _D2_MAX_ORDER + 1):
-            rate, _, _, missing = _lag_arrays(
-                lag_results[LagKeyKind.SAME_EXPERIMENT], order
-            )
-            prefix = f"D2.same_experiment.lag{order}"
-            builder.add(
-                f"{prefix}.rate", "D2", f"lag:same_experiment:{order}:rate", rate, missing
-            )
-            builder.add_indicator(f"{prefix}.missing", "D2", missing)
+            add_lag_block("D2", LagKeyKind.SAME_EXPERIMENT, order, ("rate",))
 
     # Group D3
     if "D3" in spec.groups:
         for kind in _D3_KINDS:
-            rate, size, tdiff, missing = _lag_arrays(lag_results[kind], 1)
-            prefix = f"D3.{kind.value}.lag1"
-            builder.add(f"{prefix}.rate", "D3", f"lag:{kind.value}:1:rate", rate, missing)
-            builder.add(
-                f"{prefix}.file_size", "D3", f"lag:{kind.value}:1:file_size", size, missing
-            )
-            builder.add(
-                f"{prefix}.time_diff", "D3", f"lag:{kind.value}:1:time_diff", tdiff, missing
-            )
-            builder.add_indicator(f"{prefix}.missing", "D3", missing)
+            add_lag_block("D3", kind, 1, ("rate", "file_size", "time_diff"))
 
     # Group E
     if "E" in spec.groups:
@@ -406,7 +349,6 @@ def assemble_features(
         builder.add("E.chunk_time_offset", "E", "chunk_offset", offsets, missing)
         builder.add_indicator("E.chunk_time_offset.missing", "E", missing)
 
-    ids = np.array([e.id for e in events], dtype=np.int64)
     return builder.finish(ids)
 
 

@@ -1,25 +1,24 @@
-"""Sweep-line derivations over start-ordered transfer events.
+"""Keyed as-of lookups over start-ordered transfer events.
 
 Three families of dynamic features share the same machinery:
 
-* keyed lags: statistics of the most recently *finished* transfers sharing
-  an attribute with the current one (``compute_keyed_lags``),
+* keyed lags: the most recently *finished* transfers sharing an attribute
+  with the current one (``compute_keyed_lags``),
 * concurrency: how many transfers on the same resource are still running
   when the current one starts (``compute_concurrency``),
 * chunk timing: seconds since the first transfer of the same chunk started
   (``compute_chunk_time_offset``).
 
-All of them only look at information available when a transfer starts, so
-feature rows never leak data from the future.
+Each key kind is factorised into integer codes once per call, and every
+count or lookup is a ``searchsorted`` into arrays sorted by (code, time). No
+object is built per event. All of them only look at information available
+when a transfer starts, so feature rows never leak data from the future.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
-import math
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,186 +39,178 @@ class LagKeyKind(enum.Enum):
     SAME_CHUNK = "same_chunk"
 
 
-def lag_key(event: TransferEvent, kind: LagKeyKind) -> Hashable | None:
-    """Key value of ``event`` under ``kind``; None means unkeyed.
+_KEY_FIELDS = {
+    LagKeyKind.SAME_INSTRUMENT: "instrument",
+    LagKeyKind.SAME_EXPERIMENT: "experiment",
+    LagKeyKind.SAME_SOURCE_FS: "source_fs",
+    LagKeyKind.SAME_TARGET_FS: "target_fs",
+    LagKeyKind.SAME_TARGET_HOST: "target_host",
+    LagKeyKind.SAME_NODE: "node",
+}
+
+
+def _chunk_key(file_name: str) -> tuple[int, int, int] | None:
+    try:
+        parts = parse_filename(file_name)
+    except FilenameParseError:
+        return None
+    return (parts.experiment_num, parts.run_num, parts.chunk_num)
+
+
+def _factorise(values: Iterable) -> np.ndarray:
+    """int64 codes in order of first appearance; None becomes -1."""
+    codes: dict = {}
+    return np.array(
+        [-1 if v is None else codes.setdefault(v, len(codes)) for v in values],
+        dtype=np.int64,
+    )
+
+
+def _key_codes(events: Sequence[TransferEvent], kind: LagKeyKind) -> np.ndarray:
+    """One code per event under ``kind``; -1 means unkeyed.
 
     Only SAME_CHUNK can be unkeyed: it requires a parseable file name and
     keys on (experiment, run, chunk) so all streams of a chunk match.
     """
     if kind is LagKeyKind.OVERALL:
-        return ()
-    if kind is LagKeyKind.SAME_INSTRUMENT:
-        return event.instrument
-    if kind is LagKeyKind.SAME_EXPERIMENT:
-        return event.experiment
-    if kind is LagKeyKind.SAME_SOURCE_FS:
-        return event.source_fs
-    if kind is LagKeyKind.SAME_TARGET_FS:
-        return event.target_fs
-    if kind is LagKeyKind.SAME_TARGET_HOST:
-        return event.target_host
-    if kind is LagKeyKind.SAME_NODE:
-        return event.node
+        return np.zeros(len(events), dtype=np.int64)
     if kind is LagKeyKind.SAME_CHUNK:
-        try:
-            parts = parse_filename(event.file_name)
-        except FilenameParseError:
-            return None
-        return (parts.experiment_num, parts.run_num, parts.chunk_num)
-    raise ValueError(f"unknown kind {kind!r}")
+        return _factorise(_chunk_key(e.file_name) for e in events)
+    field = _KEY_FIELDS[kind]
+    return _factorise(getattr(e, field) for e in events)
 
 
-@dataclass(frozen=True)
-class LagInfo:
-    """What the l-th most recently finished matching transfer looked like.
+def _sorted_times(
+    events: Sequence[TransferEvent],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(starts, stops, ids) as int64 arrays; raises unless in sort_by_start order."""
+    starts = np.array([e.start_time for e in events], dtype=np.int64)
+    stops = np.array([e.stop_time for e in events], dtype=np.int64)
+    ids = np.array([e.id for e in events], dtype=np.int64)
+    d_start, d_stop, d_id = np.diff(starts), np.diff(stops), np.diff(ids)
+    tie = d_start == 0
+    if np.any((d_start < 0) | (tie & (d_stop < 0)) | (tie & (d_stop == 0) & (d_id < 0))):
+        raise ValueError(
+            "events must be in sort_by_start order (start_time, stop_time, id)"
+        )
+    return starts, stops, ids
 
-    ``time_diff_s`` is current start minus the lag's stop; it is strictly
-    positive whenever ``present`` because only transfers that finished before
-    the current one starts qualify.
+
+def _ranks(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Dense ranks of every start and stop in their joint order, and the rank count.
+
+    ``code * width + rank`` then orders (code, time) pairs as one int64
+    without overflowing for any timestamp range.
     """
-
-    present: bool
-    transfer_rate_mbs: float
-    file_size_gb: float
-    time_diff_s: float
+    values, inverse = np.unique(np.concatenate([starts, stops]), return_inverse=True)
+    n = len(starts)
+    return inverse[:n], inverse[n:], max(len(values), 1)
 
 
-ABSENT_LAG = LagInfo(False, math.nan, math.nan, math.nan)
+def _active(
+    groups: np.ndarray,
+    start_ranks: np.ndarray,
+    stop_ranks: np.ndarray,
+    query_groups: np.ndarray,
+    query_ranks: np.ndarray,
+    width: int,
+) -> np.ndarray:
+    """Per query (g, t): intervals of group g with start <= t < stop.
 
-
-def _check_sorted(events: Sequence[TransferEvent]) -> None:
-    prev: tuple[int, int, int] | None = None
-    for e in events:
-        key = (e.start_time, e.stop_time, e.id)
-        if prev is not None and key < prev:
-            raise ValueError(
-                "events must be in sort_by_start order (start_time, stop_time, id)"
-            )
-        prev = key
+    Counts #(start <= t) - #(stop <= t) within the group; the intervals of
+    lower groups appear in both counts and cancel.
+    """
+    query = query_groups * width + query_ranks
+    opened = np.searchsorted(np.sort(groups * width + start_ranks), query, side="right")
+    closed = np.searchsorted(np.sort(groups * width + stop_ranks), query, side="right")
+    return opened - closed
 
 
 def compute_keyed_lags(
     events: Sequence[TransferEvent],
     kind: LagKeyKind,
     orders: Iterable[int],
-) -> list[dict[int, LagInfo]]:
-    """Lag statistics for every event, one pass, O(n log n).
+) -> dict[int, np.ndarray]:
+    """Row indices into ``events`` of each event's lags, one array per order.
 
     For event i and order l, the lag is the l-th most recent event j with the
     same key that finished strictly before i started (stop_time(j) <
     start_time(i)), ranking candidates by stop_time descending with ties
-    broken by larger id first. Orders with too little history are returned
-    with ``present=False``.
+    broken by larger id first. The index is -1 when there is too little
+    history or event i is unkeyed.
 
-    The sweep walks events in start order keeping a min-heap of in-flight
-    transfers; popping (stop_time, id) ascending appends each finished
-    transfer to its key's history list, which therefore stays sorted so the
-    l-th most recent is just ``history[-l]``.
+    Events are sorted by (code, stop, id); ``searchsorted`` puts each start
+    at position ``end`` of its key group, so lag l sits at ``end - l`` when
+    that position is still inside the group.
     """
     order_list = sorted(set(int(o) for o in orders))
     if not order_list or order_list[0] < 1:
         raise ValueError("orders must be positive integers")
-    _check_sorted(events)
+    starts, stops, ids = _sorted_times(events)
+    codes = _key_codes(events, kind)
+    start_ranks, stop_ranks, width = _ranks(starts, stops)
 
-    histories: dict[Hashable, list[TransferEvent]] = {}
-    in_flight: list[tuple[int, int, TransferEvent]] = []
-    results: list[dict[int, LagInfo]] = []
-    for e in events:
-        while in_flight and in_flight[0][0] < e.start_time:
-            _, _, done = heapq.heappop(in_flight)
-            done_key = lag_key(done, kind)
-            if done_key is not None:
-                histories.setdefault(done_key, []).append(done)
-        key = lag_key(e, kind)
-        history = histories.get(key, []) if key is not None else []
-        per_order: dict[int, LagInfo] = {}
-        for order in order_list:
-            if len(history) >= order:
-                j = history[-order]
-                per_order[order] = LagInfo(
-                    present=True,
-                    transfer_rate_mbs=j.transfer_rate_mbs,
-                    file_size_gb=j.file_size_gb,
-                    time_diff_s=float(e.start_time - j.stop_time),
-                )
-            else:
-                per_order[order] = ABSENT_LAG
-        results.append(per_order)
-        heapq.heappush(in_flight, (e.stop_time, e.id, e))
-    return results
-
-
-@dataclass(frozen=True)
-class ConcurrencyCounts:
-    """Per-event counts of other transfers active on the same resource."""
-
-    total: np.ndarray
-    unique_experiments: np.ndarray
+    by_stop = np.lexsort((ids, stops, codes))
+    sorted_keys = (codes * width + stop_ranks)[by_stop]
+    group_start = np.searchsorted(sorted_keys, codes * width, side="left")
+    end = np.searchsorted(sorted_keys, codes * width + start_ranks, side="left")
+    keyed = codes >= 0
+    result = {}
+    for order in order_list:
+        pos = end - order
+        present = keyed & (pos >= group_start)
+        result[order] = np.where(present, by_stop[np.where(present, pos, 0)], -1)
+    return result
 
 
 def compute_concurrency(
     events: Sequence[TransferEvent], kind: LagKeyKind
-) -> ConcurrencyCounts:
-    """Count other same-key transfers running when each event starts.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(total, unique_experiments): other same-key transfers running at each start.
 
     Event j is active for event i when start_time(j) <= start_time(i) <
     stop_time(j) and j != i. ``unique_experiments`` counts distinct
     experiment values among those j. Unkeyed events get zero counts.
 
-    Events sharing a start time see each other, so the sweep processes each
-    key group in batches of equal start: expire finished transfers, admit the
-    whole batch, then subtract each member's own contribution.
+    ``total`` is the key's active count minus the event itself when it has a
+    positive duration. Distinct experiments count the merged intervals of
+    each (key, experiment) pair that cover the start, minus the event's own
+    pair when the event is that pair's only active member.
     """
-    _check_sorted(events)
-    n = len(events)
-    total = np.zeros(n, dtype=np.int64)
-    unique = np.zeros(n, dtype=np.int64)
+    starts, stops, _ = _sorted_times(events)
+    codes = _key_codes(events, kind)
+    start_ranks, stop_ranks, width = _ranks(starts, stops)
+    self_active = stops > starts
 
-    groups: dict[Hashable, list[int]] = {}
-    for idx, e in enumerate(events):
-        key = lag_key(e, kind)
-        if key is not None:
-            groups.setdefault(key, []).append(idx)
+    total = _active(codes, start_ranks, stop_ranks, codes, start_ranks, width)
+    total -= self_active
 
-    for indices in groups.values():
-        heap: list[tuple[int, str]] = []  # (stop_time, experiment) of active events
-        exp_counts: dict[str, int] = {}
-        n_active = 0
-        n_distinct = 0
-        pos = 0
-        while pos < len(indices):
-            start = events[indices[pos]].start_time
-            batch_end = pos
-            while (
-                batch_end < len(indices)
-                and events[indices[batch_end]].start_time == start
-            ):
-                batch_end += 1
-            while heap and heap[0][0] <= start:
-                _, exp = heapq.heappop(heap)
-                n_active -= 1
-                exp_counts[exp] -= 1
-                if exp_counts[exp] == 0:
-                    n_distinct -= 1
-            for bi in range(pos, batch_end):
-                e = events[indices[bi]]
-                if e.stop_time > start:
-                    heapq.heappush(heap, (e.stop_time, e.experiment))
-                    n_active += 1
-                    exp_counts[e.experiment] = exp_counts.get(e.experiment, 0) + 1
-                    if exp_counts[e.experiment] == 1:
-                        n_distinct += 1
-            for bi in range(pos, batch_end):
-                idx = indices[bi]
-                e = events[idx]
-                if e.stop_time > start:
-                    total[idx] = n_active - 1
-                    unique[idx] = n_distinct - (1 if exp_counts[e.experiment] == 1 else 0)
-                else:
-                    total[idx] = n_active
-                    unique[idx] = n_distinct
-            pos = batch_end
-    return ConcurrencyCounts(total=total, unique_experiments=unique)
+    pairs = _factorise(zip(codes.tolist(), (e.experiment for e in events)))
+    pair_active = _active(pairs, start_ranks, stop_ranks, pairs, start_ranks, width)
+    # Merge each pair's intervals: sorted by (pair, start), a merged interval
+    # begins wherever the start exceeds every earlier stop of the pair.
+    by_start = np.lexsort((start_ranks, pairs))
+    base = (pairs * width)[by_start]
+    sorted_starts = start_ranks[by_start]
+    reach = np.maximum.accumulate(base + stop_ranks[by_start])
+    begins = np.ones(len(events), dtype=bool)
+    begins[1:] = base[1:] + sorted_starts[1:] > reach[:-1]
+    # begins[0] is always set, so rolling it to the back marks the last run's end.
+    ends = np.roll(begins, -1)
+    covered = _active(
+        codes[by_start][begins],
+        sorted_starts[begins],
+        (reach - base)[ends],
+        codes,
+        start_ranks,
+        width,
+    )
+    unique = covered - (self_active & (pair_active == 1))
+
+    unkeyed = codes < 0
+    total[unkeyed] = 0
+    unique[unkeyed] = 0
+    return total, unique
 
 
 def compute_chunk_time_offset(
@@ -231,21 +222,12 @@ def compute_chunk_time_offset(
     (offsets, missing): events whose file name does not parse get a missing
     flag and a NaN offset; the chunk's first job gets 0.
     """
-    n = len(events)
-    offsets = np.full(n, np.nan)
-    missing = np.ones(n, dtype=bool)
-    first_start: dict[Hashable, int] = {}
-    keys: list[Hashable | None] = []
-    for e in events:
-        key = lag_key(e, LagKeyKind.SAME_CHUNK)
-        keys.append(key)
-        if key is not None:
-            seen = first_start.get(key)
-            if seen is None or e.start_time < seen:
-                first_start[key] = e.start_time
-    for idx, e in enumerate(events):
-        key = keys[idx]
-        if key is not None:
-            offsets[idx] = float(e.start_time - first_start[key])
-            missing[idx] = False
-    return offsets, missing
+    starts = np.array([e.start_time for e in events], dtype=np.int64)
+    codes = _key_codes(events, LagKeyKind.SAME_CHUNK)
+    keyed = codes >= 0
+    starts, codes = starts[keyed], codes[keyed]
+    first_start = np.full(codes.max(initial=-1) + 1, np.iinfo(np.int64).max)
+    np.minimum.at(first_start, codes, starts)
+    offsets = np.full(len(events), np.nan)
+    offsets[keyed] = starts - first_start[codes]
+    return offsets, ~keyed

@@ -10,7 +10,7 @@ meaningless. Importances are per-feature split gains normalized to sum to 1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -77,6 +77,19 @@ class HyperParams:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "HyperParams":
+        """Parse a JSON object of hyperparameters; omitted ones keep their defaults.
+
+        Raises ValueError naming the offending field.
+        """
+        if not isinstance(payload, dict):
+            raise ValueError(f"hyperparameters must be a JSON object, got {payload!r}")
+        types = {f.name: f.type for f in fields(cls)}
+        for name, value in payload.items():
+            if name not in types:
+                raise ValueError(f"unknown hyperparameter {name!r}")
+            allowed = int if types[name] == "int" else (int, float)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValueError(f"hyperparameter {name!r} must be {types[name]}, got {value!r}")
         return cls(**payload)
 
 
@@ -285,13 +298,34 @@ def model_to_dict(model: GbtModel | RfModel) -> dict:
 
 
 def model_from_dict(payload: dict) -> GbtModel | RfModel:
+    """Rebuild a model from :func:`model_to_dict` output.
+
+    Raises ValueError naming the missing or malformed field.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError("model must be a JSON object")
     version = payload.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version: {version!r}")
-    params = HyperParams.from_dict(payload["params"])
-    trees = [RegressionTree.from_dict(t) for t in payload["trees"]]
+    family = payload.get("family")
+    if family not in ("gbt", "rf"):
+        raise ValueError(f"unknown model family: {family!r}")
+    required = ["params", "feature_names", "importances", "trees"]
+    if family == "gbt":
+        required.append("base_prediction")
+    for name in required:
+        if name not in payload:
+            raise ValueError(f"model lacks field {name!r}")
+    try:
+        params = HyperParams.from_dict(payload["params"])
+    except ValueError as exc:
+        raise ValueError(f"field 'params': {exc}") from None
+    try:
+        trees = [RegressionTree.from_dict(t) for t in payload["trees"]]
+    except KeyError as exc:
+        raise ValueError(f"field 'trees': a tree lacks field {exc}") from None
     importances = np.asarray(payload["importances"], dtype=float)
-    if payload["family"] == "gbt":
+    if family == "gbt":
         return GbtModel(
             params=params,
             feature_names=list(payload["feature_names"]),
@@ -300,15 +334,13 @@ def model_from_dict(payload: dict) -> GbtModel | RfModel:
             importances=importances,
             train_loss=[float(v) for v in payload.get("train_loss", [])],
         )
-    if payload["family"] == "rf":
-        return RfModel(
-            params=params,
-            feature_names=list(payload["feature_names"]),
-            trees=trees,
-            importances=importances,
-            bootstrap=bool(payload.get("bootstrap", True)),
-        )
-    raise ValueError(f"unknown model family: {payload['family']!r}")
+    return RfModel(
+        params=params,
+        feature_names=list(payload["feature_names"]),
+        trees=trees,
+        importances=importances,
+        bootstrap=bool(payload.get("bootstrap", True)),
+    )
 
 
 def save_model(model: GbtModel | RfModel, path: str) -> None:
@@ -318,5 +350,9 @@ def save_model(model: GbtModel | RfModel, path: str) -> None:
 
 
 def load_model(path: str) -> GbtModel | RfModel:
+    """Read a model JSON file; a malformed file raises ValueError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            return model_from_dict(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None

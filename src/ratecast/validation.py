@@ -265,6 +265,8 @@ def chronological_split(n_rows: int, split: float) -> int:
     """Rows in the training side of a chronological ``split`` fraction."""
     if not 0 < split < 1:
         raise ValueError("split must be in (0, 1)")
+    if n_rows < 2:
+        raise ValueError(f"a chronological split needs at least 2 rows, got {n_rows}")
     n_train = int(n_rows * split + 1e-9)
     return min(max(n_train, 1), n_rows - 1)
 

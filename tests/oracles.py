@@ -1,18 +1,60 @@
-"""Brute-force reference implementations for the sweep algorithms.
+"""Brute-force reference implementations for the lag and concurrency features.
 
 These follow the feature definitions literally, one event at a time, with no
 shared state between queries; they are deliberately independent of the
-sweep-line code they are used to check.
+sorted-array code they are used to check, down to their own key definition.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Hashable, NamedTuple, Sequence
 
 import numpy as np
 
 from ratecast.events import TransferEvent
-from ratecast.lags import LagInfo, LagKeyKind, lag_key
+from ratecast.filenames import FilenameParseError, parse_filename
+from ratecast.lags import LagKeyKind
+
+
+class LagInfo(NamedTuple):
+    """What the l-th most recently finished matching transfer looked like."""
+
+    present: bool
+    transfer_rate_mbs: float
+    file_size_gb: float
+    time_diff_s: float
+
+
+ABSENT = LagInfo(False, float("nan"), float("nan"), float("nan"))
+
+
+def lag_key(event: TransferEvent, kind: LagKeyKind) -> Hashable | None:
+    """Key value of ``event`` under ``kind``; None means unkeyed.
+
+    Only SAME_CHUNK can be unkeyed: it requires a parseable file name and
+    keys on (experiment, run, chunk) so all streams of a chunk match.
+    """
+    if kind is LagKeyKind.OVERALL:
+        return ()
+    if kind is LagKeyKind.SAME_INSTRUMENT:
+        return event.instrument
+    if kind is LagKeyKind.SAME_EXPERIMENT:
+        return event.experiment
+    if kind is LagKeyKind.SAME_SOURCE_FS:
+        return event.source_fs
+    if kind is LagKeyKind.SAME_TARGET_FS:
+        return event.target_fs
+    if kind is LagKeyKind.SAME_TARGET_HOST:
+        return event.target_host
+    if kind is LagKeyKind.SAME_NODE:
+        return event.node
+    if kind is LagKeyKind.SAME_CHUNK:
+        try:
+            parts = parse_filename(event.file_name)
+        except FilenameParseError:
+            return None
+        return (parts.experiment_num, parts.run_num, parts.chunk_num)
+    raise ValueError(f"unknown kind {kind!r}")
 
 
 def _key_codes(events: Sequence[TransferEvent], kind: LagKeyKind) -> np.ndarray:
@@ -40,7 +82,7 @@ def brute_force_lags(
         per_order: dict[int, LagInfo] = {}
         if codes[i] < 0:
             for order in orders:
-                per_order[order] = LagInfo(False, float("nan"), float("nan"), float("nan"))
+                per_order[order] = ABSENT
             results.append(per_order)
             continue
         candidate = np.nonzero((codes == codes[i]) & (stops < starts[i]))[0]
@@ -56,27 +98,37 @@ def brute_force_lags(
                     float(e.start_time - j.stop_time),
                 )
             else:
-                per_order[order] = LagInfo(False, float("nan"), float("nan"), float("nan"))
+                per_order[order] = ABSENT
         results.append(per_order)
     return results
 
 
 def assert_same_lags(
-    got: list[dict[int, LagInfo]], want: list[dict[int, LagInfo]]
+    events: Sequence[TransferEvent],
+    got_indices: dict[int, np.ndarray],
+    want: list[dict[int, LagInfo]],
 ) -> None:
-    """Exact comparison; absent lags match regardless of their NaN payload."""
-    assert len(got) == len(want)
-    for i, (g_map, w_map) in enumerate(zip(got, want)):
-        assert g_map.keys() == w_map.keys(), f"event {i}: order sets differ"
-        for order in w_map:
-            g, w = g_map[order], w_map[order]
-            assert g.present == w.present, f"event {i} order {order}: presence differs"
+    """Exact comparison of lag row indices against the oracle's lag records.
+
+    Index -1 means absent; absent lags match regardless of the oracle's NaN
+    payload. A present lag must give the oracle's rate, size and time
+    difference.
+    """
+    assert len(want) == len(events)
+    for i, w_map in enumerate(want):
+        assert got_indices.keys() == w_map.keys(), f"event {i}: order sets differ"
+        for order, w in w_map.items():
+            assert len(got_indices[order]) == len(events)
+            j = int(got_indices[order][i])
+            assert (j >= 0) == w.present, f"event {i} order {order}: presence differs"
             if w.present:
-                assert (
-                    g.transfer_rate_mbs == w.transfer_rate_mbs
-                    and g.file_size_gb == w.file_size_gb
-                    and g.time_diff_s == w.time_diff_s
-                ), f"event {i} order {order}: {g} != {w}"
+                g = LagInfo(
+                    True,
+                    events[j].transfer_rate_mbs,
+                    events[j].file_size_gb,
+                    float(events[i].start_time - events[j].stop_time),
+                )
+                assert g == w, f"event {i} order {order}: {g} != {w}"
 
 
 def brute_force_concurrency(

@@ -208,6 +208,76 @@ def test_usage_errors_exit_2_and_data_errors_exit_1(tmp_path):
     assert main(["clean", "--in", str(bad_row), "--out", f"{d}/out.csv"]) == 1
 
 
+def _static_features_and_model(d, n):
+    """A group-A feature CSV and, for its columns, a tree-less model payload."""
+    assert main(["synth", "--out", f"{d}/events.csv", "--n", str(n), "--seed", "3"]) == 0
+    assert main(["features", "--in", f"{d}/events.csv", "--out", f"{d}/features.csv",
+                 "--groups", "A"]) == 0
+    with open(f"{d}/features.csv") as fh:
+        _, names, _, _ = read_feature_csv(fh)
+    model = GbtModel(params=HyperParams(), feature_names=names, base_prediction=1.0,
+                     trees=[], importances=np.zeros(len(names)))
+    return model_to_dict(model)
+
+
+def _without_trees(model):
+    del model["trees"]
+    return model
+
+
+def _with_bogus_param(model):
+    model["params"]["bogus"] = 1
+    return model
+
+
+@pytest.mark.parametrize(
+    "command, flag, make_payload, field",
+    [
+        ("train", "--from-cv", lambda model: {"best_index": 0}, "best_params"),
+        ("train", "--from-cv", lambda model: {"best_params": {"bogus": 1}}, "bogus"),
+        ("train", "--params", lambda model: {"bogus": 1}, "bogus"),
+        ("train", "--params", lambda model: {"max_depth": "deep"}, "max_depth"),
+        ("train", "--params", lambda model: {"n_estimators": 2.5}, "n_estimators"),
+        ("eval", "--model", _without_trees, "trees"),
+        ("eval", "--model", _with_bogus_param, "bogus"),
+        ("eval", "--model", lambda model: json.dumps(model)[:40], "line 1"),
+    ],
+    ids=[
+        "cv-without-best-params",
+        "cv-with-unknown-param",
+        "params-with-unknown-key",
+        "params-with-string-value",
+        "params-with-fractional-count",
+        "model-without-trees",
+        "model-with-unknown-param",
+        "truncated-model",
+    ],
+)
+def test_bad_artifacts_exit_1_without_traceback(tmp_path, capsys, command, flag, make_payload,
+                                                field):
+    d = str(tmp_path)
+    payload = make_payload(_static_features_and_model(d, 300))
+    path = tmp_path / "artifact.json"
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    capsys.readouterr()
+    extra = ["--out", f"{d}/model.json"] if command == "train" else []
+    assert main([command, "--features", f"{d}/features.csv", flag, str(path), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(path) in err and field in err
+    assert "Traceback" not in err
+
+
+def test_eval_of_empty_test_subset_exits_1(tmp_path, capsys):
+    d = str(tmp_path)
+    with open(f"{d}/model.json", "w") as fh:
+        json.dump(_static_features_and_model(d, 50), fh)
+    capsys.readouterr()
+    assert main(["eval", "--features", f"{d}/features.csv", "--model", f"{d}/model.json",
+                 "--test-subset", "0"]) == 1
+    assert "error: rmse of empty arrays" in capsys.readouterr().err
+
+
 def test_eval_rejects_mismatched_feature_columns(tmp_path):
     d = str(tmp_path)
     assert main(["synth", "--out", f"{d}/events.csv", "--n", "600", "--seed", "2"]) == 0

@@ -57,6 +57,20 @@ def test_parse_bad_numeric_reports_row_index():
     assert err.value.row_index == 1
 
 
+@pytest.mark.parametrize(
+    "size, rate",
+    [("nan", "50.0"), ("1.0", "inf"), ("-inf", "50.0"), ("1.0", "NaN"), ("nan", "inf")],
+)
+def test_parse_rejects_non_finite_numbers(size, rate):
+    rows = [
+        "10,20,1.0,50.0,cxi,e1,h,tfs,sfs,n,f,DSS_TO_FFB",
+        f"10,20,{size},{rate},cxi,e1,h,tfs,sfs,n,f,DSS_TO_FFB",
+    ]
+    with pytest.raises(CsvRowError, match="non-finite") as err:
+        _parse(HEADER + "\n" + "\n".join(rows) + "\n")
+    assert err.value.row_index == 1
+
+
 def test_parse_missing_column_is_schema_error():
     bad_header = ",".join(c for c in CSV_COLUMNS if c != "node")
     with pytest.raises(CsvSchemaError, match="node"):

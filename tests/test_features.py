@@ -39,29 +39,34 @@ C_KINDS = [
 # ---------------------------------------------------------------- time features
 
 
+def _time_features(start, tz_offset_hours=0.0):
+    dows, hours = compute_time_features([mk_event(start=start)], tz_offset_hours)
+    return int(dows[0]), int(hours[0])
+
+
 def test_time_features_at_epoch():
     # 1970-01-01 00:00 was a Thursday
-    assert compute_time_features(mk_event(start=0)) == (3, 0)
+    assert _time_features(0) == (3, 0)
 
 
 def test_time_features_one_day_later():
-    assert compute_time_features(mk_event(start=86400)) == (4, 0)
+    assert _time_features(86400) == (4, 0)
 
 
 @pytest.mark.parametrize("offset_hours", [0.0, -7.0, 5.5, -12.0])
 def test_time_features_match_calendar_oracle(offset_hours):
     rng = np.random.default_rng(11)
-    for _ in range(200):
-        start = int(rng.integers(0, 2_000_000_000))
-        dow, hour = compute_time_features(mk_event(start=start), offset_hours)
-        tz = timezone(timedelta(hours=offset_hours))
+    starts = [int(s) for s in rng.integers(0, 2_000_000_000, size=200)]
+    dows, hours = compute_time_features([mk_event(start=s) for s in starts], offset_hours)
+    tz = timezone(timedelta(hours=offset_hours))
+    for start, dow, hour in zip(starts, dows, hours):
         moment = datetime.fromtimestamp(start, tz=tz)
         assert dow == moment.weekday()
         assert hour == moment.hour
 
 
 def test_time_features_known_timestamp_with_offset():
-    dow, hour = compute_time_features(mk_event(start=1498066922), tz_offset_hours=-7.0)
+    dow, hour = _time_features(1498066922, tz_offset_hours=-7.0)
     moment = datetime.fromtimestamp(1498066922, tz=timezone(timedelta(hours=-7)))
     assert (dow, hour) == (moment.weekday(), moment.hour)
 
@@ -73,25 +78,25 @@ def test_first_event_has_no_lag():
     events = sort_by_start([mk_event(id=0, start=0)])
     for kind in ALL_KINDS:
         result = compute_keyed_lags(events, kind, [1])
-        assert result[0][1].present is False
+        assert result[1].tolist() == [-1]
 
 
 def test_lag_of_completed_predecessor():
     a = mk_event(id=0, start=0, stop=10, rate=100.0, size=2.0)
     b = mk_event(id=1, start=20, stop=30)
-    result = compute_keyed_lags([a, b], LagKeyKind.SAME_INSTRUMENT, [1])
-    info = result[1][1]
-    assert info.present
-    assert info.transfer_rate_mbs == 100.0
-    assert info.file_size_gb == 2.0
-    assert info.time_diff_s == 10.0
+    events = [a, b]
+    result = compute_keyed_lags(events, LagKeyKind.SAME_INSTRUMENT, [1])
+    assert result[1].tolist() == [-1, 0]
+    want = brute_force_lags(events, LagKeyKind.SAME_INSTRUMENT, [1])
+    assert want[1][1] == (True, 100.0, 2.0, 10.0)
+    assert_same_lags(events, result, want)
 
 
 def test_lag_requires_strict_completion_before_start():
     a = mk_event(id=0, start=0, stop=20)
     b = mk_event(id=1, start=20, stop=30)  # a stops exactly when b starts
     result = compute_keyed_lags([a, b], LagKeyKind.OVERALL, [1])
-    assert result[1][1].present is False
+    assert result[1].tolist() == [-1, -1]
 
 
 def test_lag_ties_on_stop_prefer_larger_id():
@@ -99,8 +104,8 @@ def test_lag_ties_on_stop_prefer_larger_id():
     b = mk_event(id=1, start=0, stop=10, rate=2.0)
     c = mk_event(id=2, start=50, stop=60)
     result = compute_keyed_lags([a, b, c], LagKeyKind.OVERALL, [1, 2])
-    assert result[2][1].transfer_rate_mbs == 2.0
-    assert result[2][2].transfer_rate_mbs == 1.0
+    assert result[1][2] == 1  # b, rate 2.0
+    assert result[2][2] == 0  # a, rate 1.0
 
 
 def test_lag_unparseable_filename_is_unkeyed_for_chunk():
@@ -108,9 +113,8 @@ def test_lag_unparseable_filename_is_unkeyed_for_chunk():
     b = mk_event(id=1, start=10, stop=20, file_name="garbage.dat")
     c = mk_event(id=2, start=30, stop=40, file_name="e1-r1-s1-c0.xtc")
     result = compute_keyed_lags([a, b, c], LagKeyKind.SAME_CHUNK, [1])
-    assert result[1][1].present is False  # unkeyed event gets no lag
-    assert result[2][1].present
-    assert result[2][1].time_diff_s == 25.0  # skips the unkeyed middle event
+    assert result[1][1] == -1  # unkeyed event gets no lag
+    assert result[1][2] == 0  # skips the unkeyed middle event: 30 - 5 = 25 s
 
 
 def test_lags_require_sorted_input():
@@ -133,7 +137,7 @@ def test_lag_sweep_matches_brute_force(kind):
     orders = [1, 5]
     got = compute_keyed_lags(events, kind, orders)
     want = brute_force_lags(events, kind, orders)
-    assert_same_lags(got, want)
+    assert_same_lags(events, got, want)
 
 
 @settings(max_examples=30, deadline=None)
@@ -141,61 +145,61 @@ def test_lag_sweep_matches_brute_force(kind):
 def test_lag_sweep_matches_brute_force_fuzzed(seed, n):
     rng = np.random.default_rng(seed)
     events = sort_by_start(random_events(rng, n, time_span=80, max_duration=30))
-    for kind in (LagKeyKind.OVERALL, LagKeyKind.SAME_NODE, LagKeyKind.SAME_CHUNK):
+    for kind in ALL_KINDS:
         got = compute_keyed_lags(events, kind, [1, 2, 3])
         want = brute_force_lags(events, kind, [1, 2, 3])
-        assert_same_lags(got, want)
+        assert_same_lags(events, got, want)
 
 
 # --------------------------------------------------------------- concurrency
 
 
 def test_concurrency_single_event_is_zero():
-    counts = compute_concurrency([mk_event(id=0)], LagKeyKind.SAME_TARGET_HOST)
-    assert counts.total.tolist() == [0]
-    assert counts.unique_experiments.tolist() == [0]
+    total, unique = compute_concurrency([mk_event(id=0)], LagKeyKind.SAME_TARGET_HOST)
+    assert total.tolist() == [0]
+    assert unique.tolist() == [0]
 
 
 def test_concurrency_counts_only_already_started_overlaps():
     a = mk_event(id=0, start=0, stop=100)
     b = mk_event(id=1, start=50, stop=60)
-    counts = compute_concurrency([a, b], LagKeyKind.SAME_TARGET_HOST)
-    assert counts.total.tolist() == [0, 1]  # B starts after A, so A sees nothing
+    total, _ = compute_concurrency([a, b], LagKeyKind.SAME_TARGET_HOST)
+    assert total.tolist() == [0, 1]  # B starts after A, so A sees nothing
 
 
 def test_concurrency_same_start_events_see_each_other():
     a = mk_event(id=0, start=10, stop=20, experiment="e1")
     b = mk_event(id=1, start=10, stop=30, experiment="e2")
-    counts = compute_concurrency([a, b], LagKeyKind.SAME_TARGET_HOST)
-    assert counts.total.tolist() == [1, 1]
-    assert counts.unique_experiments.tolist() == [1, 1]
+    total, unique = compute_concurrency([a, b], LagKeyKind.SAME_TARGET_HOST)
+    assert total.tolist() == [1, 1]
+    assert unique.tolist() == [1, 1]
 
 
 def test_concurrency_zero_duration_event_is_never_active():
     a = mk_event(id=0, start=10, stop=10)
     b = mk_event(id=1, start=10, stop=30)
-    counts = compute_concurrency([a, b], LagKeyKind.SAME_TARGET_HOST)
-    assert counts.total.tolist() == [1, 0]  # a sees b; b does not see a
+    total, _ = compute_concurrency([a, b], LagKeyKind.SAME_TARGET_HOST)
+    assert total.tolist() == [1, 0]  # a sees b; b does not see a
 
 
 def test_concurrency_unique_experiments_excludes_self_only_experiment():
     a = mk_event(id=0, start=0, stop=100, experiment="e1")
     b = mk_event(id=1, start=10, stop=100, experiment="e1")
     c = mk_event(id=2, start=20, stop=100, experiment="e2")
-    counts = compute_concurrency([a, b, c], LagKeyKind.SAME_TARGET_HOST)
+    total, unique = compute_concurrency([a, b, c], LagKeyKind.SAME_TARGET_HOST)
     # c sees both e1 events -> 1 distinct; b sees a (same experiment) -> 1
-    assert counts.total.tolist() == [0, 1, 2]
-    assert counts.unique_experiments.tolist() == [0, 1, 1]
+    assert total.tolist() == [0, 1, 2]
+    assert unique.tolist() == [0, 1, 1]
 
 
 @pytest.mark.parametrize("kind", C_KINDS, ids=lambda k: k.value)
 def test_concurrency_matches_brute_force(kind):
     rng = np.random.default_rng(321)
     events = sort_by_start(random_events(rng, 1000, time_span=2000, max_duration=120))
-    counts = compute_concurrency(events, kind)
+    total, unique = compute_concurrency(events, kind)
     want_total, want_unique = brute_force_concurrency(events, kind)
-    np.testing.assert_array_equal(counts.total, want_total)
-    np.testing.assert_array_equal(counts.unique_experiments, want_unique)
+    np.testing.assert_array_equal(total, want_total)
+    np.testing.assert_array_equal(unique, want_unique)
 
 
 @settings(max_examples=30, deadline=None)
@@ -203,11 +207,11 @@ def test_concurrency_matches_brute_force(kind):
 def test_concurrency_matches_brute_force_fuzzed(seed, n):
     rng = np.random.default_rng(seed)
     events = sort_by_start(random_events(rng, n, time_span=50, max_duration=40))
-    for kind in (LagKeyKind.SAME_TARGET_HOST, LagKeyKind.SAME_CHUNK):
-        counts = compute_concurrency(events, kind)
+    for kind in C_KINDS + [LagKeyKind.SAME_CHUNK]:
+        total, unique = compute_concurrency(events, kind)
         want_total, want_unique = brute_force_concurrency(events, kind)
-        np.testing.assert_array_equal(counts.total, want_total)
-        np.testing.assert_array_equal(counts.unique_experiments, want_unique)
+        np.testing.assert_array_equal(total, want_total)
+        np.testing.assert_array_equal(unique, want_unique)
 
 
 # --------------------------------------------------------------- chunk offset
@@ -327,7 +331,7 @@ def test_static_only_matrix_has_no_indicator_columns():
     assert matrix.column_names[0] == "A.file_size"
     assert "A.experiment_code" in matrix.column_names
     assert not any(c.name.startswith("A.node.") for c in matrix.columns)
-    assert not matrix.missing_mask.any()
+    assert not (matrix.values == -1.0).any()
 
 
 def test_d1_column_set_matches_definition():
@@ -363,9 +367,6 @@ def test_missing_lag_cells_carry_sentinel_and_indicator():
     indicator = matrix.column("D1.overall.lag1.missing")
     assert rate[0] == -1.0 and indicator[0] == 1.0
     assert rate[1] == 100.0 and indicator[1] == 0.0
-    mask_col = matrix.column_names.index("D1.overall.lag1.rate")
-    assert matrix.missing_mask[0, mask_col]
-    assert not matrix.missing_mask[1, mask_col]
 
 
 def test_assembly_requires_sorted_events():
@@ -382,7 +383,6 @@ def test_assembly_is_deterministic():
     m2 = assemble_features(events, spec)
     assert m1.column_names == m2.column_names
     assert np.array_equal(m1.values, m2.values)
-    assert np.array_equal(m1.missing_mask, m2.missing_mask)
     assert m1.values.tobytes() == m2.values.tobytes()
 
 

@@ -248,6 +248,9 @@ def test_chronological_split_examples():
     assert chronological_split(10, 0.9) == 9
     assert chronological_split(30, 0.1) == 3
     assert chronological_split(2, 0.9) == 1
+    for n_rows in (0, 1):
+        with pytest.raises(ValueError, match="at least 2 rows"):
+            chronological_split(n_rows, 0.9)
 
 
 def test_holdout_split_rows():
