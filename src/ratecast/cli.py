@@ -55,7 +55,10 @@ def _read_json(path: str) -> dict:
 
 def _load_features(path: str):
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return read_feature_csv(fh)
+        try:
+            return read_feature_csv(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -103,6 +106,8 @@ def _cmd_features(args: argparse.Namespace) -> int:
     if args.stage:
         stage = Stage(args.stage)
         events = [e for e in events if e.stage is stage]
+        if not events:
+            raise ValueError(f"{args.input}: no rows of stage {args.stage}")
     events = sort_by_start(events)
     spec = FeatureSpec.parse(args.groups)
     matrix = assemble_features(events, spec, tz_offset_hours=args.tz_offset_hours)
@@ -150,15 +155,7 @@ def _cmd_cv(args: argparse.Namespace) -> int:
     payload = {
         "format_version": 1,
         "family": args.family,
-        "config": {
-            "num_params": config.num_params,
-            "k": config.k,
-            "train_width": config.train_width,
-            "test_width": config.test_width,
-            "train_size": config.train_size,
-            "test_size": config.test_size,
-            "seed": config.seed,
-        },
+        "config": vars(config),
         **result.to_dict(),
         "timing": {"wall_s": round(time.monotonic() - t0, 3)},
     }

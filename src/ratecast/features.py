@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -35,6 +36,7 @@ from .lags import (
     compute_chunk_time_offset,
     compute_concurrency,
     compute_keyed_lags,
+    _key_codes,
     _sorted_times,
 )
 
@@ -63,6 +65,8 @@ _C2_KINDS = (
     LagKeyKind.SAME_TARGET_HOST,
     LagKeyKind.SAME_NODE,
 )
+# Rows formatted per write: bounds the Python floats alive at once.
+_CSV_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -269,8 +273,11 @@ def assemble_features(
     sizes = np.array([e.file_size_gb for e in events])
     rates = np.array([e.transfer_rate_mbs for e in events])
 
+    # D3 and E both key on chunks: run the file-name regex once for both.
+    chunk = LagKeyKind.SAME_CHUNK
+    codes = {chunk: _key_codes(events, chunk)} if spec.groups & {"D3", "E"} else {}
     lag_rows = {
-        kind: compute_keyed_lags(events, kind, orders)
+        kind: compute_keyed_lags(events, kind, orders, codes.get(kind))
         for kind, orders in _needed_lag_orders(spec).items()
     }
 
@@ -345,15 +352,11 @@ def assemble_features(
 
     # Group E
     if "E" in spec.groups:
-        offsets, missing = compute_chunk_time_offset(events)
+        offsets, missing = compute_chunk_time_offset(events, codes[chunk])
         builder.add("E.chunk_time_offset", "E", "chunk_offset", offsets, missing)
         builder.add_indicator("E.chunk_time_offset.missing", "E", missing)
 
     return builder.finish(ids)
-
-
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
 
 
 def write_feature_csv(
@@ -366,20 +369,19 @@ def write_feature_csv(
     """Export the matrix as CSV plus a sidecar JSON of column metadata.
 
     Layout: ``meta.event_id``, one column per feature (named ``group.feature``),
-    then ``target.transfer_rate_mbs``.
+    then ``target.transfer_rate_mbs``; cells are ``%d``/``%.17g``, LF line ends.
     """
-    if len(targets) != matrix.values.shape[0]:
+    n, k = matrix.values.shape
+    targets = np.asarray(targets)
+    if len(targets) != n:
         raise ValueError("targets length does not match matrix rows")
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["meta.event_id", *matrix.column_names, "target.transfer_rate_mbs"])
-    for i in range(matrix.values.shape[0]):
-        writer.writerow(
-            [
-                str(int(matrix.event_ids[i])),
-                *(_fmt(v) for v in matrix.values[i]),
-                _fmt(float(targets[i])),
-            ]
-        )
+    row = "%d" + ",%.17g" * (k + 1) + "\n"
+    for lo in range(0, n, _CSV_BLOCK_ROWS):
+        block = slice(lo, lo + _CSV_BLOCK_ROWS)
+        ids, values, ys = (a[block].tolist() for a in (matrix.event_ids, matrix.values, targets))
+        sink.write("".join(row % (i, *v, y) for i, v, y in zip(ids, values, ys, strict=True)))
     if meta_sink is not None:
         payload = {
             "format_version": 1,
@@ -398,20 +400,20 @@ def write_feature_csv(
 def read_feature_csv(
     source: IO[str],
 ) -> tuple[np.ndarray, list[str], np.ndarray, np.ndarray]:
-    """Load an exported matrix: (X, feature_names, event_ids, targets)."""
-    reader = csv.reader(source)
-    header = next(reader)
+    """Load an exported matrix: (X, feature_names, event_ids, targets).
+
+    Ids must be integers; blank lines and CRLF line ends are accepted. Errors
+    give ``np.loadtxt``'s row and column, counted within the body.
+    """
+    header = next(csv.reader(source), [])
     if not header or header[0] != "meta.event_id" or header[-1] != "target.transfer_rate_mbs":
         raise ValueError("not a feature matrix CSV (bad header)")
     names = header[1:-1]
-    ids: list[int] = []
-    rows: list[list[float]] = []
-    targets: list[float] = []
-    for row in reader:
-        if not row:
-            continue
-        ids.append(int(row[0]))
-        rows.append([float(v) for v in row[1:-1]])
-        targets.append(float(row[-1]))
-    X = np.array(rows) if rows else np.zeros((0, len(names)))
-    return X, names, np.array(ids, dtype=np.int64), np.array(targets)
+    dtype = [("id", np.int64), ("x", np.float64, (len(names),)), ("y", np.float64)]
+    with warnings.catch_warnings():
+        # A header-only body is valid. Older numpy reads a "1.5" id via float and only warns.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+        body = np.loadtxt(source, delimiter=",", comments=None, dtype=dtype, ndmin=1)
+    # Copies are contiguous and writable, and free the structured body.
+    return body["x"].copy(), names, body["id"].copy(), body["y"].copy()

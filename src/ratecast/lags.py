@@ -9,10 +9,10 @@ Three families of dynamic features share the same machinery:
 * chunk timing: seconds since the first transfer of the same chunk started
   (``compute_chunk_time_offset``).
 
-Each key kind is factorised into integer codes once per call, and every
-count or lookup is a ``searchsorted`` into arrays sorted by (code, time). No
-object is built per event. All of them only look at information available
-when a transfer starts, so feature rows never leak data from the future.
+Each key kind is factorised into integer codes once per call (or passed in by
+the caller), and every count or lookup is a ``searchsorted`` into arrays
+sorted by (code, time). No object is built per event. All of them only look at
+information available when a transfer starts, so rows never leak future data.
 """
 
 from __future__ import annotations
@@ -130,6 +130,7 @@ def compute_keyed_lags(
     events: Sequence[TransferEvent],
     kind: LagKeyKind,
     orders: Iterable[int],
+    _codes: np.ndarray | None = None,
 ) -> dict[int, np.ndarray]:
     """Row indices into ``events`` of each event's lags, one array per order.
 
@@ -147,7 +148,7 @@ def compute_keyed_lags(
     if not order_list or order_list[0] < 1:
         raise ValueError("orders must be positive integers")
     starts, stops, ids = _sorted_times(events)
-    codes = _key_codes(events, kind)
+    codes = _key_codes(events, kind) if _codes is None else _codes
     start_ranks, stop_ranks, width = _ranks(starts, stops)
 
     by_stop = np.lexsort((ids, stops, codes))
@@ -214,7 +215,7 @@ def compute_concurrency(
 
 
 def compute_chunk_time_offset(
-    events: Sequence[TransferEvent],
+    events: Sequence[TransferEvent], _codes: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seconds between each event's start and its chunk's earliest start.
 
@@ -223,7 +224,7 @@ def compute_chunk_time_offset(
     flag and a NaN offset; the chunk's first job gets 0.
     """
     starts = np.array([e.start_time for e in events], dtype=np.int64)
-    codes = _key_codes(events, LagKeyKind.SAME_CHUNK)
+    codes = _key_codes(events, LagKeyKind.SAME_CHUNK) if _codes is None else _codes
     keyed = codes >= 0
     starts, codes = starts[keyed], codes[keyed]
     first_start = np.full(codes.max(initial=-1) + 1, np.iinfo(np.int64).max)

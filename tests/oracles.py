@@ -1,13 +1,16 @@
-"""Brute-force reference implementations for the lag and concurrency features.
+"""Brute-force reference implementations for the lag and concurrency features
+and for the feature CSV format.
 
 These follow the feature definitions literally, one event at a time, with no
 shared state between queries; they are deliberately independent of the
 sorted-array code they are used to check, down to their own key definition.
+The CSV oracles format and parse one cell at a time with ``csv``.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, NamedTuple, Sequence
+import csv
+from typing import IO, Hashable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -153,3 +156,43 @@ def brute_force_concurrency(
         total[i] = int(active.sum())
         unique[i] = len({events[j].experiment for j in np.nonzero(active)[0]})
     return total, unique
+
+
+def reference_feature_csv(matrix, targets, sink: IO[str]) -> None:
+    """Feature CSV text written one cell at a time: ``str(int(id))`` and
+    ``format(v, ".17g")`` joined by ``csv.writer`` with LF line ends."""
+    if len(targets) != matrix.values.shape[0]:
+        raise ValueError("targets length does not match matrix rows")
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(["meta.event_id", *matrix.column_names, "target.transfer_rate_mbs"])
+    for i in range(matrix.values.shape[0]):
+        writer.writerow(
+            [
+                str(int(matrix.event_ids[i])),
+                *(format(v, ".17g") for v in matrix.values[i]),
+                format(float(targets[i]), ".17g"),
+            ]
+        )
+
+
+def reference_read_feature_csv(
+    source: IO[str],
+) -> tuple[np.ndarray, list[str], np.ndarray, np.ndarray]:
+    """(X, feature_names, event_ids, targets) parsed one cell at a time with
+    ``csv.reader``, ``int`` and ``float``; empty rows are skipped."""
+    reader = csv.reader(source)
+    header = next(reader)
+    if not header or header[0] != "meta.event_id" or header[-1] != "target.transfer_rate_mbs":
+        raise ValueError("not a feature matrix CSV (bad header)")
+    names = header[1:-1]
+    ids: list[int] = []
+    rows: list[list[float]] = []
+    targets: list[float] = []
+    for row in reader:
+        if not row:
+            continue
+        ids.append(int(row[0]))
+        rows.append([float(v) for v in row[1:-1]])
+        targets.append(float(row[-1]))
+    X = np.array(rows) if rows else np.zeros((0, len(names)))
+    return X, names, np.array(ids, dtype=np.int64), np.array(targets)

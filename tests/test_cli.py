@@ -268,6 +268,60 @@ def test_bad_artifacts_exit_1_without_traceback(tmp_path, capsys, command, flag,
     assert "Traceback" not in err
 
 
+
+def _replace_cell(text, line, cell, value):
+    lines = text.split("\n")
+    cells = lines[line].split(",")
+    cells[cell] = value
+    lines[line] = ",".join(cells)
+    return "\n".join(lines)
+
+
+def _drop_last_cell(text, line):
+    lines = text.split("\n")
+    lines[line] = lines[line].rsplit(",", 1)[0]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "corrupt, detail",
+    [
+        (lambda text: _replace_cell(text, 2, 3, "abc"), "'abc' to float64 at row 1, column 4"),
+        (lambda text: _drop_last_cell(text, 3), "were found at row 3"),
+        (lambda text: _replace_cell(text, 1, 0, "1.5"), "'1.5' to int64 at row 0, column 1"),
+        (lambda text: _replace_cell(text, 0, 0, "id"), "bad header"),
+    ],
+    ids=["non-numeric-cell", "ragged-row", "non-integer-id", "bad-header"],
+)
+@pytest.mark.parametrize("command", ["cv", "train", "eval"])
+def test_bad_feature_csv_exits_1_naming_the_file(tmp_path, capsys, command, corrupt, detail):
+    d = str(tmp_path)
+    with open(f"{d}/model.json", "w") as fh:
+        json.dump(_static_features_and_model(d, 60), fh)
+    bad = tmp_path / "bad_features.csv"
+    bad.write_text(corrupt(_read(f"{d}/features.csv")))
+    capsys.readouterr()
+    extra = {"cv": ["--out", f"{d}/cv.json"], "train": ["--out", f"{d}/m2.json"],
+             "eval": ["--model", f"{d}/model.json"]}[command]
+    assert main([command, "--features", str(bad), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ")
+    assert detail in err
+    assert "Traceback" not in err
+
+
+def test_features_of_an_absent_stage_exits_1(tmp_path, capsys):
+    d = str(tmp_path)
+    assert main(["synth", "--out", f"{d}/events.csv", "--n", "200", "--seed", "4"]) == 0
+    assert main(["features", "--in", f"{d}/events.csv", "--out", f"{d}/dss.csv",
+                 "--stage", "DSS_TO_FFB"]) == 0
+    capsys.readouterr()
+    assert main(["features", "--in", f"{d}/events.csv", "--out", f"{d}/ana.csv",
+                 "--stage", "FFB_TO_ANA"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {d}/events.csv: no rows of stage FFB_TO_ANA\n"
+    assert not (tmp_path / "ana.csv").exists()
+
 def test_eval_of_empty_test_subset_exits_1(tmp_path, capsys):
     d = str(tmp_path)
     with open(f"{d}/model.json", "w") as fh:

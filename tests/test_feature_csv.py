@@ -1,0 +1,167 @@
+"""Feature CSV format: byte identity with the cell-at-a-time oracle, bit-exact
+reading, and the edge cases of the block writer and the structured reader."""
+
+import io
+import warnings
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import ratecast.features as features
+from oracles import reference_feature_csv, reference_read_feature_csv
+from ratecast.features import (
+    ColumnMeta,
+    FeatureMatrix,
+    read_feature_csv,
+    write_feature_csv,
+)
+
+EDGE_VALUES = [
+    0.0,
+    -0.0,
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+    5e-324,
+    -5e-324,
+    2.2250738585072009e-308,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    0.1,
+    1 / 3,
+    -1.0,
+]
+
+INT64 = np.iinfo(np.int64)
+
+
+def _matrix(values, ids) -> FeatureMatrix:
+    columns = [ColumnMeta(f"G.f{j}", "G", "test") for j in range(values.shape[1])]
+    return FeatureMatrix(values=values, columns=columns, event_ids=ids)
+
+
+def _texts(matrix, targets) -> tuple[str, str]:
+    new, old = io.StringIO(), io.StringIO()
+    write_feature_csv(matrix, targets, new)
+    reference_feature_csv(matrix, targets, old)
+    return new.getvalue(), old.getvalue()
+
+
+def _assert_same_read(got, want) -> None:
+    X, names, ids, targets = got
+    X_want, names_want, ids_want, targets_want = want
+    assert names == names_want
+    assert X.shape == X_want.shape and X.dtype == np.float64
+    assert X.tobytes() == X_want.tobytes()
+    assert ids.dtype == np.int64 and np.array_equal(ids, ids_want)
+    assert targets.tobytes() == targets_want.tobytes()
+
+
+def _assert_round_trip(read_back, values, targets) -> None:
+    # %.17g round-trips every float; a NaN comes back as the canonical NaN.
+    for got, want in ((read_back[0], values), (read_back[3], targets)):
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+floats = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_subnormal=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(0, 12),
+    k=st.integers(0, 6),
+    block=st.sampled_from([1, 3, 5, 1024]),
+)
+def test_writer_matches_oracle_and_reader_is_bit_exact(data, n, k, block):
+    values = data.draw(hnp.arrays(np.float64, (n, k), elements=floats))
+    targets = data.draw(hnp.arrays(np.float64, n, elements=floats))
+    id_elements = st.integers(int(INT64.min), int(INT64.max)) | st.just(2**53 + 1)
+    ids = data.draw(hnp.arrays(np.int64, n, elements=id_elements))
+    matrix = _matrix(values, ids)
+    with mock.patch.object(features, "_CSV_BLOCK_ROWS", block):
+        text, want_text = _texts(matrix, targets)
+    assert text == want_text
+    got = read_feature_csv(io.StringIO(text, newline=""))
+    _assert_same_read(got, reference_read_feature_csv(io.StringIO(text, newline="")))
+    assert got[1] == matrix.column_names
+    assert np.array_equal(got[2], ids)
+    _assert_round_trip(got, values, targets)
+
+
+def test_row_count_not_a_multiple_of_the_block_size():
+    n = 2 * features._CSV_BLOCK_ROWS + 7
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=(n, 4)) * 10.0 ** rng.integers(-300, 300, size=(n, 4))
+    values[::97, 1] = np.nan
+    targets = rng.uniform(0.0, 400.0, n)
+    ids = rng.integers(INT64.min, INT64.max, size=n, dtype=np.int64)
+    text, want_text = _texts(_matrix(values, ids), targets)
+    assert text == want_text
+    assert text.count("\n") == n + 1
+    got = read_feature_csv(io.StringIO(text, newline=""))
+    _assert_same_read(got, reference_read_feature_csv(io.StringIO(text, newline="")))
+    _assert_round_trip(got, values, targets)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_zero_and_one_row_matrices(n):
+    values = np.arange(n * 3, dtype=np.float64).reshape(n, 3)
+    targets = np.full(n, 2.5)
+    ids = np.full(n, 2**62, dtype=np.int64)
+    text, want_text = _texts(_matrix(values, ids), targets)
+    assert text == want_text
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X, names, got_ids, y = read_feature_csv(io.StringIO(text, newline=""))
+    assert X.shape == (n, 3) and got_ids.shape == (n,) and y.shape == (n,)
+    assert names == ["G.f0", "G.f1", "G.f2"]
+    assert X.tobytes() == values.tobytes()
+    assert np.array_equal(got_ids, ids)
+
+
+def test_read_returns_contiguous_writable_arrays():
+    text, _ = _texts(_matrix(np.ones((4, 3)), np.arange(4)), np.ones(4))
+    for array in (a for a in read_feature_csv(io.StringIO(text)) if isinstance(a, np.ndarray)):
+        assert array.flags.c_contiguous and array.flags.writeable
+
+
+def test_read_accepts_blank_lines_and_crlf():
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(6, 3))
+    text, _ = _texts(_matrix(values, np.arange(6) + 2**60), rng.normal(size=6))
+    lines = text.splitlines()
+    messy = "\r\n".join(lines[:3] + ["", ""] + lines[3:] + [""]) + "\r\n"
+    got = read_feature_csv(io.StringIO(messy, newline=""))
+    _assert_same_read(got, reference_read_feature_csv(io.StringIO(messy, newline="")))
+    _assert_same_read(got, read_feature_csv(io.StringIO(text, newline="")))
+
+
+HEADER = "meta.event_id,G.a,G.b,target.transfer_rate_mbs\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (HEADER + "1,2,3,4\n2,x,3,4\n", "'x'"),
+        (HEADER + "1,2,3,4\n2,3,4\n", "3 were found"),
+        (HEADER + "1.5,2,3,4\n", "'1.5'"),
+        (HEADER + "9223372036854775808,2,3,4\n", "int64"),
+        (HEADER + "#1,2,3,4\n", "'#1'"),
+        ("id,G.a,G.b,target.transfer_rate_mbs\n1,2,3,4\n", "bad header"),
+        ("", "bad header"),
+    ],
+    ids=["non-numeric", "ragged", "fractional-id", "id-overflow", "comment", "bad-header",
+         "empty"],
+)
+def test_read_rejects_malformed_input(text, message):
+    with pytest.raises(ValueError) as info:
+        read_feature_csv(io.StringIO(text))
+    assert message in str(info.value)
+

@@ -1,16 +1,19 @@
 import dataclasses
 import io
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ratecast.lags
 from helpers import mk_event, random_events
 from oracles import assert_same_lags, brute_force_concurrency, brute_force_lags
 from ratecast.events import sort_by_start
 from ratecast.features import (
+    ALL_GROUPS,
     CategoricalEncoder,
     FeatureSpec,
     assemble_features,
@@ -421,6 +424,32 @@ def test_rows_are_leak_free_under_future_perturbations():
         for i in rows:
             j = by_id[int(baseline.event_ids[i])]
             assert baseline.values[i].tobytes() == other.values[j].tobytes()
+
+
+def test_chunk_file_names_parse_once_per_assembly():
+    events = sort_by_start(random_events(np.random.default_rng(8), 120))
+    parse = ratecast.lags.parse_filename
+    calls = []
+
+    def counting(name):
+        calls.append(name)
+        return parse(name)
+
+    with mock.patch.object(ratecast.lags, "parse_filename", counting):
+        matrix = assemble_features(events, FeatureSpec.parse(",".join(ALL_GROUPS)))
+    assert len(calls) == len(events)
+    with mock.patch.object(ratecast.lags, "parse_filename", counting):
+        alone = [
+            assemble_features(events, FeatureSpec.parse(groups)).values
+            for groups in ("A,D3", "A,E")
+        ]
+    assert len(calls) == 3 * len(events)
+    d3_and_e = [
+        matrix.values[:, [j for j, c in enumerate(matrix.columns) if c.group in groups]]
+        for groups in (("A", "D3"), ("A", "E"))
+    ]
+    for got, want in zip(d3_and_e, alone):
+        assert got.tobytes() == want.tobytes()
 
 
 # -------------------------------------------------------------------- export
