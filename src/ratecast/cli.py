@@ -5,8 +5,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +105,8 @@ def _cmd_clean(args: argparse.Namespace) -> int:
 
 def _cmd_features(args: argparse.Namespace) -> int:
     events = load_events(args.input)
+    if not events:
+        raise ValueError(f"{args.input}: no events")
     if args.stage:
         stage = Stage(args.stage)
         events = [e for e in events if e.stage is stage]
@@ -135,8 +139,27 @@ def _space_from_file(path: str | None) -> HyperParamSpace:
     if path is None:
         return HyperParamSpace()
     raw = _read_json(path)
-    kwargs = {k: tuple(v) for k, v in raw.items()}
-    return HyperParamSpace(**kwargs)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: sampling ranges must be a JSON object, got {raw!r}")
+    types = {f.name: f.type for f in fields(HyperParamSpace)}
+    kwargs = {}
+    for name, bounds in raw.items():
+        if name not in types:
+            raise ValueError(f"{path}: unknown hyperparameter {name!r}")
+        allowed = int if types[name] == "tuple[int, int]" else (int, float)
+        if not (
+            isinstance(bounds, list)
+            and len(bounds) == 2
+            and all(isinstance(v, allowed) and not isinstance(v, bool) for v in bounds)
+            and all(math.isfinite(v) for v in bounds)
+        ):
+            kind = "integers" if allowed is int else "finite numbers"
+            raise ValueError(f"{path}: {name!r} must be a [lo, hi] pair of {kind}, got {bounds!r}")
+        kwargs[name] = tuple(bounds)
+    try:
+        return HyperParamSpace(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _cmd_cv(args: argparse.Namespace) -> int:

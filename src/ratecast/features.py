@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import warnings
 from dataclasses import dataclass
 from typing import IO, Sequence
@@ -402,18 +403,51 @@ def read_feature_csv(
 ) -> tuple[np.ndarray, list[str], np.ndarray, np.ndarray]:
     """Load an exported matrix: (X, feature_names, event_ids, targets).
 
-    Ids must be integers; blank lines and CRLF line ends are accepted. Errors
-    give ``np.loadtxt``'s row and column, counted within the body.
+    Ids must be integers; blank lines and CRLF line ends are accepted. A body
+    error names the line in the file (the header is line 1) when ``source``
+    is seekable, and ``np.loadtxt``'s count within the body otherwise.
     """
     header = next(csv.reader(source), [])
     if not header or header[0] != "meta.event_id" or header[-1] != "target.transfer_rate_mbs":
         raise ValueError("not a feature matrix CSV (bad header)")
     names = header[1:-1]
     dtype = [("id", np.int64), ("x", np.float64, (len(names),)), ("y", np.float64)]
+    try:
+        body = _load_body(source, dtype)
+    except ValueError as exc:
+        raise ValueError(_body_error_at_line(source, dtype, len(names) + 2) or str(exc)) from None
+    # Copies are contiguous and writable, and free the structured body.
+    return body["x"].copy(), names, body["id"].copy(), body["y"].copy()
+
+
+def _load_body(source, dtype) -> np.ndarray:
     with warnings.catch_warnings():
         # A header-only body is valid. Older numpy reads a "1.5" id via float and only warns.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
-        body = np.loadtxt(source, delimiter=",", comments=None, dtype=dtype, ndmin=1)
-    # Copies are contiguous and writable, and free the structured body.
-    return body["x"].copy(), names, body["id"].copy(), body["y"].copy()
+        return np.loadtxt(source, delimiter=",", comments=None, dtype=dtype, ndmin=1)
+
+
+def _body_error_at_line(source: IO[str], dtype, width: int) -> str | None:
+    """Re-read ``source`` from the top and describe its first bad body line.
+
+    As in ``np.loadtxt``, lines end at LF, CRLF or CR and blank lines are
+    skipped. None when ``source`` cannot be re-read.
+    """
+    if not source.seekable():
+        return None
+    source.seek(0)
+    lines = iter(source)
+    next(lines, None)
+    for number, line in enumerate(lines, start=2):
+        line = line.rstrip("\r\n")
+        if not line:
+            continue
+        cells = line.count(",") + 1
+        if cells != width:
+            return f"line {number}: expected {width} cells, found {cells}"
+        try:
+            _load_body([line], dtype)
+        except ValueError as exc:
+            return f"line {number}: " + re.sub(r" at row \d+,", " at", str(exc))
+    return None

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tree import RegressionTree, grow_tree
+from .tree import RegressionTree, grow_tree, rank_columns
 
 MODEL_FORMAT_VERSION = 1
 
@@ -123,6 +123,14 @@ def _validate_training_input(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, 
         raise ValueError("need at least 2 training rows")
     if X.shape[1] < 1:
         raise ValueError("need at least one feature column")
+    finite = np.isfinite(X)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValueError(f"non-finite feature value {float(X[row, col])} at row {row}, column {col}")
+    finite = np.isfinite(y)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"non-finite target {float(y[row])} at row {row}")
     return X, y
 
 
@@ -162,6 +170,7 @@ def fit_gbt(
     names = _resolve_names(feature_names, n_features)
     n_candidates = params.resolve_max_features(n_features)
     rng = np.random.default_rng(params.seed)
+    ranked = rank_columns(X)
 
     base = float(y.mean())
     current = np.full(n, base)
@@ -184,6 +193,7 @@ def fit_gbt(
             min_samples_leaf=params.min_samples_leaf,
             n_candidate_features=n_candidates,
             rng=rng,
+            ranked=ranked,
         )
         current = current + params.learning_rate * tree.predict(X)
         trees.append(tree)
@@ -216,6 +226,7 @@ def fit_rf(
     names = _resolve_names(feature_names, n_features)
     n_candidates = params.resolve_max_features(n_features)
     rng = np.random.default_rng(params.seed)
+    ranked = rank_columns(X)
 
     trees: list[RegressionTree] = []
     sample_size = max(1, int(round(params.subsample * n)))
@@ -234,6 +245,7 @@ def fit_rf(
                 min_samples_leaf=params.min_samples_leaf,
                 n_candidate_features=n_candidates,
                 rng=rng,
+                ranked=ranked,
             )
         )
     return RfModel(

@@ -4,12 +4,14 @@ Splits are searched over every boundary between distinct sorted values of
 each candidate feature (no histogram binning), which keeps fits exactly
 reproducible at the data sizes this library targets. Split quality is the
 reduction in total squared error, accumulated per feature for gain-based
-importance reporting.
+importance reporting. Columns are ranked once per fit, so a node sorts
+small integer ranks rather than floats, for all its candidates at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,42 +75,105 @@ class RegressionTree:
         )
 
 
-def _best_split_for_feature(
-    xs: np.ndarray,
+# Rank cells per candidate block: bounds the search's temporaries at big nodes.
+_BLOCK_CELLS = 1 << 17
+
+
+class RankedColumns(NamedTuple):
+    """A training matrix laid out for split search, built once per fit.
+
+    ``values`` is a feature-major float64 copy of ``X``. ``ranks`` holds the
+    dense rank of every value within its column: equal values (``-0.0`` and
+    ``0.0`` among them) share a rank, so a stable sort of ranks orders rows
+    exactly as a stable sort of values would. Ranks are ``uint16``, which
+    numpy's stable argsort radix-sorts, unless a column has more than 65,536
+    distinct values; then they are ``uint32``.
+    """
+
+    values: np.ndarray
+    ranks: np.ndarray
+
+
+def rank_columns(X: np.ndarray) -> RankedColumns:
+    """Feature-major values and dense column ranks of a finite 2-d ``X``."""
+    values = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
+    ranks = np.empty(values.shape, dtype=np.uint32)
+    n_distinct = 0
+    for f, column in enumerate(values):
+        distinct, ranks[f] = np.unique(column, return_inverse=True)
+        n_distinct = max(n_distinct, distinct.size)
+    if n_distinct <= 1 << 16:
+        ranks = ranks.astype(np.uint16)
+    return RankedColumns(values, ranks)
+
+
+def _best_split(
+    ranked: RankedColumns,
+    candidates: np.ndarray,
+    node_rows: np.ndarray,
     ys: np.ndarray,
     parent_sse: float,
     min_samples_leaf: int,
-) -> tuple[float, float] | None:
-    """(gain, threshold) of the best boundary for one feature, or None."""
-    n = xs.size
-    order = np.argsort(xs, kind="stable")
-    xs_sorted = xs[order]
-    if xs_sorted[0] == xs_sorted[-1]:
+) -> tuple[float, int, float] | None:
+    """(gain, feature, threshold) of the best cut over ``candidates``, or None.
+
+    Candidates are searched in blocks of at most ``_BLOCK_CELLS`` rank cells,
+    one row per candidate: one stable argsort of the block's ranks, then
+    row-wise cumulative sums of the targets in that order. Each row keeps its
+    first maximal gain, and a candidate wins only with a gain strictly above
+    every earlier candidate's and above zero.
+    """
+    n = node_rows.size
+    # Cut c sends sorted positions 0..c left; each side keeps at least one row
+    # and at least min_samples_leaf rows.
+    leaf = max(min_samples_leaf, 1)
+    lo, hi = leaf - 1, n - leaf
+    if lo >= hi:
         return None
-    ys_sorted = ys[order]
-    csum = np.cumsum(ys_sorted)
-    csq = np.cumsum(ys_sorted * ys_sorted)
-    left_n = np.arange(1, n)  # rows that would go left at each cut position
-    valid = xs_sorted[1:] != xs_sorted[:-1]
-    valid &= left_n >= min_samples_leaf
-    valid &= (n - left_n) >= min_samples_leaf
-    if not valid.any():
-        return None
-    left_sum = csum[:-1]
-    left_sq = csq[:-1]
-    sse_left = left_sq - left_sum * left_sum / left_n
-    right_sum = csum[-1] - left_sum
-    right_sq = csq[-1] - left_sq
-    sse_right = right_sq - right_sum * right_sum / (n - left_n)
-    gains = parent_sse - sse_left - sse_right
-    gains[~valid] = -np.inf
-    best = int(np.argmax(gains))
-    lo = xs_sorted[best]
-    hi = xs_sorted[best + 1]
-    threshold = (lo + hi) / 2.0
-    if threshold >= hi:  # midpoint collapsed onto the right value
-        threshold = lo
-    return float(gains[best]), float(threshold)
+    left_n = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    right_n = n - left_n
+    best: tuple[float, int, float] | None = None
+    best_gain = 0.0
+    per_block = max(1, _BLOCK_CELLS // n)
+    n_total = ranked.ranks.shape[1]
+    for start in range(0, candidates.size, per_block):
+        block = candidates[start : start + per_block]
+        # Flat takes: cheaper than 2-d fancy indexing at every node size.
+        block_ranks = ranked.ranks.take(block[:, None] * n_total + node_rows)
+        order = np.argsort(block_ranks, axis=1, kind="stable")
+        sorted_ranks = block_ranks.take(order + np.arange(0, block.size * n, n)[:, None])
+        ys_sorted = ys[order]
+        csum = np.cumsum(ys_sorted, axis=1)
+        csq = np.cumsum(ys_sorted * ys_sorted, axis=1)
+        left_sum = csum[:, lo:hi]
+        left_sq = csq[:, lo:hi]
+        # In place, but the same operations in the same order as
+        # parent - (l2 - l*l/nl) - (r2 - r*r/nr), so gains stay bit-exact.
+        right_sum = csum[:, -1:] - left_sum
+        right_sq = csq[:, -1:] - left_sq
+        sse_left = left_sum * left_sum
+        sse_left /= left_n
+        np.subtract(left_sq, sse_left, out=sse_left)
+        right_sum *= right_sum
+        right_sum /= right_n
+        sse_right = np.subtract(right_sq, right_sum, out=right_sq)
+        gains = np.subtract(parent_sse, sse_left, out=sse_left)
+        gains -= sse_right
+        gains[sorted_ranks[:, lo + 1 : hi + 1] == sorted_ranks[:, lo:hi]] = -np.inf
+        cuts = np.argmax(gains, axis=1)
+        row_gains = gains[np.arange(block.size), cuts]
+        for i, gain in enumerate(row_gains.tolist()):
+            if gain > best_gain:
+                best_gain = gain
+                f = int(block[i])
+                cut = lo + int(cuts[i])
+                low = ranked.values[f, node_rows[order[i, cut]]]
+                high = ranked.values[f, node_rows[order[i, cut + 1]]]
+                threshold = (low + high) / 2.0
+                if threshold >= high:  # midpoint collapsed onto the right value
+                    threshold = low
+                best = (gain, f, float(threshold))
+    return best
 
 
 def grow_tree(
@@ -121,6 +186,7 @@ def grow_tree(
     min_samples_leaf: int,
     n_candidate_features: int,
     rng: np.random.Generator,
+    ranked: RankedColumns | None = None,
 ) -> RegressionTree:
     """Fit one tree on ``X[rows]``/``y[rows]`` (rows may repeat for bootstraps).
 
@@ -131,7 +197,13 @@ def grow_tree(
     leaf when it is at ``max_depth``, has fewer than ``min_samples_split``
     rows, is constant in target, or no candidate cut strictly reduces the
     total squared error while leaving ``min_samples_leaf`` rows per side.
+
+    ``ranked`` is ``rank_columns(X)``; a caller that grows several trees on
+    one ``X`` passes it so the columns are ranked once per fit. ``X`` must
+    be finite.
     """
+    if ranked is None:
+        ranked = rank_columns(X)
     n_features = X.shape[1]
     feature: list[int] = []
     threshold: list[float] = []
@@ -169,19 +241,11 @@ def grow_tree(
             candidates = np.arange(n_features)
         else:
             candidates = rng.choice(n_features, size=n_candidate_features, replace=False)
-        best_gain = 0.0
-        best_feature = -1
-        best_threshold = 0.0
-        for f in candidates:
-            found = _best_split_for_feature(
-                X[node_rows, f], ys, parent_sse, min_samples_leaf
-            )
-            if found is not None and found[0] > best_gain:
-                best_gain, best_threshold = found
-                best_feature = int(f)
-        if best_feature < 0:
+        found = _best_split(ranked, candidates, node_rows, ys, parent_sse, min_samples_leaf)
+        if found is None:
             continue
-        goes_left = X[node_rows, best_feature] <= best_threshold
+        best_gain, best_feature, best_threshold = found
+        goes_left = ranked.values[best_feature, node_rows] <= best_threshold
         rows_left = node_rows[goes_left]
         rows_right = node_rows[~goes_left]
         gains[best_feature] += best_gain

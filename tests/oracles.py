@@ -1,10 +1,11 @@
-"""Brute-force reference implementations for the lag and concurrency features
-and for the feature CSV format.
+"""Brute-force reference implementations for the lag and concurrency features,
+the feature CSV format and the regression tree's split search.
 
 These follow the feature definitions literally, one event at a time, with no
 shared state between queries; they are deliberately independent of the
 sorted-array code they are used to check, down to their own key definition.
-The CSV oracles format and parse one cell at a time with ``csv``.
+The CSV oracles format and parse one cell at a time with ``csv``. The tree
+oracle sorts each candidate feature's float values at every node.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from ratecast.events import TransferEvent
 from ratecast.filenames import FilenameParseError, parse_filename
 from ratecast.lags import LagKeyKind
+from ratecast.tree import RegressionTree
 
 
 class LagInfo(NamedTuple):
@@ -196,3 +198,139 @@ def reference_read_feature_csv(
         targets.append(float(row[-1]))
     X = np.array(rows) if rows else np.zeros((0, len(names)))
     return X, names, np.array(ids, dtype=np.int64), np.array(targets)
+
+
+def _best_split_for_feature(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    parent_sse: float,
+    min_samples_leaf: int,
+) -> tuple[float, float] | None:
+    """(gain, threshold) of the best boundary for one feature, or None."""
+    n = xs.size
+    order = np.argsort(xs, kind="stable")
+    xs_sorted = xs[order]
+    if xs_sorted[0] == xs_sorted[-1]:
+        return None
+    ys_sorted = ys[order]
+    csum = np.cumsum(ys_sorted)
+    csq = np.cumsum(ys_sorted * ys_sorted)
+    left_n = np.arange(1, n)  # rows that would go left at each cut position
+    valid = xs_sorted[1:] != xs_sorted[:-1]
+    valid &= left_n >= min_samples_leaf
+    valid &= (n - left_n) >= min_samples_leaf
+    if not valid.any():
+        return None
+    left_sum = csum[:-1]
+    left_sq = csq[:-1]
+    sse_left = left_sq - left_sum * left_sum / left_n
+    right_sum = csum[-1] - left_sum
+    right_sq = csq[-1] - left_sq
+    sse_right = right_sq - right_sum * right_sum / (n - left_n)
+    gains = parent_sse - sse_left - sse_right
+    gains[~valid] = -np.inf
+    best = int(np.argmax(gains))
+    lo = xs_sorted[best]
+    hi = xs_sorted[best + 1]
+    threshold = (lo + hi) / 2.0
+    if threshold >= hi:  # midpoint collapsed onto the right value
+        threshold = lo
+    return float(gains[best]), float(threshold)
+
+
+def reference_grow_tree(
+    X: np.ndarray,
+    y: np.ndarray,
+    rows: np.ndarray,
+    *,
+    max_depth: int,
+    min_samples_split: int,
+    min_samples_leaf: int,
+    n_candidate_features: int,
+    rng: np.random.Generator,
+) -> RegressionTree:
+    """Fit one tree with a stable float argsort per candidate feature per node.
+
+    This is ``ratecast.tree.grow_tree`` as it was before the split search
+    moved to per-fit column ranks and candidate blocks; the two must agree
+    bit for bit, including the generator state they leave behind.
+
+    Each split draws ``n_candidate_features`` features without replacement
+    from ``rng`` (all features, without consuming the generator, when the
+    count covers them). Nodes are expanded depth-first, left child first, so
+    fits are bit-reproducible for a given generator state. A node becomes a
+    leaf when it is at ``max_depth``, has fewer than ``min_samples_split``
+    rows, is constant in target, or no candidate cut strictly reduces the
+    total squared error while leaving ``min_samples_leaf`` rows per side.
+    """
+    n_features = X.shape[1]
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    value: list[float] = []
+    n_node_samples: list[int] = []
+    gains = np.zeros(n_features)
+
+    def new_node() -> int:
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        n_node_samples.append(0)
+        return len(feature) - 1
+
+    stack: list[tuple[np.ndarray, int, int]] = [(np.asarray(rows), 0, new_node())]
+    while stack:
+        node_rows, depth, node = stack.pop()
+        ys = y[node_rows]
+        n = node_rows.size
+        value[node] = float(ys.mean())
+        n_node_samples[node] = int(n)
+        if depth >= max_depth or n < min_samples_split:
+            continue
+        y_min = ys.min()
+        y_max = ys.max()
+        if y_min == y_max:
+            continue
+        total = float(ys.sum())
+        parent_sse = float(ys @ ys) - total * total / n
+        if n_candidate_features >= n_features:
+            candidates = np.arange(n_features)
+        else:
+            candidates = rng.choice(n_features, size=n_candidate_features, replace=False)
+        best_gain = 0.0
+        best_feature = -1
+        best_threshold = 0.0
+        for f in candidates:
+            found = _best_split_for_feature(
+                X[node_rows, f], ys, parent_sse, min_samples_leaf
+            )
+            if found is not None and found[0] > best_gain:
+                best_gain, best_threshold = found
+                best_feature = int(f)
+        if best_feature < 0:
+            continue
+        goes_left = X[node_rows, best_feature] <= best_threshold
+        rows_left = node_rows[goes_left]
+        rows_right = node_rows[~goes_left]
+        gains[best_feature] += best_gain
+        feature[node] = best_feature
+        threshold[node] = best_threshold
+        left_id = new_node()
+        right_id = new_node()
+        left[node] = left_id
+        right[node] = right_id
+        stack.append((rows_right, depth + 1, right_id))
+        stack.append((rows_left, depth + 1, left_id))
+
+    return RegressionTree(
+        feature=np.asarray(feature, dtype=np.int64),
+        threshold=np.asarray(threshold, dtype=float),
+        left=np.asarray(left, dtype=np.int64),
+        right=np.asarray(right, dtype=np.int64),
+        value=np.asarray(value, dtype=float),
+        n_node_samples=np.asarray(n_node_samples, dtype=np.int64),
+        feature_gains=gains,
+    )

@@ -286,9 +286,9 @@ def _drop_last_cell(text, line):
 @pytest.mark.parametrize(
     "corrupt, detail",
     [
-        (lambda text: _replace_cell(text, 2, 3, "abc"), "'abc' to float64 at row 1, column 4"),
-        (lambda text: _drop_last_cell(text, 3), "were found at row 3"),
-        (lambda text: _replace_cell(text, 1, 0, "1.5"), "'1.5' to int64 at row 0, column 1"),
+        (lambda text: _replace_cell(text, 2, 3, "abc"), "line 3: could not convert string 'abc' to float64 at column 4"),
+        (lambda text: _drop_last_cell(text, 3), "line 4: expected"),
+        (lambda text: _replace_cell(text, 1, 0, "1.5"), "line 2: could not convert string '1.5' to int64 at column 1"),
         (lambda text: _replace_cell(text, 0, 0, "id"), "bad header"),
     ],
     ids=["non-numeric-cell", "ragged-row", "non-integer-id", "bad-header"],
@@ -321,6 +321,66 @@ def test_features_of_an_absent_stage_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"error: {d}/events.csv: no rows of stage FFB_TO_ANA\n"
     assert not (tmp_path / "ana.csv").exists()
+
+def test_features_of_an_empty_log_exits_1(tmp_path, capsys):
+    d = str(tmp_path)
+    assert main(["synth", "--out", f"{d}/events.csv", "--n", "20", "--seed", "4"]) == 0
+    header = _read(f"{d}/events.csv").split("\n", 1)[0]
+    (tmp_path / "empty.csv").write_text(header + "\n")
+    capsys.readouterr()
+    assert main(["features", "--in", f"{d}/empty.csv", "--out", f"{d}/f.csv"]) == 1
+    assert capsys.readouterr().err == f"error: {d}/empty.csv: no events\n"
+    assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "line, cell, detail",
+    # Mid-file rows, so every cv fold's training region (40 of 60 rows) holds them.
+    [(30, 2, "non-finite feature value nan at row"), (31, -1, "non-finite target inf at row")],
+    ids=["feature", "target"],
+)
+@pytest.mark.parametrize("command", ["cv", "train"])
+def test_non_finite_training_data_exits_1(tmp_path, capsys, command, line, cell, detail):
+    d = str(tmp_path)
+    _static_features_and_model(d, 60)
+    value = "nan" if cell > 0 else "inf"
+    (tmp_path / "bad.csv").write_text(_replace_cell(_read(f"{d}/features.csv"), line, cell, value))
+    capsys.readouterr()
+    extra = ["--num-params", "1", "--cv-k", "1", "--train-width", "40", "--test-width", "10",
+             "--train-size", "40", "--test-size", "10"] if command == "cv" else []
+    assert main([command, "--features", f"{d}/bad.csv", "--out", f"{d}/out.json", *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and detail in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "space, detail",
+    [
+        ([1, 2], "must be a JSON object"),
+        ({"max_depth": 3}, "'max_depth' must be a [lo, hi] pair of integers"),
+        ({"max_depth": [3.5, 5]}, "'max_depth' must be a [lo, hi] pair of integers"),
+        ({"max_depth": [2, 3, 4]}, "'max_depth' must be a [lo, hi] pair"),
+        ({"learning_rate": ["a", 0.3]}, "'learning_rate' must be a [lo, hi] pair of finite"),
+        ({"learning_rate": [0.1, float("inf")]}, "'learning_rate' must be a [lo, hi] pair"),
+        ({"bogus": [1, 2]}, "unknown hyperparameter 'bogus'"),
+        ({"max_depth": [5, 3]}, "empty range for max_depth"),
+    ],
+    ids=["list", "scalar", "fractional-int", "triple", "string", "infinite", "unknown-key",
+         "empty-range"],
+)
+def test_bad_space_file_exits_1(tmp_path, capsys, space, detail):
+    d = str(tmp_path)
+    _static_features_and_model(d, 60)
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space))
+    capsys.readouterr()
+    assert main(["cv", "--features", f"{d}/features.csv", "--out", f"{d}/cv.json",
+                 "--space", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and detail in err
+    assert "Traceback" not in err
+
 
 def test_eval_of_empty_test_subset_exits_1(tmp_path, capsys):
     d = str(tmp_path)

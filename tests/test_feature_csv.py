@@ -149,19 +149,31 @@ HEADER = "meta.event_id,G.a,G.b,target.transfer_rate_mbs\n"
 @pytest.mark.parametrize(
     "text, message",
     [
-        (HEADER + "1,2,3,4\n2,x,3,4\n", "'x'"),
-        (HEADER + "1,2,3,4\n2,3,4\n", "3 were found"),
-        (HEADER + "1.5,2,3,4\n", "'1.5'"),
-        (HEADER + "9223372036854775808,2,3,4\n", "int64"),
-        (HEADER + "#1,2,3,4\n", "'#1'"),
+        (HEADER + "1,2,3,4\n2,x,3,4\n", "line 3: could not convert string 'x' to float64 at column 2"),
+        (HEADER + "1,2,3,4\n2,3,4\n", "line 3: expected 4 cells, found 3"),
+        (HEADER + "1.5,2,3,4\n", "line 2: could not convert string '1.5' to int64"),
+        (HEADER + "9223372036854775808,2,3,4\n", "line 2: could not convert string"),
+        (HEADER + "#1,2,3,4\n", "line 2: could not convert string '#1'"),
+        (HEADER + "1,2,3,4\r\n\r\n\r\n2,3,4,y\r\n", "line 5: could not convert string 'y'"),
+        (HEADER + "1,2,3,4\n \n", "line 3: expected 4 cells, found 1"),
         ("id,G.a,G.b,target.transfer_rate_mbs\n1,2,3,4\n", "bad header"),
         ("", "bad header"),
     ],
-    ids=["non-numeric", "ragged", "fractional-id", "id-overflow", "comment", "bad-header",
-         "empty"],
+    ids=["non-numeric", "ragged", "fractional-id", "id-overflow", "comment",
+         "after-blank-crlf-lines", "whitespace-line", "bad-header", "empty"],
 )
 def test_read_rejects_malformed_input(text, message):
     with pytest.raises(ValueError) as info:
-        read_feature_csv(io.StringIO(text))
+        read_feature_csv(io.StringIO(text, newline=""))
     assert message in str(info.value)
+
+
+class _Unseekable(io.StringIO):
+    def seekable(self):
+        return False
+
+
+def test_read_error_of_unseekable_source_keeps_loadtxt_count():
+    with pytest.raises(ValueError, match="'x' to float64 at row 1, column 2"):
+        read_feature_csv(_Unseekable(HEADER + "1,2,3,4\n2,x,3,4\n"))
 

@@ -1,7 +1,10 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratecast.models import (
     GbtModel,
@@ -16,7 +19,10 @@ from ratecast.models import (
     predict_raw,
     save_model,
 )
-from ratecast.tree import grow_tree
+import ratecast.tree
+from ratecast.tree import RegressionTree, grow_tree, rank_columns
+
+from oracles import reference_grow_tree
 
 FAST = dict(min_samples_split=2, min_samples_leaf=1, subsample=1.0, seed=3)
 
@@ -94,6 +100,78 @@ def test_tree_constant_target_is_single_leaf():
     )
     assert tree.n_nodes == 1
     assert tree.value[0] == 7.5
+
+
+def _column(rng, kind, n):
+    if kind == "continuous":
+        return rng.normal(size=n)
+    if kind == "low-cardinality":
+        return rng.integers(0, 3, n).astype(float)
+    if kind == "constant":
+        return np.full(n, 2.5)
+    if kind == "signed-zeros":
+        return rng.choice([-0.0, 0.0, -1.5, 1.5], n)
+    return np.round(rng.normal(size=n), 1)  # "ties": a few dozen distinct values
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 150),
+    kinds=st.lists(
+        st.sampled_from(["continuous", "low-cardinality", "constant", "signed-zeros", "ties"]),
+        min_size=1,
+        max_size=6,
+    ),
+    bootstrap=st.booleans(),
+    min_samples_split=st.integers(1, 40),
+    leaf_edge=st.sampled_from(["one", "split", "half", "any"]),
+    max_depth=st.integers(1, 12),
+    candidates=st.integers(1, 6),
+    block_cells=st.sampled_from([1, 7, 100, 1 << 17]),
+)
+def test_grow_tree_matches_reference_bit_for_bit(
+    seed, n, kinds, bootstrap, min_samples_split, leaf_edge, max_depth, candidates, block_cells
+):
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([_column(rng, kind, n) for kind in kinds])
+    y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+    rows = np.sort(rng.choice(n, size=n, replace=True)) if bootstrap else np.arange(n)
+    min_samples_leaf = {
+        "one": 1,
+        "split": min_samples_split,
+        "half": max(1, n // 2),
+        "any": int(rng.integers(1, min_samples_split + 1)),
+    }[leaf_edge]
+    kwargs = dict(
+        max_depth=max_depth,
+        min_samples_split=min_samples_split,
+        min_samples_leaf=min_samples_leaf,
+        n_candidate_features=min(candidates, len(kinds)),
+    )
+    got_rng = np.random.default_rng(seed)
+    want_rng = np.random.default_rng(seed)
+    # Small budgets split even a node's few candidates over several blocks.
+    with mock.patch.object(ratecast.tree, "_BLOCK_CELLS", block_cells):
+        got = grow_tree(X, y, rows, rng=got_rng, ranked=rank_columns(X), **kwargs)
+    want = reference_grow_tree(X, y, rows, rng=want_rng, **kwargs)
+    for name in RegressionTree.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_rank_columns_shares_ranks_between_equal_values():
+    X = np.array([[0.0, 3.0], [-0.0, 1.0], [2.5, 3.0], [-1.0, 2.0]])
+    ranked = rank_columns(X)
+    assert ranked.values.flags.c_contiguous
+    assert ranked.values.tobytes() == np.ascontiguousarray(X.T).tobytes()
+    assert ranked.ranks.dtype == np.uint16
+    np.testing.assert_array_equal(ranked.ranks, [[1, 1, 2, 0], [2, 0, 2, 1]])
+    assert rank_columns(np.arange(65_536.0)[:, None]).ranks.dtype == np.uint16
+    many = rank_columns(np.arange(65_537.0)[::-1, None])
+    assert many.ranks.dtype == np.uint32
+    np.testing.assert_array_equal(many.ranks[0], np.arange(65_537)[::-1])
 
 
 # ------------------------------------------------------------------------- GBT
@@ -241,6 +319,19 @@ def test_fit_rejects_degenerate_input():
         fit_gbt(np.zeros((1, 2)), np.zeros(1), HyperParams())
     with pytest.raises(ValueError):
         fit_gbt(np.zeros((5, 2)), np.zeros(4), HyperParams())
+
+
+@pytest.mark.parametrize("fit", [fit_gbt, fit_rf])
+def test_fit_rejects_non_finite_input_naming_first_bad_cell(fit):
+    X = np.zeros((6, 3))
+    X[4, 0] = np.inf
+    X[3, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite feature value nan at row 3, column 2"):
+        fit(X, np.zeros(6), HyperParams())
+    y = np.zeros(6)
+    y[5] = -np.inf
+    with pytest.raises(ValueError, match="non-finite target -inf at row 5"):
+        fit(np.zeros((6, 3)), y, HyperParams())
 
 
 # ------------------------------------------------------------------ importance
