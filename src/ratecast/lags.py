@@ -9,15 +9,17 @@ Three families of dynamic features share the same machinery:
 * chunk timing: seconds since the first transfer of the same chunk started
   (``compute_chunk_time_offset``).
 
-Each key kind is factorised into integer codes once per call (or passed in by
-the caller), and every count or lookup is a ``searchsorted`` into arrays
-sorted by (code, time). No object is built per event. All of them only look at
-information available when a transfer starts, so rows never leak future data.
+Each key kind is factorised into integer codes once per event table (one per
+call, or one per assembly when the caller passes a table), and every count or
+lookup is a ``searchsorted`` into arrays sorted by (code, time). No object is
+built per event. All of them only look at information available when a
+transfer starts, so rows never leak future data.
 """
 
 from __future__ import annotations
 
 import enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -57,54 +59,82 @@ def _chunk_key(file_name: str) -> tuple[int, int, int] | None:
     return (parts.experiment_num, parts.run_num, parts.chunk_num)
 
 
-def _factorise(values: Iterable) -> np.ndarray:
-    """int64 codes in order of first appearance; None becomes -1."""
+def _factorise(values: Iterable) -> tuple[np.ndarray, list]:
+    """(codes, keys): int64 codes in order of first appearance and the distinct
+    values in code order; None becomes -1 and is not a key."""
     codes: dict = {}
-    return np.array(
+    array = np.array(
         [-1 if v is None else codes.setdefault(v, len(codes)) for v in values],
         dtype=np.int64,
     )
+    return array, list(codes)
 
 
-def _key_codes(events: Sequence[TransferEvent], kind: LagKeyKind) -> np.ndarray:
-    """One code per event under ``kind``; -1 means unkeyed.
+def _key_codes(events: Sequence[TransferEvent], kind: LagKeyKind) -> tuple[np.ndarray, list]:
+    """(codes, keys) of ``events`` under ``kind``; code -1 means unkeyed.
 
     Only SAME_CHUNK can be unkeyed: it requires a parseable file name and
     keys on (experiment, run, chunk) so all streams of a chunk match.
     """
     if kind is LagKeyKind.OVERALL:
-        return np.zeros(len(events), dtype=np.int64)
+        return np.zeros(len(events), dtype=np.int64), [kind.value] if len(events) else []
     if kind is LagKeyKind.SAME_CHUNK:
         return _factorise(_chunk_key(e.file_name) for e in events)
     field = _KEY_FIELDS[kind]
     return _factorise(getattr(e, field) for e in events)
 
 
-def _sorted_times(
-    events: Sequence[TransferEvent],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(starts, stops, ids) as int64 arrays; raises unless in sort_by_start order."""
-    starts = np.array([e.start_time for e in events], dtype=np.int64)
-    stops = np.array([e.stop_time for e in events], dtype=np.int64)
-    ids = np.array([e.id for e in events], dtype=np.int64)
-    d_start, d_stop, d_id = np.diff(starts), np.diff(stops), np.diff(ids)
-    tie = d_start == 0
-    if np.any((d_start < 0) | (tie & (d_stop < 0)) | (tie & (d_stop == 0) & (d_id < 0))):
-        raise ValueError(
-            "events must be in sort_by_start order (start_time, stop_time, id)"
-        )
-    return starts, stops, ids
+class _EventTable:
+    """Columns of one event list: times, their ranks and key codes.
 
-
-def _ranks(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Dense ranks of every start and stop in their joint order, and the rank count.
-
-    ``code * width + rank`` then orders (code, time) pairs as one int64
-    without overflowing for any timestamp range.
+    The public functions accept a table in place of an event list, so that
+    ``assemble_features`` reads and checks the times, ranks them and
+    factorises each key kind once for all of its lookups. A plain list gets
+    a table of its own per call.
     """
-    values, inverse = np.unique(np.concatenate([starts, stops]), return_inverse=True)
-    n = len(starts)
-    return inverse[:n], inverse[n:], max(len(values), 1)
+
+    def __init__(self, events: Sequence[TransferEvent]):
+        self.events = events
+        self.starts, self.stops, self.ids = (
+            np.array([getattr(e, field) for e in events], dtype=np.int64)
+            for field in ("start_time", "stop_time", "id")
+        )
+        self._keys: dict[LagKeyKind, tuple[np.ndarray, list]] = {}
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+    @cached_property
+    def ranks(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Dense ranks of every start and stop in their joint order, and the rank count.
+
+        Raises unless the events are in sort_by_start order (start_time,
+        stop_time, id). ``code * width + rank`` then orders (code, time)
+        pairs as one int64 without overflowing for any timestamp range.
+        """
+        starts, stops = self.starts, self.stops
+        d_start, d_stop, d_id = np.diff(starts), np.diff(stops), np.diff(self.ids)
+        tie = d_start == 0
+        if np.any((d_start < 0) | (tie & (d_stop < 0)) | (tie & (d_stop == 0) & (d_id < 0))):
+            raise ValueError(
+                "events must be in sort_by_start order (start_time, stop_time, id)"
+            )
+        values, inverse = np.unique(np.concatenate([starts, stops]), return_inverse=True)
+        n = len(starts)
+        return inverse[:n], inverse[n:], max(len(values), 1)
+
+    def keys(self, kind: LagKeyKind) -> tuple[np.ndarray, list]:
+        """(codes, keys) under ``kind``, factorised on first use."""
+        if kind not in self._keys:
+            self._keys[kind] = _key_codes(self.events, kind)
+        return self._keys[kind]
+
+    def codes(self, kind: LagKeyKind) -> np.ndarray:
+        return self.keys(kind)[0]
+
+
+def _table(events: Sequence[TransferEvent] | _EventTable) -> _EventTable:
+    return events if isinstance(events, _EventTable) else _EventTable(events)
 
 
 def _active(
@@ -127,10 +157,9 @@ def _active(
 
 
 def compute_keyed_lags(
-    events: Sequence[TransferEvent],
+    events: Sequence[TransferEvent] | _EventTable,
     kind: LagKeyKind,
     orders: Iterable[int],
-    _codes: np.ndarray | None = None,
 ) -> dict[int, np.ndarray]:
     """Row indices into ``events`` of each event's lags, one array per order.
 
@@ -147,11 +176,11 @@ def compute_keyed_lags(
     order_list = sorted(set(int(o) for o in orders))
     if not order_list or order_list[0] < 1:
         raise ValueError("orders must be positive integers")
-    starts, stops, ids = _sorted_times(events)
-    codes = _key_codes(events, kind) if _codes is None else _codes
-    start_ranks, stop_ranks, width = _ranks(starts, stops)
+    table = _table(events)
+    start_ranks, stop_ranks, width = table.ranks
+    codes = table.codes(kind)
 
-    by_stop = np.lexsort((ids, stops, codes))
+    by_stop = np.lexsort((table.ids, table.stops, codes))
     sorted_keys = (codes * width + stop_ranks)[by_stop]
     group_start = np.searchsorted(sorted_keys, codes * width, side="left")
     end = np.searchsorted(sorted_keys, codes * width + start_ranks, side="left")
@@ -165,7 +194,7 @@ def compute_keyed_lags(
 
 
 def compute_concurrency(
-    events: Sequence[TransferEvent], kind: LagKeyKind
+    events: Sequence[TransferEvent] | _EventTable, kind: LagKeyKind
 ) -> tuple[np.ndarray, np.ndarray]:
     """(total, unique_experiments): other same-key transfers running at each start.
 
@@ -178,15 +207,16 @@ def compute_concurrency(
     each (key, experiment) pair that cover the start, minus the event's own
     pair when the event is that pair's only active member.
     """
-    starts, stops, _ = _sorted_times(events)
-    codes = _key_codes(events, kind)
-    start_ranks, stop_ranks, width = _ranks(starts, stops)
-    self_active = stops > starts
+    table = _table(events)
+    start_ranks, stop_ranks, width = table.ranks
+    codes = table.codes(kind)
+    self_active = table.stops > table.starts
 
     total = _active(codes, start_ranks, stop_ranks, codes, start_ranks, width)
     total -= self_active
 
-    pairs = _factorise(zip(codes.tolist(), (e.experiment for e in events)))
+    experiments, experiment_keys = table.keys(LagKeyKind.SAME_EXPERIMENT)
+    _, pairs = np.unique((codes + 1) * len(experiment_keys) + experiments, return_inverse=True)
     pair_active = _active(pairs, start_ranks, stop_ranks, pairs, start_ranks, width)
     # Merge each pair's intervals: sorted by (pair, start), a merged interval
     # begins wherever the start exceeds every earlier stop of the pair.
@@ -194,7 +224,7 @@ def compute_concurrency(
     base = (pairs * width)[by_start]
     sorted_starts = start_ranks[by_start]
     reach = np.maximum.accumulate(base + stop_ranks[by_start])
-    begins = np.ones(len(events), dtype=bool)
+    begins = np.ones(len(table), dtype=bool)
     begins[1:] = base[1:] + sorted_starts[1:] > reach[:-1]
     # begins[0] is always set, so rolling it to the back marks the last run's end.
     ends = np.roll(begins, -1)
@@ -215,7 +245,7 @@ def compute_concurrency(
 
 
 def compute_chunk_time_offset(
-    events: Sequence[TransferEvent], _codes: np.ndarray | None = None
+    events: Sequence[TransferEvent] | _EventTable,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seconds between each event's start and its chunk's earliest start.
 
@@ -223,12 +253,12 @@ def compute_chunk_time_offset(
     (offsets, missing): events whose file name does not parse get a missing
     flag and a NaN offset; the chunk's first job gets 0.
     """
-    starts = np.array([e.start_time for e in events], dtype=np.int64)
-    codes = _key_codes(events, LagKeyKind.SAME_CHUNK) if _codes is None else _codes
+    table = _table(events)
+    codes = table.codes(LagKeyKind.SAME_CHUNK)
     keyed = codes >= 0
-    starts, codes = starts[keyed], codes[keyed]
+    starts, codes = table.starts[keyed], codes[keyed]
     first_start = np.full(codes.max(initial=-1) + 1, np.iinfo(np.int64).max)
     np.minimum.at(first_start, codes, starts)
-    offsets = np.full(len(events), np.nan)
+    offsets = np.full(len(table), np.nan)
     offsets[keyed] = starts - first_start[codes]
     return offsets, ~keyed

@@ -112,6 +112,14 @@ class RfModel:
     bootstrap: bool = True
 
 
+def _require_finite_features(X: np.ndarray) -> None:
+    """Raise naming the first non-finite cell of ``X`` in row-major order."""
+    finite = np.isfinite(X)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValueError(f"non-finite feature value {float(X[row, col])} at row {row}, column {col}")
+
+
 def _validate_training_input(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -123,10 +131,7 @@ def _validate_training_input(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, 
         raise ValueError("need at least 2 training rows")
     if X.shape[1] < 1:
         raise ValueError("need at least one feature column")
-    finite = np.isfinite(X)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise ValueError(f"non-finite feature value {float(X[row, col])} at row {row}, column {col}")
+    _require_finite_features(X)
     finite = np.isfinite(y)
     if not finite.all():
         row = int(np.argmin(finite))
@@ -269,6 +274,8 @@ def predict_raw(model: GbtModel | RfModel, X: np.ndarray) -> np.ndarray:
         )
     if X.shape[0] == 0:
         return np.zeros(0)
+    # A tree would send NaN to the right child and score it without a word.
+    _require_finite_features(X)
     if isinstance(model, GbtModel):
         out = np.full(X.shape[0], model.base_prediction)
         for tree in model.trees:

@@ -17,6 +17,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .models import GbtModel, HyperParams, RfModel, fit_gbt, fit_rf, predict
+from .models import _validate_training_input
 
 ModelFamily = Literal["gbt", "rf"]
 
@@ -226,9 +227,11 @@ def nested_cv(
     RMSE wins; on ties the earliest-sampled candidate is kept. Passing
     explicit ``candidates`` skips sampling (folds are still drawn per
     candidate from its stream).
+
+    All of ``X`` and ``y`` is checked before any fit: folds score rows that
+    no fit sees, and a NaN fold score must not win the search.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    X, y = _validate_training_input(X, y)
     if space is None:
         space = HyperParamSpace()
     n_candidates = len(candidates) if candidates is not None else config.num_params

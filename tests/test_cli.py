@@ -354,6 +354,32 @@ def test_non_finite_training_data_exits_1(tmp_path, capsys, command, line, cell,
     assert "Traceback" not in err
 
 
+def test_non_finite_feature_at_scoring_exits_1(tmp_path, capsys):
+    d = str(tmp_path)
+    with open(f"{d}/model.json", "w") as fh:
+        json.dump(_static_features_and_model(d, 60), fh)
+    # Line 58 holds row 57, the fourth of the six rows the default 0.9 split tests on.
+    (tmp_path / "bad.csv").write_text(_replace_cell(_read(f"{d}/features.csv"), 58, 2, "nan"))
+    capsys.readouterr()
+    assert main(["eval", "--features", f"{d}/bad.csv", "--model", f"{d}/model.json"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: non-finite feature value nan at row 3, column 1\n"
+
+
+def test_non_finite_target_in_a_test_only_row_exits_1(tmp_path, capsys):
+    d = str(tmp_path)
+    _static_features_and_model(d, 60)
+    # No fold trains on the last row and one tests on it. Checked only per fit,
+    # it made candidate 0's mean RMSE NaN, and that candidate won with exit 0.
+    (tmp_path / "bad.csv").write_text(_replace_cell(_read(f"{d}/features.csv"), 60, -1, "nan"))
+    capsys.readouterr()
+    assert main(["cv", "--features", f"{d}/bad.csv", "--out", f"{d}/cv.json", "--num-params",
+                 "2", "--cv-k", "1", "--train-width", "40", "--test-width", "10",
+                 "--train-size", "40", "--test-size", "10"]) == 1
+    assert capsys.readouterr().err == "error: non-finite target nan at row 59\n"
+    assert not (tmp_path / "cv.json").exists()
+
+
 @pytest.mark.parametrize(
     "space, detail",
     [

@@ -1,6 +1,7 @@
 """Feature CSV format: byte identity with the cell-at-a-time oracle, bit-exact
 reading, and the edge cases of the block writer and the structured reader."""
 
+import hashlib
 import io
 import warnings
 from unittest import mock
@@ -12,10 +13,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import ratecast.features as features
+from ratecast import SynthConfig, generate_workload, sort_by_start
 from oracles import reference_feature_csv, reference_read_feature_csv
 from ratecast.features import (
+    ALL_GROUPS,
     ColumnMeta,
     FeatureMatrix,
+    FeatureSpec,
+    assemble_features,
     read_feature_csv,
     write_feature_csv,
 )
@@ -177,3 +182,68 @@ def test_read_error_of_unseekable_source_keeps_loadtxt_count():
     with pytest.raises(ValueError, match="'x' to float64 at row 1, column 2"):
         read_feature_csv(_Unseekable(HEADER + "1,2,3,4\n2,x,3,4\n"))
 
+
+
+# Each block formats every distinct bit pattern once; these cases would show a
+# dedup that merged patterns printing differently, or split one value's text.
+_NAN_BITS = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF800000000BEEF]
+
+
+def _signed_zeros():
+    values = np.zeros((5, 3))
+    values[::2, 0] = -0.0
+    values[1, 1:] = -0.0
+    return values, np.array([0.0, -0.0, 0.0, -0.0, 1.0])
+
+
+def _nan_payloads():
+    values = np.array(_NAN_BITS * 3, dtype=np.uint64).view(np.float64).reshape(4, 3)
+    targets = np.array(_NAN_BITS, dtype=np.uint64).view(np.float64)[::-1].copy()
+    return values, targets
+
+
+def _repeated_value():
+    values = np.full((9, 4), 1 / 3)
+    values[4, 2] = -1 / 3
+    values[7] = [0.1, 1 / 3, 0.1, 1e300]
+    return values, np.full(9, 1 / 3)
+
+
+def _integer_targets():
+    values = np.arange(21, dtype=np.float64).reshape(7, 3) / 7
+    targets = np.array([0, -3, 7, 2**53 + 1, 2**62 + 3, INT64.min, INT64.max], dtype=np.int64)
+    return values, targets
+
+
+@pytest.mark.parametrize("block", [1, 3, 1024])
+@pytest.mark.parametrize(
+    "make",
+    [_signed_zeros, _nan_payloads, _repeated_value, _integer_targets],
+    ids=["signed-zeros", "nan-payloads", "repeated-value", "integer-targets"],
+)
+def test_writer_edge_cases_match_oracle(make, block):
+    values, targets = make()
+    ids = np.arange(len(values), dtype=np.int64) * 3 - 5
+    with mock.patch.object(features, "_CSV_BLOCK_ROWS", block):
+        text, want_text = _texts(_matrix(values, ids), targets)
+    assert text == want_text
+    if make is _signed_zeros:
+        assert "-0," in text and ",0," in text
+    if make is _integer_targets:
+        assert text.endswith(",9.2233720368547758e+18\n")
+
+
+# SHA-256 of the all-groups feature CSV of a 2,000-event synthetic log. It was
+# recorded from the cell-at-a-time writer and the per-call key factorisation;
+# any change to what a features pass computes or prints changes it.
+GOLDEN_SHA256 = "c4db9fc5a7635973a5b3ba50492864cff137aef71744c94ce978301c4ac5e399"
+
+
+def test_feature_csv_text_of_synth_log_is_unchanged():
+    events, _ = generate_workload(SynthConfig(n_events=2000, seed=20250808))
+    events = sort_by_start(events)
+    matrix = assemble_features(events, FeatureSpec.parse(",".join(ALL_GROUPS)))
+    sink = io.StringIO()
+    write_feature_csv(matrix, np.array([e.transfer_rate_mbs for e in events]), sink)
+    assert matrix.values.shape == (2000, 115)
+    assert hashlib.sha256(sink.getvalue().encode("utf-8")).hexdigest() == GOLDEN_SHA256

@@ -452,6 +452,33 @@ def test_chunk_file_names_parse_once_per_assembly():
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("group", [g for g in ALL_GROUPS if g != "A"])
+def test_shared_table_columns_equal_single_group_assembly(group):
+    events = sort_by_start(random_events(np.random.default_rng(21), 400))
+    full = assemble_features(events, FeatureSpec.parse(",".join(ALL_GROUPS)))
+    alone = assemble_features(events, FeatureSpec.parse(f"A,{group}"))
+    assert [c for c in full.columns if c.group in ("A", group)] == alone.columns
+    picked = [j for j, c in enumerate(full.columns) if c.group in ("A", group)]
+    assert full.values[:, picked].tobytes() == alone.values.tobytes()
+    assert full.event_ids.tobytes() == alone.event_ids.tobytes()
+
+
+def test_assembly_factorises_each_key_kind_at_most_once():
+    events = sort_by_start(random_events(np.random.default_rng(22), 300))
+    factorise = ratecast.lags._factorise
+    calls = []
+
+    def counting(values):
+        calls.append(1)
+        return factorise(values)
+
+    with mock.patch.object(ratecast.lags, "_factorise", counting):
+        assemble_features(events, FeatureSpec.parse(",".join(ALL_GROUPS)))
+    # Every kind but OVERALL is factorised, each once; no per-event dict
+    # is built for the concurrency (key, experiment) pairs.
+    assert len(calls) == len(LagKeyKind) - 1
+
+
 # -------------------------------------------------------------------- export
 
 

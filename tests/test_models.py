@@ -334,6 +334,19 @@ def test_fit_rejects_non_finite_input_naming_first_bad_cell(fit):
         fit(np.zeros((6, 3)), y, HyperParams())
 
 
+@pytest.mark.parametrize("fit", [fit_gbt, fit_rf])
+def test_scoring_rejects_non_finite_features_naming_first_bad_cell(fit):
+    X, rng = _data(60, 3, seed=2)
+    params = HyperParams(n_estimators=3, max_depth=2, max_features=3.0, **FAST)
+    model = fit(X, rng.uniform(0, 100, 60), params)
+    bad = X[:5].copy()
+    bad[3, 2] = np.inf
+    bad[1, 2] = np.nan
+    for score in (predict_raw, predict):
+        with pytest.raises(ValueError, match="non-finite feature value nan at row 1, column 2"):
+            score(model, bad)
+
+
 # ------------------------------------------------------------------ importance
 
 

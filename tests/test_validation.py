@@ -1,8 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import ratecast.validation as validation
 from ratecast.models import HyperParams
 from ratecast.validation import (
     CvConfig,
@@ -239,6 +241,30 @@ def test_cv_result_ties_keep_earliest_candidate():
     result = nested_cv(X, y, config, candidates=[params, params])
     assert result.mean_rmse[0] == result.mean_rmse[1] == 0.0
     assert result.best_index == 0
+
+
+def test_nested_cv_rejects_nan_target_in_a_test_only_row():
+    # No fit of this search trains on row 250. Checked only per fit, its NaN
+    # reached the fold scores alone: mean_rmse [nan, 4.88, nan], best_index 0.
+    X, y = _xor_data(n=300)
+    y[250] = np.nan
+    config = CvConfig(
+        num_params=3, k=2, train_width=100, test_width=30,
+        train_size=80, test_size=25, seed=7,
+    )
+    space = HyperParamSpace(
+        n_estimators=(5, 20), max_depth=(1, 4),
+        min_samples_split=(2, 10), min_samples_leaf=(1, 5), max_features=(1.0, 2.0),
+    )
+    fitted = []
+    with mock.patch.object(validation, "fit_family", lambda *a: fitted.append(a)):
+        with pytest.raises(ValueError, match="non-finite target nan at row 250"):
+            nested_cv(X, y, config, space)
+    assert fitted == []
+    X[299, 1] = np.inf
+    y[250] = 1.0
+    with pytest.raises(ValueError, match="non-finite feature value inf at row 299, column 1"):
+        nested_cv(X, y, config, space)
 
 
 # -------------------------------------------------------------------- holdout
