@@ -8,12 +8,13 @@ import json
 import math
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from .events import (
+    CleaningReport,
     CsvRowError,
     CsvSchemaError,
     Stage,
@@ -38,6 +39,7 @@ from .validation import (
     chronological_split,
     nested_cv,
     rmse,
+    subset_rows,
 )
 
 
@@ -53,6 +55,15 @@ def _read_json(path: str) -> dict:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_object(path: str, *required: str) -> dict:
+    """The JSON object in ``path``; raises ValueError naming the first required field it lacks."""
+    payload = _read_json(path)
+    for name in required:
+        if not isinstance(payload, dict) or name not in payload:
+            raise ValueError(f"{path}: lacks field {name!r}")
+    return payload
 
 
 def _load_features(path: str):
@@ -88,14 +99,8 @@ def _cmd_clean(args: argparse.Namespace) -> int:
     events = load_events(args.input)
     kept, report = clean_events(events)
     dump_events(kept, args.out)
-    payload = {
-        "n_input": report.n_input,
-        "n_oversize_removed": report.n_oversize_removed,
-        "n_zero_removed": report.n_zero_removed,
-        "n_output": report.n_output,
-    }
     if args.report:
-        _write_json(args.report, payload)
+        _write_json(args.report, asdict(report))
     print(
         f"cleaned {report.n_input} -> {report.n_output} events "
         f"({report.n_oversize_removed} oversize, {report.n_zero_removed} zero-valued)"
@@ -198,10 +203,7 @@ def _resolve_params(args: argparse.Namespace) -> HyperParams:
     if args.params:
         path, payload = args.params, _read_json(args.params)
     elif args.from_cv:
-        path, cv = args.from_cv, _read_json(args.from_cv)
-        if not isinstance(cv, dict) or "best_params" not in cv:
-            raise ValueError(f"{path}: lacks field 'best_params'")
-        payload = cv["best_params"]
+        path, payload = args.from_cv, _read_object(args.from_cv, "best_params")["best_params"]
     else:
         return HyperParams()
     try:
@@ -215,12 +217,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
     n_train = chronological_split(X.shape[0], args.split)
     rng = np.random.default_rng(args.seed)
-    if args.train_subset is not None:
-        if args.train_subset > n_train:
-            raise ValueError(f"train_subset {args.train_subset} exceeds side of {n_train}")
-        rows = np.sort(rng.choice(n_train, size=args.train_subset, replace=False))
-    else:
-        rows = np.arange(n_train)
+    rows = subset_rows(0, n_train, args.train_subset, rng, "train_subset")
     model = fit_family(args.family, X[rows], y[rows], params, names)
     save_model(model, args.out)
     print(f"trained {args.family} on {rows.size} rows, saved to {args.out}")
@@ -235,13 +232,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError("feature columns do not match the model's training columns")
     n_train = chronological_split(X.shape[0], args.split)
     rng = np.random.default_rng(args.seed)
-    n_test_side = X.shape[0] - n_train
-    if args.test_subset is not None:
-        if args.test_subset > n_test_side:
-            raise ValueError(f"test_subset {args.test_subset} exceeds side of {n_test_side}")
-        rows = np.sort(n_train + rng.choice(n_test_side, size=args.test_subset, replace=False))
-    else:
-        rows = np.arange(n_train, X.shape[0])
+    rows = subset_rows(n_train, X.shape[0], args.test_subset, rng, "test_subset")
     preds = predict(model, X[rows])
     actual = y[rows]
     score = rmse(preds, actual)
@@ -273,26 +264,24 @@ def _cmd_report(args: argparse.Namespace) -> int:
     report: dict = {"format_version": 1}
     timing: dict = {}
     if args.clean_report:
-        report["cleaning"] = _read_json(args.clean_report)
+        counts = [f.name for f in fields(CleaningReport)]
+        report["cleaning"] = _read_object(args.clean_report, *counts)
     if args.features_meta:
-        meta = _read_json(args.features_meta)
+        meta = _read_object(args.features_meta, "groups", "column_meta")
         report["feature_spec"] = {
-            "groups": meta.get("groups"),
-            "n_columns": len(meta.get("column_meta", [])),
+            "groups": meta["groups"],
+            "n_columns": len(meta["column_meta"]),
             "tz_offset_hours": meta.get("tz_offset_hours"),
             "stage": meta.get("stage"),
         }
     if args.cv:
-        cv = _read_json(args.cv)
-        report["cv"] = {
-            "best_index": cv.get("best_index"),
-            "best_params": cv.get("best_params"),
-            "mean_rmse": cv.get("mean_rmse"),
-        }
+        kept = ("best_index", "best_params", "mean_rmse")
+        cv = _read_object(args.cv, *kept)
+        report["cv"] = {name: cv[name] for name in kept}
         if "timing" in cv:
             timing["cv_wall_s"] = cv["timing"].get("wall_s")
     if args.eval:
-        holdout = _read_json(args.eval)
+        holdout = _read_object(args.eval, "rmse_mbs")
         if "timing" in holdout:
             timing["eval_wall_s"] = holdout.pop("timing").get("wall_s")
         report["holdout"] = holdout

@@ -60,17 +60,28 @@ _D1_KEYED_KINDS = (
     LagKeyKind.SAME_SOURCE_FS,
     LagKeyKind.SAME_TARGET_FS,
 )
-_D3_KINDS = _D1_KEYED_KINDS + (
-    LagKeyKind.SAME_TARGET_HOST,
-    LagKeyKind.SAME_NODE,
-    LagKeyKind.SAME_CHUNK,
+#: Concurrency blocks in column order: (group, kind, stats). The stats are a
+#: prefix of ``compute_concurrency``'s (total, unique experiments) counts.
+_CONCURRENCY_BLOCKS = (
+    ("C1", LagKeyKind.SAME_EXPERIMENT, ("active_jobs",)),
+    ("C1", LagKeyKind.SAME_INSTRUMENT, ("active_jobs",)),
+    *(
+        ("C2", kind, ("active_jobs", "unique_experiments"))
+        for kind in (LagKeyKind.SAME_TARGET_FS, LagKeyKind.SAME_TARGET_HOST, LagKeyKind.SAME_NODE)
+    ),
 )
-_D2_MAX_ORDER = 20
-_C1_KINDS = (LagKeyKind.SAME_EXPERIMENT, LagKeyKind.SAME_INSTRUMENT)
-_C2_KINDS = (
-    LagKeyKind.SAME_TARGET_FS,
-    LagKeyKind.SAME_TARGET_HOST,
-    LagKeyKind.SAME_NODE,
+#: Lag blocks in column order: (group, kind, order, stats). Each block adds one
+#: column per stat and one missing indicator.
+_LAG_BLOCKS = (
+    *(("D1", kind, 1, ("rate", "time_diff")) for kind in _D1_KEYED_KINDS),
+    ("D1", LagKeyKind.OVERALL, 1, ("rate", "file_size")),
+    ("D1", LagKeyKind.OVERALL, 5, ("rate",)),
+    *(("D2", LagKeyKind.SAME_EXPERIMENT, order, ("rate",)) for order in range(1, 21)),
+    *(
+        ("D3", kind, 1, ("rate", "file_size", "time_diff"))
+        for kind in _D1_KEYED_KINDS
+        + (LagKeyKind.SAME_TARGET_HOST, LagKeyKind.SAME_NODE, LagKeyKind.SAME_CHUNK)
+    ),
 )
 # Rows formatted per write: bounds the Python floats alive at once.
 _CSV_BLOCK_ROWS = 1024
@@ -212,55 +223,6 @@ def encode_categoricals(
     return np.hstack(blocks, dtype=float), metas, encoder
 
 
-class _MatrixBuilder:
-    def __init__(self, n_rows: int):
-        self.n = n_rows
-        self.cols: list[np.ndarray] = []
-        self.meta: list[ColumnMeta] = []
-
-    def add(
-        self,
-        name: str,
-        group: str,
-        origin: str,
-        values: np.ndarray,
-        missing: np.ndarray | None = None,
-    ) -> None:
-        out = np.array(values, dtype=float)
-        if missing is not None:
-            out[missing] = MISSING_SENTINEL
-        self.cols.append(out)
-        self.meta.append(ColumnMeta(name, group, origin))
-
-    def add_indicator(self, name: str, group: str, missing: np.ndarray) -> None:
-        self.cols.append(missing.astype(float))
-        self.meta.append(ColumnMeta(name, group, "indicator"))
-
-    def finish(self, event_ids: np.ndarray) -> FeatureMatrix:
-        values = np.column_stack(self.cols) if self.cols else np.zeros((self.n, 0))
-        return FeatureMatrix(values=values, columns=self.meta, event_ids=event_ids)
-
-
-def _needed_lag_orders(spec: FeatureSpec) -> dict[LagKeyKind, set[int]]:
-    needed: dict[LagKeyKind, set[int]] = {}
-
-    def want(kind: LagKeyKind, order: int) -> None:
-        needed.setdefault(kind, set()).add(order)
-
-    if "D1" in spec.groups:
-        for kind in _D1_KEYED_KINDS:
-            want(kind, 1)
-        want(LagKeyKind.OVERALL, 1)
-        want(LagKeyKind.OVERALL, 5)
-    if "D2" in spec.groups:
-        for order in range(1, _D2_MAX_ORDER + 1):
-            want(LagKeyKind.SAME_EXPERIMENT, order)
-    if "D3" in spec.groups:
-        for kind in _D3_KINDS:
-            want(kind, 1)
-    return needed
-
-
 def assemble_features(
     events: Sequence[TransferEvent],
     spec: FeatureSpec,
@@ -271,22 +233,49 @@ def assemble_features(
     Row i is derived from event i's own static fields plus transfers that
     finished strictly before event i started (lags) or that had started by
     then (concurrency, chunk timing); perturbing any later-starting event
-    leaves row i unchanged.
+    leaves row i unchanged. The C and D columns come from
+    ``_CONCURRENCY_BLOCKS`` and ``_LAG_BLOCKS``.
     """
     # One table per call: every lookup below shares its times, ranks and key
     # codes, so each key kind (chunk file names included) is factorised once.
     table = _EventTable(events)
     table.ranks  # checks the order up front, even when no lookup runs
     starts, stops = table.starts, table.stops
-    builder = _MatrixBuilder(len(events))
     sizes = np.array([e.file_size_gb for e in events])
     rates = np.array([e.transfer_rate_mbs for e in events])
-    lag_rows = {
-        kind: compute_keyed_lags(table, kind, orders)
-        for kind, orders in _needed_lag_orders(spec).items()
-    }
+    cols: list[np.ndarray] = []
+    metas: list[ColumnMeta] = []
 
-    def add_lag_block(group: str, kind: LagKeyKind, order: int, stats: tuple[str, ...]) -> None:
+    def add(name: str, group: str, origin: str, values, missing=None) -> None:
+        if missing is None:
+            cols.append(np.asarray(values, dtype=float))
+        else:
+            cols.append(np.where(missing, MISSING_SENTINEL, values))
+        metas.append(ColumnMeta(name, group, origin))
+
+    add("A.file_size", "A", "numeric:file_size_gb", sizes)
+    encoded, encoded_metas, _ = encode_categoricals(table)
+    cols.extend(encoded.T)
+    metas.extend(encoded_metas)
+
+    if "B" in spec.groups:
+        dows, hours = compute_time_features(table, tz_offset_hours)
+        add("B.day_of_week", "B", "calendar:day_of_week", dows)
+        add("B.hour_of_day", "B", "calendar:hour_of_day", hours)
+
+    for group, kind, stats in _CONCURRENCY_BLOCKS:
+        if group in spec.groups:
+            counts = compute_concurrency(table, kind)
+            for stat, count_name, values in zip(stats, ("total", "unique_experiments"), counts):
+                origin = f"concurrency:{kind.value}:{count_name}"
+                add(f"{group}.{kind.value}.{stat}", group, origin, values)
+
+    lag_blocks = [block for block in _LAG_BLOCKS if block[0] in spec.groups]
+    orders: dict[LagKeyKind, set[int]] = {}
+    for _, kind, order, _ in lag_blocks:
+        orders.setdefault(kind, set()).add(order)
+    lag_rows = {kind: compute_keyed_lags(table, kind, o) for kind, o in orders.items()}
+    for group, kind, order, stats in lag_blocks:
         rows = lag_rows[kind][order]
         missing = rows < 0
         # Absent lags (-1) gather the last row; the sentinel overwrites them.
@@ -297,71 +286,16 @@ def assemble_features(
         }
         prefix = f"{group}.{kind.value}.lag{order}"
         for stat in stats:
-            builder.add(
-                f"{prefix}.{stat}",
-                group,
-                f"lag:{kind.value}:{order}:{stat}",
-                gathered[stat],
-                missing,
-            )
-        builder.add_indicator(f"{prefix}.missing", group, missing)
+            origin = f"lag:{kind.value}:{order}:{stat}"
+            add(f"{prefix}.{stat}", group, origin, gathered[stat], missing)
+        add(f"{prefix}.missing", group, "indicator", missing)
 
-    # Group A
-    builder.add("A.file_size", "A", "numeric:file_size_gb", sizes)
-    encoded, metas, _ = encode_categoricals(table)
-    for j, meta in enumerate(metas):
-        builder.add(meta.name, "A", meta.origin, encoded[:, j])
-
-    # Group B
-    if "B" in spec.groups:
-        dows, hours = compute_time_features(table, tz_offset_hours)
-        builder.add("B.day_of_week", "B", "calendar:day_of_week", dows)
-        builder.add("B.hour_of_day", "B", "calendar:hour_of_day", hours)
-
-    # Groups C1/C2
-    if "C1" in spec.groups:
-        for kind in _C1_KINDS:
-            total, _ = compute_concurrency(table, kind)
-            builder.add(
-                f"C1.{kind.value}.active_jobs", "C1", f"concurrency:{kind.value}:total", total
-            )
-    if "C2" in spec.groups:
-        for kind in _C2_KINDS:
-            total, unique = compute_concurrency(table, kind)
-            builder.add(
-                f"C2.{kind.value}.active_jobs", "C2", f"concurrency:{kind.value}:total", total
-            )
-            builder.add(
-                f"C2.{kind.value}.unique_experiments",
-                "C2",
-                f"concurrency:{kind.value}:unique_experiments",
-                unique,
-            )
-
-    # Group D1
-    if "D1" in spec.groups:
-        for kind in _D1_KEYED_KINDS:
-            add_lag_block("D1", kind, 1, ("rate", "time_diff"))
-        add_lag_block("D1", LagKeyKind.OVERALL, 1, ("rate", "file_size"))
-        add_lag_block("D1", LagKeyKind.OVERALL, 5, ("rate",))
-
-    # Group D2
-    if "D2" in spec.groups:
-        for order in range(1, _D2_MAX_ORDER + 1):
-            add_lag_block("D2", LagKeyKind.SAME_EXPERIMENT, order, ("rate",))
-
-    # Group D3
-    if "D3" in spec.groups:
-        for kind in _D3_KINDS:
-            add_lag_block("D3", kind, 1, ("rate", "file_size", "time_diff"))
-
-    # Group E
     if "E" in spec.groups:
         offsets, missing = compute_chunk_time_offset(table)
-        builder.add("E.chunk_time_offset", "E", "chunk_offset", offsets, missing)
-        builder.add_indicator("E.chunk_time_offset.missing", "E", missing)
+        add("E.chunk_time_offset", "E", "chunk_offset", offsets, missing)
+        add("E.chunk_time_offset.missing", "E", "indicator", missing)
 
-    return builder.finish(table.ids)
+    return FeatureMatrix(values=np.column_stack(cols), columns=metas, event_ids=table.ids)
 
 
 def write_feature_csv(

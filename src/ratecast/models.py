@@ -10,7 +10,7 @@ meaningless. Importances are per-feature split gains normalized to sum to 1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -64,16 +64,7 @@ class HyperParams:
         return max(1, int(round(self.max_features * n_features)))
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "n_estimators": self.n_estimators,
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "min_samples_leaf": self.min_samples_leaf,
-            "max_features": self.max_features,
-            "subsample": self.subsample,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "HyperParams":
@@ -335,27 +326,29 @@ def model_from_dict(payload: dict) -> GbtModel | RfModel:
     for name in required:
         if name not in payload:
             raise ValueError(f"model lacks field {name!r}")
-    try:
-        params = HyperParams.from_dict(payload["params"])
-    except ValueError as exc:
-        raise ValueError(f"field 'params': {exc}") from None
-    try:
-        trees = [RegressionTree.from_dict(t) for t in payload["trees"]]
-    except KeyError as exc:
-        raise ValueError(f"field 'trees': a tree lacks field {exc}") from None
-    importances = np.asarray(payload["importances"], dtype=float)
+
+    def read(name: str, convert, default=None):
+        try:
+            return convert(payload.get(name, default))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"field {name!r}: {exc}") from None
+
+    params = read("params", HyperParams.from_dict)
+    feature_names = read("feature_names", list)
+    trees = read("trees", lambda trees: [RegressionTree.from_dict(t) for t in trees])
+    importances = read("importances", lambda v: np.asarray(v, dtype=float))
     if family == "gbt":
         return GbtModel(
             params=params,
-            feature_names=list(payload["feature_names"]),
-            base_prediction=float(payload["base_prediction"]),
+            feature_names=feature_names,
+            base_prediction=read("base_prediction", float),
             trees=trees,
             importances=importances,
-            train_loss=[float(v) for v in payload.get("train_loss", [])],
+            train_loss=read("train_loss", lambda losses: [float(v) for v in losses], []),
         )
     return RfModel(
         params=params,
-        feature_names=list(payload["feature_names"]),
+        feature_names=feature_names,
         trees=trees,
         importances=importances,
         bootstrap=bool(payload.get("bootstrap", True)),

@@ -28,7 +28,7 @@ perturbation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
@@ -103,28 +103,12 @@ class SynthConfig:
             raise ValueError("injection counts must be non-negative")
 
     def to_dict(self) -> dict:
+        """JSON-ready fields: the stage as its value, tuples as lists."""
         return {
-            "n_events": self.n_events,
-            "n_instruments": self.n_instruments,
-            "experiments_per_instrument": self.experiments_per_instrument,
-            "streams_min": self.streams_min,
-            "streams_max": self.streams_max,
-            "chunk_cap_gb": self.chunk_cap_gb,
-            "ar_rho": self.ar_rho,
-            "state_sigma": self.state_sigma,
-            "noise_mbs": self.noise_mbs,
-            "base_rate_mbs": self.base_rate_mbs,
-            "rate_cap_mbs": self.rate_cap_mbs,
-            "delayed_stream_prob": self.delayed_stream_prob,
-            "minor_delay_s": list(self.minor_delay_s),
-            "major_delay_s": list(self.major_delay_s),
-            "major_delay_fraction": self.major_delay_fraction,
-            "delay_boost": self.delay_boost,
-            "stage": self.stage.value,
-            "start_epoch": self.start_epoch,
-            "inject_oversize": self.inject_oversize,
-            "inject_zero": self.inject_zero,
-            "seed": self.seed,
+            name: value.value if isinstance(value, Stage)
+            else list(value) if isinstance(value, tuple)
+            else value
+            for name, value in asdict(self).items()
         }
 
 

@@ -10,10 +10,14 @@ small integer ranks rather than floats, for all its candidates at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
+
+
+# Node-index and count fields of RegressionTree; the others are float64.
+_INT_FIELDS = ("feature", "left", "right", "n_node_samples")
 
 
 @dataclass
@@ -52,27 +56,20 @@ class RegressionTree:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-            "n_node_samples": self.n_node_samples.tolist(),
-            "feature_gains": self.feature_gains.tolist(),
-        }
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RegressionTree":
-        return cls(
-            feature=np.asarray(payload["feature"], dtype=np.int64),
-            threshold=np.asarray(payload["threshold"], dtype=float),
-            left=np.asarray(payload["left"], dtype=np.int64),
-            right=np.asarray(payload["right"], dtype=np.int64),
-            value=np.asarray(payload["value"], dtype=float),
-            n_node_samples=np.asarray(payload["n_node_samples"], dtype=np.int64),
-            feature_gains=np.asarray(payload["feature_gains"], dtype=float),
-        )
+        """Rebuild a tree from :meth:`to_dict` output; raises ValueError naming a missing field."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"a tree must be a JSON object, got {payload!r}")
+        arrays = {}
+        for f in fields(cls):
+            if f.name not in payload:
+                raise ValueError(f"a tree lacks field {f.name!r}")
+            dtype = np.int64 if f.name in _INT_FIELDS else float
+            arrays[f.name] = np.asarray(payload[f.name], dtype=dtype)
+        return cls(**arrays)
 
 
 # Rank cells per candidate block: bounds the search's temporaries at big nodes.

@@ -90,8 +90,6 @@ class HyperParamSpace:
                 raise ValueError(f"empty range for {name}: ({lo}, {hi})")
             if lo <= 0:
                 raise ValueError(f"{name} range must be positive")
-        if self.learning_rate[0] <= 0:
-            raise ValueError("learning_rate range must be positive for log sampling")
         if self.min_samples_leaf[0] > self.min_samples_split[0]:
             raise ValueError(
                 "min_samples_leaf lower bound must not exceed min_samples_split lower bound"
@@ -274,6 +272,20 @@ def chronological_split(n_rows: int, split: float) -> int:
     return min(max(n_train, 1), n_rows - 1)
 
 
+def subset_rows(
+    lo: int, hi: int, size: int | None, rng: np.random.Generator, name: str
+) -> np.ndarray:
+    """Rows ``lo..hi-1``, or a sorted uniform draw of ``size`` of them without replacement.
+
+    ``name`` labels the error raised when ``size`` exceeds the side.
+    """
+    if size is None:
+        return np.arange(lo, hi)
+    if size > hi - lo:
+        raise ValueError(f"{name} {size} exceeds side of {hi - lo}")
+    return np.sort(lo + rng.choice(hi - lo, size=size, replace=False))
+
+
 @dataclass
 class HoldoutResult:
     rmse_mbs: float
@@ -298,30 +310,15 @@ def holdout_eval(
 
     Optional seeded uniform subsets shrink either side, mirroring protocols
     that retrain on a slice of history and score on a slice of the future.
+    Both subsets come from one ``default_rng(seed)`` stream, train side first.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = X.shape[0]
-    if n < 2:
-        raise ValueError("need at least 2 rows for a holdout split")
     n_train = chronological_split(n, split)
     rng = np.random.default_rng(seed)
-    if train_subset is not None:
-        if train_subset > n_train:
-            raise ValueError(f"train_subset {train_subset} exceeds side of {n_train}")
-        train_rows = np.sort(rng.choice(n_train, size=train_subset, replace=False))
-    else:
-        train_rows = np.arange(n_train)
-    n_test_side = n - n_train
-    if test_subset is not None:
-        if test_subset > n_test_side:
-            raise ValueError(f"test_subset {test_subset} exceeds side of {n_test_side}")
-        test_rows = np.sort(
-            n_train + rng.choice(n_test_side, size=test_subset, replace=False)
-        )
-    else:
-        test_rows = np.arange(n_train, n)
-
+    train_rows = subset_rows(0, n_train, train_subset, rng, "train_subset")
+    test_rows = subset_rows(n_train, n, test_subset, rng, "test_subset")
     model = fit_family(family, X[train_rows], y[train_rows], params)
     preds = predict(model, X[test_rows])
     return HoldoutResult(

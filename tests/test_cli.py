@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -184,6 +185,51 @@ def test_eval_of_mean_model_scores_like_target_spread(tmp_path):
     assert got == pytest.approx(float(np.std(y_test)), rel=0.25)
 
 
+GOLDEN_SHA256 = {
+    "events.meta.json": "d9b08e6834206717589fca4906b0f83073953d321185c5ca50d1b7b139a2cf68",
+    "clean.json": "74e395316aba7116953abab98c67c56ae0d8a6af3826f25057a71c2fa323f505",
+    "features.csv": "052609a365dbc565a52b9841fdabbb2f15cf474c912be4864df11a6f00109fdd",
+    "features.meta.json": "a5ec5c478de6ed974866baa2b2bbe5dac32d7e49c0808921884e5b8ff6b5d801",
+    "cv.json": "dc04d05bd417757c76e63f9292f5fb5211cc7b564c64e6f344095bfd9a1e9e39",
+    "model.json": "68a8b38b018572e22a0826ea3498547d267292ecc902e66ba9af40c6cf1e934c",
+    "eval.json": "5cb489cb66f674aca85bb1984b12c06bb4941333a589feba643fde6e4e8abc7f",
+}
+
+
+def test_artifact_bytes_are_unchanged(tmp_path):
+    """SHA-256 of every artifact of a small all-groups chain, ``timing`` left out.
+
+    Pins the serialised field sets, the column layout and the train and test
+    row subsets drawn by ``train`` and ``eval``.
+    """
+    d = str(tmp_path)
+    space = dict(SPACE, n_estimators=[5, 10], max_depth=[2, 4])
+    (tmp_path / "space.json").write_text(json.dumps(space))
+    assert main(["synth", "--out", f"{d}/events.csv", "--n", "3000", "--seed", "7",
+                 "--inject-oversize", "2", "--inject-zero", "3"]) == 0
+    assert main(["clean", "--in", f"{d}/events.csv", "--out", f"{d}/cleaned.csv",
+                 "--report", f"{d}/clean.json"]) == 0
+    assert main(["features", "--in", f"{d}/cleaned.csv", "--out", f"{d}/features.csv",
+                 "--meta", f"{d}/features.meta.json", "--groups", "A,B,C1,C2,D1,D2,D3,E"]) == 0
+    assert main(["cv", "--features", f"{d}/features.csv", "--out", f"{d}/cv.json",
+                 "--num-params", "2", "--cv-k", "2", "--train-width", "800",
+                 "--test-width", "200", "--train-size", "400", "--test-size", "100",
+                 "--seed", "3", "--space", f"{d}/space.json"]) == 0
+    assert main(["train", "--features", f"{d}/features.csv", "--out", f"{d}/model.json",
+                 "--from-cv", f"{d}/cv.json", "--train-subset", "1000", "--seed", "4"]) == 0
+    assert main(["eval", "--features", f"{d}/features.csv", "--model", f"{d}/model.json",
+                 "--out", f"{d}/eval.json", "--test-subset", "150", "--seed", "6"]) == 0
+    got = {}
+    for name in GOLDEN_SHA256:
+        data = (tmp_path / name).read_bytes()
+        if name in ("cv.json", "eval.json"):
+            payload = json.loads(data)
+            del payload["timing"]
+            data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+        got[name] = hashlib.sha256(data).hexdigest()
+    assert got == GOLDEN_SHA256
+
+
 def test_usage_errors_exit_2_and_data_errors_exit_1(tmp_path):
     d = str(tmp_path)
     with pytest.raises(SystemExit) as exit_info:
@@ -241,6 +287,9 @@ def _with_bogus_param(model):
         ("eval", "--model", _without_trees, "trees"),
         ("eval", "--model", _with_bogus_param, "bogus"),
         ("eval", "--model", lambda model: json.dumps(model)[:40], "line 1"),
+        ("eval", "--model", lambda model: dict(model, trees=5), "trees"),
+        ("eval", "--model", lambda model: dict(model, trees=[[1]]), "trees"),
+        ("eval", "--model", lambda model: dict(model, feature_names=5), "feature_names"),
     ],
     ids=[
         "cv-without-best-params",
@@ -251,6 +300,9 @@ def _with_bogus_param(model):
         "model-without-trees",
         "model-with-unknown-param",
         "truncated-model",
+        "model-with-number-for-trees",
+        "model-with-list-for-tree",
+        "model-with-number-for-feature-names",
     ],
 )
 def test_bad_artifacts_exit_1_without_traceback(tmp_path, capsys, command, flag, make_payload,
@@ -267,6 +319,34 @@ def test_bad_artifacts_exit_1_without_traceback(tmp_path, capsys, command, flag,
     assert str(path) in err and field in err
     assert "Traceback" not in err
 
+
+
+@pytest.mark.parametrize(
+    "flag, payload, field",
+    [
+        ("--clean-report", {"n_input": 3}, "n_oversize_removed"),
+        ("--eval", {}, "rmse_mbs"),
+        ("--eval", [1, 2], "rmse_mbs"),
+        ("--eval", 7, "rmse_mbs"),
+        ("--features-meta", [], "groups"),
+        ("--cv", [], "best_index"),
+        ("--model", "trees=5", "trees"),
+    ],
+    ids=["clean-report-without-counts", "eval-without-rmse", "eval-list", "eval-number",
+         "features-meta-list", "cv-list", "model-with-number-for-trees"],
+)
+def test_report_of_misshapen_artifact_exits_1_without_traceback(tmp_path, capsys, flag, payload,
+                                                                field):
+    if payload == "trees=5":
+        payload = dict(_static_features_and_model(str(tmp_path), 60), trees=5)
+    path = tmp_path / "artifact.json"
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["report", "--out", str(tmp_path / "report.json"), flag, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert repr(field) in err
+    assert "Traceback" not in err
 
 
 def _replace_cell(text, line, cell, value):

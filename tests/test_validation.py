@@ -15,6 +15,7 @@ from ratecast.validation import (
     nested_cv,
     rmse,
     sample_hyperparams,
+    subset_rows,
 )
 
 
@@ -307,6 +308,22 @@ def test_holdout_subsets_replay_with_seed():
     assert a.rmse_mbs == b.rmse_mbs
     c = holdout_eval(X, y, params, train_subset=100, test_subset=10, seed=43)
     assert not np.array_equal(a.train_rows, c.train_rows)
+    # One stream, train side first.
+    stream = np.random.default_rng(42)
+    np.testing.assert_array_equal(a.train_rows, subset_rows(0, 180, 100, stream, "train_subset"))
+    np.testing.assert_array_equal(a.test_rows, subset_rows(180, 200, 10, stream, "test_subset"))
+
+
+def test_subset_rows_is_the_whole_side_or_a_sorted_draw():
+    np.testing.assert_array_equal(subset_rows(3, 7, None, None, "x"), np.arange(3, 7))
+    rows = subset_rows(10, 30, 5, np.random.default_rng(1), "x")
+    want = np.sort(10 + np.random.default_rng(1).choice(20, size=5, replace=False))
+    np.testing.assert_array_equal(rows, want)
+    assert np.all(np.diff(rows) > 0) and rows.min() >= 10 and rows.max() < 30
+    np.testing.assert_array_equal(subset_rows(3, 7, 4, np.random.default_rng(1), "x"),
+                                  np.arange(3, 7))
+    with pytest.raises(ValueError, match="^test_subset 5 exceeds side of 4$"):
+        subset_rows(3, 7, 5, np.random.default_rng(1), "test_subset")
 
 
 def test_holdout_rejects_oversized_subsets():
