@@ -57,12 +57,32 @@ def _read_json(path: str) -> dict:
             raise ValueError(f"{path}: {exc}") from None
 
 
-def _read_object(path: str, *required: str) -> dict:
-    """The JSON object in ``path``; raises ValueError naming the first required field it lacks."""
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Field checks for _read_object: (predicate, what the value must be).
+_INT = (lambda v: _is_number(v) and isinstance(v, int), "an integer")
+_NUMBER = (_is_number, "a number")
+_STRING = (lambda v: isinstance(v, str), "a string")
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+_LIST = (lambda v: isinstance(v, list), "a list")
+_NUMBERS = (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers")
+_STRINGS = (
+    lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v), "a list of strings"
+)
+
+
+def _read_object(path: str, required: dict, optional: dict | None = None) -> dict:
+    """The JSON object in ``path``, with every ``required`` field and each
+    ``optional`` one it has passing its (predicate, description) check;
+    raises ValueError naming the first field that is absent or wrongly typed."""
     payload = _read_json(path)
-    for name in required:
-        if not isinstance(payload, dict) or name not in payload:
+    for name, (check, what) in {**required, **(optional or {})}.items():
+        if not isinstance(payload, dict) or name in required and name not in payload:
             raise ValueError(f"{path}: lacks field {name!r}")
+        if name in payload and not check(payload[name]):
+            raise ValueError(f"{path}: field {name!r} must be {what}")
     return payload
 
 
@@ -203,7 +223,8 @@ def _resolve_params(args: argparse.Namespace) -> HyperParams:
     if args.params:
         path, payload = args.params, _read_json(args.params)
     elif args.from_cv:
-        path, payload = args.from_cv, _read_object(args.from_cv, "best_params")["best_params"]
+        cv = _read_object(args.from_cv, {"best_params": _OBJECT})
+        path, payload = args.from_cv, cv["best_params"]
     else:
         return HyperParams()
     try:
@@ -264,10 +285,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
     report: dict = {"format_version": 1}
     timing: dict = {}
     if args.clean_report:
-        counts = [f.name for f in fields(CleaningReport)]
-        report["cleaning"] = _read_object(args.clean_report, *counts)
+        counts = dict.fromkeys((f.name for f in fields(CleaningReport)), _INT)
+        report["cleaning"] = _read_object(args.clean_report, counts)
     if args.features_meta:
-        meta = _read_object(args.features_meta, "groups", "column_meta")
+        meta = _read_object(
+            args.features_meta, {"groups": _STRINGS, "column_meta": _LIST},
+            {"tz_offset_hours": _NUMBER, "stage": _STRING},
+        )
         report["feature_spec"] = {
             "groups": meta["groups"],
             "n_columns": len(meta["column_meta"]),
@@ -275,13 +299,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
             "stage": meta.get("stage"),
         }
     if args.cv:
-        kept = ("best_index", "best_params", "mean_rmse")
-        cv = _read_object(args.cv, *kept)
+        kept = {"best_index": _INT, "best_params": _OBJECT, "mean_rmse": _NUMBERS}
+        cv = _read_object(args.cv, kept, {"timing": _OBJECT})
         report["cv"] = {name: cv[name] for name in kept}
         if "timing" in cv:
             timing["cv_wall_s"] = cv["timing"].get("wall_s")
     if args.eval:
-        holdout = _read_object(args.eval, "rmse_mbs")
+        holdout = _read_object(args.eval, {"rmse_mbs": _NUMBER}, {"timing": _OBJECT})
         if "timing" in holdout:
             timing["eval_wall_s"] = holdout.pop("timing").get("wall_s")
         report["holdout"] = holdout
@@ -305,7 +329,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         )
     if "feature_spec" in report:
         fs = report["feature_spec"]
-        print(f"features: groups={','.join(fs['groups'] or [])} columns={fs['n_columns']}")
+        print(f"features: groups={','.join(fs['groups'])} columns={fs['n_columns']}")
     if "holdout" in report:
         print(f"holdout RMSE: {report['holdout']['rmse_mbs']:.4f} MB/s")
     if "top_importances" in report:

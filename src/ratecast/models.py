@@ -335,8 +335,20 @@ def model_from_dict(payload: dict) -> GbtModel | RfModel:
 
     params = read("params", HyperParams.from_dict)
     feature_names = read("feature_names", list)
-    trees = read("trees", lambda trees: [RegressionTree.from_dict(t) for t in trees])
+
+    def read_trees(trees: list) -> list[RegressionTree]:
+        out = []
+        for i, tree in enumerate(trees):
+            try:
+                out.append(RegressionTree.from_dict(tree, len(feature_names)))
+            except ValueError as exc:
+                raise ValueError(f"tree {i}: {exc}") from None
+        return out
+
+    trees = read("trees", read_trees)
     importances = read("importances", lambda v: np.asarray(v, dtype=float))
+    if importances.shape != (len(feature_names),):
+        raise ValueError(f"field 'importances' must be a list of {len(feature_names)} numbers")
     if family == "gbt":
         return GbtModel(
             params=params,

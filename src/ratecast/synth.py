@@ -23,12 +23,26 @@ Long gaps decorrelate a resource: the AR step count grows with the elapsed
 time since the resource was last touched, so an hours-late stream sees an
 essentially resampled state while a minutes-late one sees a mild
 perturbation.
+
+One generator, seeded with ``SynthConfig.seed``, takes every draw, in a fixed
+order. Each instrument first draws its start clock. Runs then come
+instrument by instrument, each with scalar draws: run, stream and chunk
+counts and stream hosts; per chunk a fill fraction; per stream a delay
+decision (and its length) and a size jitter; then the gaps. Integer draws
+share PCG64's buffered 32-bit halves, so these stay one call each. Once the
+skeletons are sorted and cut to ``n_events``, every draw left for real
+events is a standard normal, taken as one block of ``n_events`` rows: the
+source_fs, target_host and node innovations when ``state_sigma > 0``, then
+the noise when ``noise_mbs > 0``. Injected corrupt records draw last. A seed
+gives the same log bytes and hidden arrays as the per-event generator this
+layout replaced; tests/test_synth.py pins their SHA-256.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from operator import itemgetter
 from typing import Iterator
 
 import numpy as np
@@ -130,18 +144,18 @@ def _topology(instrument: str, stage: Stage) -> tuple[str, str, tuple[str, ...]]
     return ffb, "ana", hall_hosts + _ANA_EXTRA_HOSTS
 
 
-@dataclass
-class _Skeleton:
-    start_time: int
-    delay_s: int
-    file_size_gb: float
-    instrument: str
-    experiment: str
-    target_host: str
-    target_fs: str
-    source_fs: str
-    node: str
-    file_name: str
+def _uniform(random, lo: float, hi: float) -> float:
+    """``rng.uniform(lo, hi)`` from one ``rng.random()``, as numpy computes it."""
+    return lo + (hi - lo) * random()
+
+
+# A skeleton is one transfer before its rate is known: (start_time, delay_s,
+# file_size_gb, instrument, experiment, target_host, target_fs, source_fs,
+# node, file_name). A record puts stop_time after start_time, the rate after
+# the size, and the three hidden factors last, so that its first 11 fields
+# follow TransferEvent's order after the id.
+_SKELETON_ORDER = itemgetter(0, 9)
+_RECORD_ORDER = itemgetter(0, 1, 10)
 
 
 class _InstrumentLine:
@@ -150,6 +164,7 @@ class _InstrumentLine:
     def __init__(self, name: str, config: SynthConfig, rng: np.random.Generator):
         self.name = name
         self.config = config
+        self.source_fs, self.target_fs, self.host_pool = _topology(name, config.stage)
         self.clock = config.start_epoch + int(rng.integers(0, 86400))
         self.runs_left = 0
         self.exp_num = 0
@@ -164,84 +179,68 @@ class _InstrumentLine:
         self.runs_left -= 1
 
     def generate_run(
-        self, rng: np.random.Generator, exp_base: Iterator[int]
-    ) -> list[_Skeleton]:
+        self, rng: np.random.Generator, exp_base: Iterator[int], out: list[tuple]
+    ) -> None:
+        """Append one run's skeletons to ``out``."""
         cfg = self.config
+        integers, random = rng.integers, rng.random
         self._next_run(rng, exp_base)
-        source_fs, target_fs, host_pool = _topology(self.name, cfg.stage)
-        n_streams = int(rng.integers(cfg.streams_min, cfg.streams_max + 1))
-        n_chunks = int(rng.integers(_CHUNKS_PER_RUN[0], _CHUNKS_PER_RUN[1] + 1))
-        hosts = [host_pool[int(rng.integers(len(host_pool)))] for _ in range(n_streams)]
+        n_streams = int(integers(cfg.streams_min, cfg.streams_max + 1))
+        n_chunks = int(integers(_CHUNKS_PER_RUN[0], _CHUNKS_PER_RUN[1] + 1))
+        hosts = [self.host_pool[int(integers(len(self.host_pool)))] for _ in range(n_streams)]
+        nodes = [f"{self.name}dss{stream + 1:02d}" for stream in range(n_streams)]
         experiment = f"{self.name}{self.exp_num:05d}"
-        out: list[_Skeleton] = []
+        run_prefix = f"e{self.exp_num}-r{self.run_num:04d}"
+        cap = cfg.chunk_cap_gb
         for chunk in range(n_chunks):
             chunk_start = self.clock
-            final_chunk = chunk == n_chunks - 1
-            if final_chunk:
-                base_size = cfg.chunk_cap_gb * float(rng.uniform(0.003, 1.0))
-            else:
-                base_size = cfg.chunk_cap_gb * float(rng.uniform(0.97, 1.0))
+            # the final chunk is partly filled, the others nearly to the cap
+            fill = (0.003, 1.0) if chunk == n_chunks - 1 else (0.97, 1.0)
+            base_size = cap * _uniform(random, *fill)
             for stream in range(n_streams):
                 delay = 0
-                if stream > 0 and rng.random() < cfg.delayed_stream_prob:
-                    if rng.random() < cfg.major_delay_fraction:
-                        delay = int(rng.integers(cfg.major_delay_s[0], cfg.major_delay_s[1] + 1))
-                    else:
-                        delay = int(rng.integers(cfg.minor_delay_s[0], cfg.minor_delay_s[1] + 1))
-                size = min(base_size * float(1.0 + rng.uniform(-0.001, 0.001)), cfg.chunk_cap_gb)
-                out.append(
-                    _Skeleton(
-                        start_time=chunk_start + delay,
-                        delay_s=delay,
-                        file_size_gb=max(size, 0.001),
-                        instrument=self.name,
-                        experiment=experiment,
-                        target_host=hosts[stream],
-                        target_fs=target_fs,
-                        source_fs=source_fs,
-                        node=f"{self.name}dss{stream + 1:02d}",
-                        file_name=(
-                            f"e{self.exp_num}-r{self.run_num:04d}"
-                            f"-s{stream:02d}-c{chunk:02d}.xtc"
-                        ),
+                if stream > 0 and random() < cfg.delayed_stream_prob:
+                    lo, hi = (
+                        cfg.major_delay_s if random() < cfg.major_delay_fraction
+                        else cfg.minor_delay_s
                     )
-                )
-            self.clock += int(rng.integers(_CHUNK_GAP_S[0], _CHUNK_GAP_S[1] + 1))
-        self.clock += int(rng.integers(_RUN_GAP_S[0], _RUN_GAP_S[1] + 1))
-        return out
+                    delay = int(integers(lo, hi + 1))
+                size = min(base_size * (1.0 + _uniform(random, -0.001, 0.001)), cap)
+                out.append((
+                    chunk_start + delay, delay, max(size, 0.001), self.name, experiment,
+                    hosts[stream], self.target_fs, self.source_fs, nodes[stream],
+                    f"{run_prefix}-s{stream:02d}-c{chunk:02d}.xtc",
+                ))
+            self.clock += int(integers(_CHUNK_GAP_S[0], _CHUNK_GAP_S[1] + 1))
+        self.clock += int(integers(_RUN_GAP_S[0], _RUN_GAP_S[1] + 1))
 
 
-class _ResourceStates:
-    """Stationary AR(1) log-factors per resource, stepped at touch time."""
+def _ar_factors(
+    resources: tuple[str, ...], times: tuple[int, ...], sigma: float, rho: float,
+    z: list[float],
+) -> np.ndarray:
+    """Per-event factor exp(x) of the resource each event touches.
 
-    def __init__(self, rho: float, sigma: float, rng: np.random.Generator):
-        self.rho = rho
-        self.sigma = sigma
-        self.rng = rng
-        self.state: dict[str, tuple[float, int]] = {}
-
-    def touch(self, resource: str, now: int) -> float:
-        sigma = self.sigma * _STATE_SIGMA_WEIGHTS[resource.split(":", 1)[0]]
-        prior = self.state.get(resource)
-        if sigma == 0.0:
-            self.state[resource] = (0.0, now)
-            return 1.0
+    Each resource's log factor x is a stationary AR(1) with standard deviation
+    ``sigma``, stepped at the (time-ordered) events that touch it, the k-th
+    event drawing its innovation from the standard normal ``z[k]``.
+    """
+    states: dict[str, tuple[float, int]] = {}
+    log_factors = []
+    for resource, now, zk in zip(resources, times, z):
+        prior = states.get(resource)
         if prior is None:
-            log_factor = float(self.rng.normal(0.0, sigma))
+            x = sigma * zk
         else:
-            log_prev, last = prior
-            steps = max(1, 1 + (now - last) // _STATE_STEP_S)
-            decay = self.rho**steps
-            # AR(1) bridged over `steps`: keeps the stationary variance fixed,
-            # so long-idle resources come back essentially resampled.
-            innovation_std = sigma * math.sqrt(max(0.0, 1.0 - decay * decay))
-            log_factor = decay * log_prev + float(self.rng.normal(0.0, innovation_std))
-        self.state[resource] = (log_factor, now)
-        return math.exp(log_factor)
-
-
-def _saturating_rate(size_gb: float, base_rate: float) -> float:
-    return base_rate * size_gb / (size_gb + _SIZE_HALF_GB)
+            x_prev, last = prior
+            decay = rho ** (1 + (now - last) // _STATE_STEP_S)
+            # AR(1) bridged over the idle steps (at least one, as times do not
+            # decrease): keeps the stationary variance fixed, so long-idle
+            # resources come back essentially resampled.
+            x = decay * x_prev + sigma * math.sqrt(1.0 - decay * decay) * zk
+        states[resource] = (x, now)
+        log_factors.append(x)
+    return np.array(list(map(math.exp, log_factors)), dtype=float)
 
 
 def generate_workload(
@@ -260,81 +259,72 @@ def generate_workload(
     lines = [_InstrumentLine(name, config, rng) for name in instruments]
     exp_base = iter(range(100, 10**9))
 
-    skeletons: list[_Skeleton] = []
+    skeletons: list[tuple] = []
     while len(skeletons) < config.n_events:
         for line in lines:
-            skeletons.extend(line.generate_run(rng, exp_base))
-    skeletons.sort(key=lambda s: (s.start_time, s.file_name))
-    skeletons = skeletons[: config.n_events]
+            line.generate_run(rng, exp_base, skeletons)
+    skeletons.sort(key=_SKELETON_ORDER)
+    del skeletons[config.n_events:]
+    n = len(skeletons)
+    starts, delays, sizes, _, _, hosts, _, sources, nodes, _ = list(zip(*skeletons)) or [()] * 10
 
-    states = _ResourceStates(config.ar_rho, config.state_sigma, rng)
-    records: list[tuple[_Skeleton, int, float, tuple[float, float, float]]] = []
-    for sk in skeletons:
-        f_src = states.touch(f"src:{sk.source_fs}", sk.start_time)
-        f_host = states.touch(f"host:{sk.target_host}", sk.start_time)
-        f_node = states.touch(f"node:{sk.node}", sk.start_time)
-        delay_factor = 1.0 + config.delay_boost * (1.0 - math.exp(-sk.delay_s / 1800.0))
-        rate = (
-            _saturating_rate(sk.file_size_gb, config.base_rate_mbs)
-            * f_src
-            * f_host
-            * f_node
-            * delay_factor
-        )
-        if config.noise_mbs > 0:
-            rate += float(rng.normal(0.0, config.noise_mbs))
-        rate = float(np.clip(rate, _RATE_FLOOR_MBS, config.rate_cap_mbs))
-        duration = max(1, int(round(sk.file_size_gb * 1000.0 / rate)))
-        records.append((sk, sk.start_time + duration, rate, (f_src, f_host, f_node)))
+    # Every remaining draw is a standard normal, taken as one block: per
+    # event, the source_fs, target_host and node innovations when states
+    # vary, then the noise. numpy's normal(0, s) is s * z.
+    sigma, noise = config.state_sigma, config.noise_mbs
+    z = rng.standard_normal((n, (3 if sigma > 0 else 0) + (1 if noise > 0 else 0)))
+    if sigma > 0:
+        factors = [
+            _ar_factors(names, starts, sigma * _STATE_SIGMA_WEIGHTS[kind], config.ar_rho,
+                        z[:, k].tolist())
+            for k, (kind, names) in enumerate((("src", sources), ("host", hosts), ("node", nodes)))
+        ]
+    else:
+        factors = [np.ones(n)] * 3
+    # Array +, *, / and rint round exactly as the scalar ops they replace, in
+    # the same order; exp and ** stay scalar, as numpy's SIMD versions need
+    # not match them bit for bit.
+    size = np.array(sizes, dtype=float)
+    delay_factor = np.array(
+        [1.0 + config.delay_boost * (1.0 - math.exp(-d / 1800.0)) for d in delays], dtype=float
+    )
+    # g(size) saturates: small files pay per-file overhead
+    rate = config.base_rate_mbs * size / (size + _SIZE_HALF_GB)
+    rate = rate * factors[0] * factors[1] * factors[2] * delay_factor
+    if noise > 0:
+        rate += noise * z[:, -1]
+    rate = np.minimum(np.maximum(rate, _RATE_FLOOR_MBS), config.rate_cap_mbs)
+    duration = np.maximum(1, np.rint(size * 1000.0 / rate)).astype(np.int64)
+    stops = np.array(starts, dtype=np.int64) + duration
+    records = [
+        (sk[0], stop, sk[2], r, *sk[3:], f_src, f_host, f_node)
+        for sk, stop, r, f_src, f_host, f_node
+        in zip(skeletons, stops.tolist(), rate.tolist(), *(f.tolist() for f in factors))
+    ]
 
     if config.inject_oversize or config.inject_zero:
         records.extend(_corrupt_records(config, rng, records))
     # ids are assigned in canonical (start, stop) order once durations are known
-    records.sort(key=lambda r: (r[0].start_time, r[1], r[0].file_name))
+    records.sort(key=_RECORD_ORDER)
 
-    events: list[TransferEvent] = []
+    events = [TransferEvent(idx, *r[:11], config.stage) for idx, r in enumerate(records)]
     hidden = {
-        "source_fs": np.empty(len(records)),
-        "target_host": np.empty(len(records)),
-        "node": np.empty(len(records)),
+        key: np.array([r[j] for r in records], dtype=float)
+        for j, key in enumerate(("source_fs", "target_host", "node"), start=11)
     }
-    for idx, (sk, stop, rate, factors) in enumerate(records):
-        events.append(
-            TransferEvent(
-                id=idx,
-                start_time=sk.start_time,
-                stop_time=stop,
-                file_size_gb=sk.file_size_gb,
-                transfer_rate_mbs=rate,
-                instrument=sk.instrument,
-                experiment=sk.experiment,
-                target_host=sk.target_host,
-                target_fs=sk.target_fs,
-                source_fs=sk.source_fs,
-                node=sk.node,
-                file_name=sk.file_name,
-                stage=config.stage,
-            )
-        )
-        hidden["source_fs"][idx] = factors[0]
-        hidden["target_host"][idx] = factors[1]
-        hidden["node"][idx] = factors[2]
     return events, hidden
 
 
 def _corrupt_records(
-    config: SynthConfig,
-    rng: np.random.Generator,
-    records: list[tuple[_Skeleton, int, float, tuple[float, float, float]]],
-) -> list[tuple[_Skeleton, int, float, tuple[float, float, float]]]:
+    config: SynthConfig, rng: np.random.Generator, records: list[tuple]
+) -> list[tuple]:
     """Oversize and zero-valued records for cleaning-rule exercises."""
     if records:
-        t_lo = records[0][0].start_time
-        t_hi = max(r[0].start_time for r in records)
+        # records are still in skeleton (start_time) order
+        t_lo, t_hi = records[0][0], records[-1][0]
     else:
         t_lo = config.start_epoch
         t_hi = config.start_epoch + 86400
-    nan_factors = (math.nan, math.nan, math.nan)
     out = []
     for i in range(config.inject_oversize + config.inject_zero):
         oversize = i < config.inject_oversize
@@ -348,17 +338,9 @@ def _corrupt_records(
         else:
             size = float(rng.uniform(0.1, 100.0))
             rate = 0.0
-        sk = _Skeleton(
-            start_time=start,
-            delay_s=0,
-            file_size_gb=size,
-            instrument="bad",
-            experiment="bad00000",
-            target_host="badhost",
-            target_fs="badfs",
-            source_fs="badfs",
-            node="badnode",
-            file_name=f"e0-r0-s0-c{i}.bad",
-        )
-        out.append((sk, start + int(rng.integers(1, 600)), rate, nan_factors))
+        stop = start + int(rng.integers(1, 600))
+        out.append((
+            start, stop, size, rate, "bad", "bad00000", "badhost", "badfs", "badfs",
+            "badnode", f"e0-r0-s0-c{i}.bad", math.nan, math.nan, math.nan,
+        ))
     return out

@@ -59,8 +59,9 @@ class RegressionTree:
         return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "RegressionTree":
-        """Rebuild a tree from :meth:`to_dict` output; raises ValueError naming a missing field."""
+    def from_dict(cls, payload: dict, n_features: int) -> "RegressionTree":
+        """Rebuild a tree over ``n_features`` columns from :meth:`to_dict`
+        output; raises ValueError naming a missing or malformed field."""
         if not isinstance(payload, dict):
             raise ValueError(f"a tree must be a JSON object, got {payload!r}")
         arrays = {}
@@ -69,7 +70,27 @@ class RegressionTree:
                 raise ValueError(f"a tree lacks field {f.name!r}")
             dtype = np.int64 if f.name in _INT_FIELDS else float
             arrays[f.name] = np.asarray(payload[f.name], dtype=dtype)
-        return cls(**arrays)
+        n = np.size(arrays["feature"])
+        if arrays["feature"].ndim != 1 or n == 0:
+            raise ValueError("field 'feature' must be a non-empty list")
+        for name, values in arrays.items():
+            size = n_features if name == "feature_gains" else n
+            if values.shape != (size,):
+                raise ValueError(f"field {name!r} must be a list of {size} numbers")
+        tree = cls(**arrays)
+        if ((tree.feature < -1) | (tree.feature >= n_features)).any():
+            raise ValueError(f"field 'feature' holds an index outside [-1, {n_features})")
+        # children are numbered after their parent, so no path can loop
+        node = np.arange(n)
+        for name, child in (("left", tree.left), ("right", tree.right)):
+            bad = np.where(tree.feature >= 0, (child <= node) | (child >= n), child != -1)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(
+                    f"field {name!r} at node {i}: a split's child must be in ({i}, {n}), "
+                    "a leaf's must be -1"
+                )
+        return tree
 
 
 # Rank cells per candidate block: bounds the search's temporaries at big nodes.

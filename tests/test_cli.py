@@ -321,6 +321,11 @@ def test_bad_artifacts_exit_1_without_traceback(tmp_path, capsys, command, flag,
 
 
 
+_CLEAN_COUNTS = {"n_input": 3, "n_oversize_removed": 0, "n_zero_removed": 0, "n_output": 3}
+_CV_RESULT = {"best_index": 0, "best_params": {}, "mean_rmse": [1.5]}
+_FEATURES_META = {"groups": ["A"], "column_meta": []}
+
+
 @pytest.mark.parametrize(
     "flag, payload, field",
     [
@@ -331,9 +336,28 @@ def test_bad_artifacts_exit_1_without_traceback(tmp_path, capsys, command, flag,
         ("--features-meta", [], "groups"),
         ("--cv", [], "best_index"),
         ("--model", "trees=5", "trees"),
+        ("--eval", {"rmse_mbs": None}, "rmse_mbs"),
+        ("--eval", {"rmse_mbs": "1.0"}, "rmse_mbs"),
+        ("--eval", {"rmse_mbs": 1.0, "timing": 5}, "timing"),
+        ("--features-meta", dict(_FEATURES_META, groups=5), "groups"),
+        ("--features-meta", dict(_FEATURES_META, groups=["A", 1]), "groups"),
+        ("--features-meta", dict(_FEATURES_META, column_meta=5), "column_meta"),
+        ("--features-meta", dict(_FEATURES_META, stage=5), "stage"),
+        ("--clean-report", dict(_CLEAN_COUNTS, n_output="3"), "n_output"),
+        ("--clean-report", dict(_CLEAN_COUNTS, n_input=True), "n_input"),
+        ("--cv", dict(_CV_RESULT, best_index=0.5), "best_index"),
+        ("--cv", dict(_CV_RESULT, best_params=[]), "best_params"),
+        ("--cv", dict(_CV_RESULT, mean_rmse=[None]), "mean_rmse"),
+        ("--cv", dict(_CV_RESULT, timing=5), "timing"),
     ],
     ids=["clean-report-without-counts", "eval-without-rmse", "eval-list", "eval-number",
-         "features-meta-list", "cv-list", "model-with-number-for-trees"],
+         "features-meta-list", "cv-list", "model-with-number-for-trees",
+         "eval-null-rmse", "eval-string-rmse", "eval-number-for-timing",
+         "features-meta-number-for-groups", "features-meta-number-in-groups",
+         "features-meta-number-for-column-meta", "features-meta-number-for-stage",
+         "clean-report-string-count", "clean-report-boolean-count",
+         "cv-fractional-best-index", "cv-list-for-best-params", "cv-null-rmse",
+         "cv-number-for-timing"],
 )
 def test_report_of_misshapen_artifact_exits_1_without_traceback(tmp_path, capsys, flag, payload,
                                                                 field):

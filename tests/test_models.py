@@ -423,6 +423,73 @@ def test_handbuilt_mean_model_round_trips():
     )
 
 
+def _two_tree_payload():
+    X, rng = _data(120, 3, seed=4)
+    y = X[:, 0] + rng.normal(0, 0.1, 120)
+    params = HyperParams(n_estimators=2, max_depth=2, max_features=0.999, **FAST)
+    return json.loads(json.dumps(model_to_dict(fit_gbt(X, y, params))))
+
+
+def _set_tree(index, name, value):
+    def mutate(payload):
+        payload["trees"][index][name] = value
+    return mutate
+
+
+def _shorten_tree_field(name):
+    def mutate(payload):
+        payload["trees"][1][name] = payload["trees"][1][name][:-1]
+    return mutate
+
+
+def _loop_back(payload):
+    tree = payload["trees"][0]
+    tree["left"][0] = 0
+
+
+def _child_on_leaf(payload):
+    tree = payload["trees"][1]
+    tree["right"][tree["feature"].index(-1)] = 1
+
+
+def _feature_past_columns(payload):
+    payload["trees"][1]["feature"][0] = 3
+
+
+def _feature_below_leaf_mark(payload):
+    payload["trees"][0]["feature"][0] = -2
+
+
+def _short_importances(payload):
+    payload["importances"] = payload["importances"][:-1]
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_shorten_tree_field("left"), "tree 1: field 'left'"),
+        (_shorten_tree_field("value"), "tree 1: field 'value'"),
+        (_shorten_tree_field("feature_gains"), "tree 1: field 'feature_gains'"),
+        (_set_tree(0, "threshold", [[0.5]]), "tree 0: field 'threshold'"),
+        (_set_tree(0, "feature", []), "tree 0: field 'feature'"),
+        (_feature_past_columns, "tree 1: field 'feature' holds an index outside"),
+        (_feature_below_leaf_mark, "tree 0: field 'feature' holds an index outside"),
+        (_loop_back, "tree 0: field 'left' at node 0"),
+        (_child_on_leaf, "tree 1: field 'right' at node"),
+        (_short_importances, "field 'importances'"),
+    ],
+    ids=["short-left", "short-value", "short-gains", "two-dimensional", "empty",
+         "feature-past-columns", "feature-below-leaf-mark", "child-loops-back",
+         "leaf-with-child", "short-importances"],
+)
+def test_model_load_rejects_misshapen_trees(mutate, message):
+    payload = _two_tree_payload()
+    model_from_dict(payload)  # the unmodified payload loads
+    mutate(payload)
+    with pytest.raises(ValueError, match=message):
+        model_from_dict(payload)
+
+
 # ------------------------------------------------------------------ robustness
 
 

@@ -1,9 +1,10 @@
+import hashlib
 import io
 
 import numpy as np
 import pytest
 
-from ratecast.events import clean_events, sort_by_start, write_event_csv
+from ratecast.events import Stage, clean_events, sort_by_start, write_event_csv
 from ratecast.features import FeatureSpec, assemble_features
 from ratecast.filenames import parse_filename
 from ratecast.models import HyperParams
@@ -15,6 +16,37 @@ def _csv_bytes(events) -> bytes:
     sink = io.StringIO()
     write_event_csv(events, sink)
     return sink.getvalue().encode("utf-8")
+
+
+# SHA-256 of the event CSV text and of the source_fs, target_host and node
+# hidden arrays' bytes, concatenated in that order. Recorded before the
+# generator was rewritten to take its normal draws as one block, so a change
+# to the draw order or to the arithmetic on a draw shows here.
+_GOLDEN_CONFIGS = {
+    "ar-0.95": ({}, "785722b408a6da52e8e338b02e3b6ffda7127cb844e3080a1eab12cd8413c0e4",
+                "594d9e7f417015911ed210d2062eeb8b14b96bb098dd4cb1cc215a974921f954"),
+    "injected": ({"inject_oversize": 7, "inject_zero": 41},
+                 "6dda9d00b393218d84c517f36509db1ac9bf2b6b0aa96a41e694e7729b7c25d9",
+                 "db00fea66b7a233bd905e78a58c1e2ebc4966757d13e62bda472c14199a76fe9"),
+    "no-normal-draws": ({"state_sigma": 0.0, "noise_mbs": 0.0},
+                        "0e95b61df9aa27f53e8cb861bf0afc9b90acbf6875c1fe94eeb854cf89a51e88",
+                        "ae1540add9c234916f31b6123fad8b4a84c5beafd26eaf7e6185fde3ca2599d8"),
+    "ar-0": ({"ar_rho": 0.0}, "e9d465ea391ba6f2d485134e6cdbcde31a71f55788bf4962b75318859dd6f0f3",
+             "83af305ad2c8e6341101327cf8cd5497779eb80023dd78120d254baa0d0bd5cb"),
+    "ffb-to-ana": ({"stage": Stage.FFB_TO_ANA, "n_instruments": 9},
+                   "7931b2dfed63addedb4ecdd15be038d6ed05cfc3ae925b17ddd81d13006f7a2e",
+                   "2169fb85a7b0a037708880dea6229e429429fcd761438e6c9387dd87f44d2f5f"),
+}
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN_CONFIGS))
+def test_seeded_log_bytes_are_unchanged(name):
+    overrides, csv_sha, hidden_sha = _GOLDEN_CONFIGS[name]
+    config = SynthConfig(**{"n_events": 5000, "ar_rho": 0.95, "seed": 20250808, **overrides})
+    events, hidden = generate_workload(config)
+    assert hashlib.sha256(_csv_bytes(events)).hexdigest() == csv_sha
+    hidden_bytes = b"".join(hidden[key].tobytes() for key in ("source_fs", "target_host", "node"))
+    assert hashlib.sha256(hidden_bytes).hexdigest() == hidden_sha
 
 
 def test_zero_events_gives_empty_log():
