@@ -301,6 +301,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.cv:
         kept = {"best_index": _INT, "best_params": _OBJECT, "mean_rmse": _NUMBERS}
         cv = _read_object(args.cv, kept, {"timing": _OBJECT})
+        best, n = cv["best_index"], len(cv["mean_rmse"])
+        if not 0 <= best < n:
+            message = f"field 'best_index' must index 'mean_rmse' of {n}, got {best}"
+            raise ValueError(f"{args.cv}: {message}")
         report["cv"] = {name: cv[name] for name in kept}
         if "timing" in cv:
             timing["cv_wall_s"] = cv["timing"].get("wall_s")
@@ -330,6 +334,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if "feature_spec" in report:
         fs = report["feature_spec"]
         print(f"features: groups={','.join(fs['groups'])} columns={fs['n_columns']}")
+    if "cv" in report:
+        c = report["cv"]
+        print(
+            f"cv: best candidate {c['best_index']} {json.dumps(c['best_params'], sort_keys=True)} "
+            f"mean RMSE {c['mean_rmse'][c['best_index']]:.4f} MB/s"
+        )
     if "holdout" in report:
         print(f"holdout RMSE: {report['holdout']['rmse_mbs']:.4f} MB/s")
     if "top_importances" in report:

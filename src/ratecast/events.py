@@ -24,6 +24,9 @@ CSV_COLUMNS = (
     "stage",
 )
 
+#: Fields whose values repeat across events; one parse shares one str per value.
+_CATEGORICAL_FIELDS = ("instrument", "experiment", "target_host", "target_fs", "source_fs", "node")
+
 KNOWN_INSTRUMENTS = ("cxi", "xpp", "mec", "xcs", "sxr", "mfx", "amo")
 
 #: Files larger than this (decimal GB) are treated as misconfigured and dropped.
@@ -49,7 +52,7 @@ class CsvRowError(ValueError):
         self.row_index = row_index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransferEvent:
     """One monitored file transfer.
 
@@ -95,7 +98,7 @@ class CleaningReport:
             raise ValueError("cleaning report counts do not balance")
 
 
-def _parse_row(row_index: int, row: Sequence[str]) -> TransferEvent:
+def _parse_row(row_index: int, row: Sequence[str], shared: dict[str, str]) -> TransferEvent:
     if len(row) != len(CSV_COLUMNS):
         raise CsvRowError(
             row_index, f"expected {len(CSV_COLUMNS)} fields, got {len(row)}"
@@ -125,12 +128,7 @@ def _parse_row(row_index: int, row: Sequence[str]) -> TransferEvent:
             stop_time=stop_time,
             file_size_gb=file_size_gb,
             transfer_rate_mbs=transfer_rate_mbs,
-            instrument=rec["instrument"],
-            experiment=rec["experiment"],
-            target_host=rec["target_host"],
-            target_fs=rec["target_fs"],
-            source_fs=rec["source_fs"],
-            node=rec["node"],
+            **{name: shared.setdefault(rec[name], rec[name]) for name in _CATEGORICAL_FIELDS},
             file_name=rec["file_name"],
             stage=stage,
         )
@@ -166,10 +164,11 @@ def parse_event_csv(source: IO[bytes] | IO[str]) -> list[TransferEvent]:
             raise CsvSchemaError(f"unknown column {extra[0]!r}")
         raise CsvSchemaError(f"columns out of order: got {header!r}")
     events = []
+    shared: dict[str, str] = {}
     for i, row in enumerate(reader):
         if not row:
             continue
-        events.append(_parse_row(i, row))
+        events.append(_parse_row(i, row, shared))
     return events
 
 

@@ -243,20 +243,25 @@ def assemble_features(
     starts, stops = table.starts, table.stops
     sizes = np.array([e.file_size_gb for e in events])
     rates = np.array([e.transfer_rate_mbs for e in events])
-    cols: list[np.ndarray] = []
+    encoded, encoded_metas, _ = encode_categoricals(table)
+    lag_blocks = [block for block in _LAG_BLOCKS if block[0] in spec.groups]
+    # File size, the encoded block, then B, C, D and E: the matrix is filled in
+    # place, column by column, and never exists twice.
+    width = 1 + len(encoded_metas) + 2 * len(spec.groups & {"B", "E"})
+    width += sum(len(stats) for group, _, stats in _CONCURRENCY_BLOCKS if group in spec.groups)
+    width += sum(len(stats) + 1 for *_, stats in lag_blocks)
+    values = np.empty((len(events), width))
     metas: list[ColumnMeta] = []
 
-    def add(name: str, group: str, origin: str, values, missing=None) -> None:
-        if missing is None:
-            cols.append(np.asarray(values, dtype=float))
-        else:
-            cols.append(np.where(missing, MISSING_SENTINEL, values))
+    def add(name: str, group: str, origin: str, column, missing=None) -> None:
+        filled = column if missing is None else np.where(missing, MISSING_SENTINEL, column)
+        values[:, len(metas)] = filled
         metas.append(ColumnMeta(name, group, origin))
 
     add("A.file_size", "A", "numeric:file_size_gb", sizes)
-    encoded, encoded_metas, _ = encode_categoricals(table)
-    cols.extend(encoded.T)
+    values[:, 1 : 1 + len(encoded_metas)] = encoded
     metas.extend(encoded_metas)
+    del encoded  # not held through the lag lookups, where assembly peaks
 
     if "B" in spec.groups:
         dows, hours = compute_time_features(table, tz_offset_hours)
@@ -266,11 +271,10 @@ def assemble_features(
     for group, kind, stats in _CONCURRENCY_BLOCKS:
         if group in spec.groups:
             counts = compute_concurrency(table, kind)
-            for stat, count_name, values in zip(stats, ("total", "unique_experiments"), counts):
+            for stat, count_name, column in zip(stats, ("total", "unique_experiments"), counts):
                 origin = f"concurrency:{kind.value}:{count_name}"
-                add(f"{group}.{kind.value}.{stat}", group, origin, values)
+                add(f"{group}.{kind.value}.{stat}", group, origin, column)
 
-    lag_blocks = [block for block in _LAG_BLOCKS if block[0] in spec.groups]
     orders: dict[LagKeyKind, set[int]] = {}
     for _, kind, order, _ in lag_blocks:
         orders.setdefault(kind, set()).add(order)
@@ -295,7 +299,9 @@ def assemble_features(
         add("E.chunk_time_offset", "E", "chunk_offset", offsets, missing)
         add("E.chunk_time_offset.missing", "E", "indicator", missing)
 
-    return FeatureMatrix(values=np.column_stack(cols), columns=metas, event_ids=table.ids)
+    if len(metas) != width:
+        raise RuntimeError(f"assembly filled {len(metas)} of {width} feature columns")
+    return FeatureMatrix(values=values, columns=metas, event_ids=table.ids)
 
 
 def write_feature_csv(
@@ -376,8 +382,15 @@ def read_feature_csv(
         body = _load_body(source, dtype)
     except ValueError as exc:
         raise ValueError(_body_error_at_line(source, dtype, len(names) + 2) or str(exc)) from None
-    # Copies are contiguous and writable, and free the structured body.
-    return body["x"].copy(), names, body["id"].copy(), body["y"].copy()
+    n, k = len(body), len(names)
+    ids, targets = body["id"].copy(), body["y"].copy()
+    # X reuses the body's buffer: each row's cells move forward in place, never
+    # past where they were read, and numpy buffers a block's overlapping copy.
+    cells = body.view(np.float64).reshape(n, k + 2)
+    X = cells.reshape(-1)[: n * k].reshape(n, k)
+    for lo in range(0, n, _CSV_BLOCK_ROWS):
+        X[lo : lo + _CSV_BLOCK_ROWS] = cells[lo : lo + _CSV_BLOCK_ROWS, 1:-1]
+    return X, names, ids, targets
 
 
 def _load_body(source, dtype) -> np.ndarray:

@@ -1,6 +1,9 @@
-"""Shared test fixtures: event factories and random event-log generators."""
+"""Shared test fixtures: event factories, random event-log generators and a
+traced-memory probe."""
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 
@@ -87,3 +90,18 @@ def random_events(
             )
         )
     return events
+
+
+def traced_peak(call, *args):
+    """(peak bytes traced while ``call(*args)`` ran, above the level it started
+    at; its result). numpy reports its array buffers to tracemalloc."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call(*args)
+        return tracemalloc.get_traced_memory()[1] - start, result
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()

@@ -96,6 +96,11 @@ def test_full_pipeline_produces_consistent_artifacts(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "holdout RMSE" in out
     assert "top feature importances" in out
+    best = cv["best_index"]
+    params = json.dumps(cv["best_params"], sort_keys=True)
+    assert f"cv: best candidate {best} {params} mean RMSE {cv['mean_rmse'][best]:.4f} MB/s" in (
+        out.splitlines()
+    )
 
     pairs = _read(f"{d}/pairs.csv").strip().splitlines()
     assert pairs[0] == "event_id,actual_mbs,predicted_mbs"
@@ -349,6 +354,9 @@ _FEATURES_META = {"groups": ["A"], "column_meta": []}
         ("--cv", dict(_CV_RESULT, best_params=[]), "best_params"),
         ("--cv", dict(_CV_RESULT, mean_rmse=[None]), "mean_rmse"),
         ("--cv", dict(_CV_RESULT, timing=5), "timing"),
+        ("--cv", dict(_CV_RESULT, best_index=1), "best_index"),
+        ("--cv", dict(_CV_RESULT, best_index=-1), "best_index"),
+        ("--cv", dict(_CV_RESULT, mean_rmse=[]), "best_index"),
     ],
     ids=["clean-report-without-counts", "eval-without-rmse", "eval-list", "eval-number",
          "features-meta-list", "cv-list", "model-with-number-for-trees",
@@ -357,7 +365,8 @@ _FEATURES_META = {"groups": ["A"], "column_meta": []}
          "features-meta-number-for-column-meta", "features-meta-number-for-stage",
          "clean-report-string-count", "clean-report-boolean-count",
          "cv-fractional-best-index", "cv-list-for-best-params", "cv-null-rmse",
-         "cv-number-for-timing"],
+         "cv-number-for-timing", "cv-best-index-past-rmse", "cv-negative-best-index",
+         "cv-empty-rmse"],
 )
 def test_report_of_misshapen_artifact_exits_1_without_traceback(tmp_path, capsys, flag, payload,
                                                                 field):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -92,6 +93,29 @@ def test_parse_rejects_unknown_stage_and_bad_times():
 def test_parse_rejects_short_row():
     with pytest.raises(CsvRowError, match="expected 12 fields"):
         _parse(HEADER + "\n10,20,1.0\n")
+
+
+def test_parse_shares_one_str_per_category_value():
+    rows = [
+        "10,20,1.0,50.0,cxi,cxi00001,psana201,ffb21,dss-feh,cxidss01,e1-r1-s0-c0.xtc,DSS_TO_FFB",
+        "11,21,2.0,60.0,cxi,cxi00001,psana201,ffb21,dss-feh,cxidss01,e1-r1-s1-c0.xtc,DSS_TO_FFB",
+        "12,22,3.0,70.0,xpp,xpp00002,psana201,ffb21,dss-neh,xppdss01,e2-r1-s0-c0.xtc,DSS_TO_FFB",
+    ]
+    a, b, c = _parse(HEADER + "\n" + "\n".join(rows) + "\n")
+    for name in ("instrument", "experiment", "target_host", "target_fs", "source_fs", "node"):
+        assert getattr(a, name) is getattr(b, name)
+    assert a.target_host is c.target_host and a.target_fs is c.target_fs
+    assert (c.instrument, c.experiment, c.source_fs, c.node) == (
+        "xpp", "xpp00002", "dss-neh", "xppdss01"
+    )
+
+
+def test_events_have_slots_and_still_check_time_order():
+    event = mk_event(start=10)
+    assert not hasattr(event, "__dict__")
+    with pytest.raises(ValueError, match="stop_time 5 precedes start_time 10"):
+        dataclasses.replace(event, stop_time=5)
+    assert dataclasses.replace(event, stop_time=10).stop_time == 10
 
 
 def test_clean_removes_both_rule_classes():

@@ -1,6 +1,7 @@
 """Feature CSV format: byte identity with the cell-at-a-time oracle, bit-exact
 reading, and the edge cases of the block writer and the structured reader."""
 
+import csv
 import hashlib
 import io
 import warnings
@@ -14,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 import ratecast.features as features
 from ratecast import SynthConfig, generate_workload, sort_by_start
+from helpers import traced_peak
 from oracles import reference_feature_csv, reference_read_feature_csv
 from ratecast.features import (
     ALL_GROUPS,
@@ -181,6 +183,56 @@ class _Unseekable(io.StringIO):
 def test_read_error_of_unseekable_source_keeps_loadtxt_count():
     with pytest.raises(ValueError, match="'x' to float64 at row 1, column 2"):
         read_feature_csv(_Unseekable(HEADER + "1,2,3,4\n2,x,3,4\n"))
+
+
+def _structured_read(text):
+    """The structured body's fields, each copied out: what the reader's
+    in-place move of the x cells must reproduce bit for bit."""
+    source = io.StringIO(text, newline="")
+    names = next(csv.reader(source))[1:-1]
+    dtype = [("id", np.int64), ("x", np.float64, (len(names),)), ("y", np.float64)]
+    body = features._load_body(source, dtype)
+    return body["x"].copy(), names, body["id"].copy(), body["y"].copy()
+
+
+def _block_plus_one_row():
+    n = features._CSV_BLOCK_ROWS + 1
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=(n, 5)) * 10.0 ** rng.integers(-300, 300, size=(n, 5))
+    return _texts(_matrix(values, np.arange(n) * 7 - 3), rng.normal(size=n))[0]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "meta.event_id,target.transfer_rate_mbs\n1,2.5\n-4,0.5\n",
+        HEADER,
+        _block_plus_one_row(),
+        HEADER + "1,-0,0,-0.0\n2,nan,-nan,NaN\n3,-NAN,-inf,-0\n",
+    ],
+    ids=["no-feature-columns", "header-only", "one-row-past-a-block", "signed-zeros-and-nans"],
+)
+def test_in_place_read_equals_the_copied_structured_body(text):
+    got = read_feature_csv(io.StringIO(text, newline=""))
+    _assert_same_read(got, _structured_read(text))
+    for array in (got[0], got[2], got[3]):
+        assert array.flags.c_contiguous and array.flags.writeable
+    if "-nan" in text:
+        signs = got[0].view(np.uint64) >> 63
+        assert signs.tolist() == [[1, 0], [0, 1], [1, 1]]
+
+
+def test_read_peak_memory_stays_near_the_matrix_size():
+    # The structured body becomes X's buffer: beyond it, a read holds only the
+    # id and target copies and one block of moved cells.
+    events, _ = generate_workload(SynthConfig(n_events=5000, seed=20250808))
+    events = sort_by_start(events)
+    matrix = assemble_features(events, FeatureSpec.parse(",".join(ALL_GROUPS)))
+    sink = io.StringIO()
+    write_feature_csv(matrix, np.array([e.transfer_rate_mbs for e in events]), sink)
+    peak, (X, *_) = traced_peak(read_feature_csv, io.StringIO(sink.getvalue(), newline=""))
+    assert X.tobytes() == matrix.values.tobytes()
+    assert peak <= 1.5 * X.nbytes
 
 
 

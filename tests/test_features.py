@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ratecast.lags
-from helpers import mk_event, random_events
+from helpers import mk_event, random_events, traced_peak
 from oracles import assert_same_lags, brute_force_concurrency, brute_force_lags
+from ratecast import SynthConfig, generate_workload
 from ratecast.events import sort_by_start
 from ratecast.features import (
     ALL_GROUPS,
@@ -477,6 +478,17 @@ def test_assembly_factorises_each_key_kind_at_most_once():
     # Every kind but OVERALL is factorised, each once; no per-event dict
     # is built for the concurrency (key, experiment) pairs.
     assert len(calls) == len(LagKeyKind) - 1
+
+
+def test_assembly_peak_memory_stays_near_the_matrix_size():
+    # Columns are written into one preallocated matrix, so assembly never
+    # holds the matrix twice.
+    events, _ = generate_workload(SynthConfig(n_events=5000, seed=20250808))
+    events = sort_by_start(events)
+    spec = FeatureSpec.parse(",".join(ALL_GROUPS))
+    peak, matrix = traced_peak(assemble_features, events, spec)
+    assert matrix.values.shape == (len(events), 115)
+    assert peak <= 1.75 * matrix.values.nbytes
 
 
 # -------------------------------------------------------------------- export
