@@ -349,6 +349,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """argparse type of a count flag: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ratecast",
@@ -428,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cv", default=None)
     p.add_argument("--model", default=None)
     p.add_argument("--eval", default=None)
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--top", type=_count, default=10)
     p.set_defaults(func=_cmd_report)
 
     return parser

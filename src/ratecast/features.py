@@ -38,6 +38,7 @@ from .lags import (
     compute_concurrency,
     compute_keyed_lags,
     _EventTable,
+    _KEY_FIELDS,
     _table,
 )
 
@@ -46,7 +47,6 @@ ALL_GROUPS = ("A", "B", "C1", "C2", "D1", "D2", "D3", "E")
 MISSING_SENTINEL = -1.0
 
 #: One-hot blocks of group A (node is a lag and concurrency key, not a feature).
-ONE_HOT_FIELDS = ("instrument", "source_fs", "target_fs", "target_host")
 _ONE_HOT_KINDS = (
     LagKeyKind.SAME_INSTRUMENT,
     LagKeyKind.SAME_SOURCE_FS,
@@ -151,76 +151,23 @@ def compute_time_features(
     return day_of_week, seconds // 3600
 
 
-class CategoricalEncoder:
-    """One-hot and category-code encodings frozen on a training event set.
-
-    Categories are recorded in order of first appearance, which makes the
-    encoding deterministic. Transforming an event whose value was never seen
-    yields an all-zero one-hot block, and code -1 for the experiment field.
-    """
-
-    def __init__(self) -> None:
-        self.categories: dict[str, list[str]] = {}
-        self.experiment_codes: dict[str, int] = {}
-        self._fitted = False
-
-    def fit(self, events: Sequence[TransferEvent] | _EventTable) -> "CategoricalEncoder":
-        table = _table(events)
-        self.categories = {
-            f: table.keys(kind)[1] for f, kind in zip(ONE_HOT_FIELDS, _ONE_HOT_KINDS)
-        }
-        experiments = table.keys(LagKeyKind.SAME_EXPERIMENT)[1]
-        self.experiment_codes = {v: i for i, v in enumerate(experiments)}
-        self._fitted = True
-        return self
-
-    def _require_fitted(self) -> None:
-        if not self._fitted:
-            raise ValueError("encoder is not fitted")
-
-    def one_hot(self, events: Sequence[TransferEvent], field_name: str) -> np.ndarray:
-        """(n, n_categories) block; rows with unseen values are all zero."""
-        self._require_fitted()
-        cats = self.categories[field_name]
-        index = {v: i for i, v in enumerate(cats)}
-        block = np.zeros((len(events), len(cats)))
-        for row, e in enumerate(events):
-            col = index.get(getattr(e, field_name))
-            if col is not None:
-                block[row, col] = 1.0
-        return block
-
-    def experiment_code(self, events: Sequence[TransferEvent]) -> np.ndarray:
-        self._require_fitted()
-        return np.array(
-            [float(self.experiment_codes.get(e.experiment, -1)) for e in events]
-        )
-
-
 def encode_categoricals(
     events: Sequence[TransferEvent] | _EventTable,
-) -> tuple[np.ndarray, list[ColumnMeta], CategoricalEncoder]:
-    """Fit an encoder on ``events`` and return its stacked column blocks.
+) -> tuple[np.ndarray, list[ColumnMeta]]:
+    """Group A's encoded blocks and their column metadata, from the table's codes.
 
-    The blocks come straight from the codes the fit assigns: the experiment
-    code column, then ``codes == category`` for each one-hot field.
+    Categories take codes in order of first appearance. The first column is
+    the experiment code, then ``codes == category`` for each one-hot field.
     """
     table = _table(events)
-    encoder = CategoricalEncoder().fit(table)
     blocks: list[np.ndarray] = [table.codes(LagKeyKind.SAME_EXPERIMENT)[:, None]]
-    metas: list[ColumnMeta] = [
-        ColumnMeta("A.experiment_code", "A", "category_code:experiment")
-    ]
-    for field_name, kind in zip(ONE_HOT_FIELDS, _ONE_HOT_KINDS):
+    metas = [ColumnMeta("A.experiment_code", "A", "category_code:experiment")]
+    for kind in _ONE_HOT_KINDS:
+        name = _KEY_FIELDS[kind]
         codes, values = table.keys(kind)
         blocks.append(codes[:, None] == np.arange(len(values)))
-        for value in values:
-            metas.append(
-                ColumnMeta(
-                    f"A.{field_name}.{value}", "A", f"one_hot:{field_name}={value}"
-                )
-            )
-    return np.hstack(blocks, dtype=float), metas, encoder
+        metas += (ColumnMeta(f"A.{name}.{v}", "A", f"one_hot:{name}={v}") for v in values)
+    return np.hstack(blocks, dtype=float), metas
 
 
 def assemble_features(
@@ -240,10 +187,8 @@ def assemble_features(
     # codes, so each key kind (chunk file names included) is factorised once.
     table = _EventTable(events)
     table.ranks  # checks the order up front, even when no lookup runs
-    starts, stops = table.starts, table.stops
-    sizes = np.array([e.file_size_gb for e in events])
-    rates = np.array([e.transfer_rate_mbs for e in events])
-    encoded, encoded_metas, _ = encode_categoricals(table)
+    starts, stops, sizes, rates = table.starts, table.stops, table.sizes, table.rates
+    encoded, encoded_metas = encode_categoricals(table)
     lag_blocks = [block for block in _LAG_BLOCKS if block[0] in spec.groups]
     # File size, the encoded block, then B, C, D and E: the matrix is filled in
     # place, column by column, and never exists twice.

@@ -85,19 +85,25 @@ def _key_codes(events: Sequence[TransferEvent], kind: LagKeyKind) -> tuple[np.nd
 
 
 class _EventTable:
-    """Columns of one event list: times, their ranks and key codes.
+    """Columns of one event list: times, ids, sizes, rates, time ranks and key codes.
 
     The public functions accept a table in place of an event list, so that
-    ``assemble_features`` reads and checks the times, ranks them and
+    ``assemble_features`` reads every column, checks and ranks the times and
     factorises each key kind once for all of its lookups. A plain list gets
     a table of its own per call.
     """
 
     def __init__(self, events: Sequence[TransferEvent]):
         self.events = events
-        self.starts, self.stops, self.ids = (
-            np.array([getattr(e, field) for e in events], dtype=np.int64)
-            for field in ("start_time", "stop_time", "id")
+        self.starts, self.stops, self.ids, self.sizes, self.rates = (
+            np.array([getattr(e, field) for e in events], dtype=dtype)
+            for field, dtype in (
+                ("start_time", np.int64),
+                ("stop_time", np.int64),
+                ("id", np.int64),
+                ("file_size_gb", np.float64),
+                ("transfer_rate_mbs", np.float64),
+            )
         )
         self._keys: dict[LagKeyKind, tuple[np.ndarray, list]] = {}
 

@@ -39,6 +39,10 @@ class HyperParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not np.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         for name in ("n_estimators", "max_depth", "min_samples_split", "min_samples_leaf"):
@@ -149,6 +153,18 @@ def _aggregate_importances(trees: Sequence[RegressionTree], n_features: int) -> 
     return total / gain_sum
 
 
+def _grow_options(params: HyperParams, X: np.ndarray, rng: np.random.Generator) -> dict:
+    """``grow_tree``'s keywords for every tree of one fit; ranks ``X``'s columns once."""
+    return dict(
+        max_depth=params.max_depth,
+        min_samples_split=params.min_samples_split,
+        min_samples_leaf=params.min_samples_leaf,
+        n_candidate_features=params.resolve_max_features(X.shape[1]),
+        rng=rng,
+        ranked=rank_columns(X),
+    )
+
+
 def fit_gbt(
     X: np.ndarray,
     y: np.ndarray,
@@ -164,9 +180,8 @@ def fit_gbt(
     X, y = _validate_training_input(X, y)
     n, n_features = X.shape
     names = _resolve_names(feature_names, n_features)
-    n_candidates = params.resolve_max_features(n_features)
     rng = np.random.default_rng(params.seed)
-    ranked = rank_columns(X)
+    grow = _grow_options(params, X, rng)
 
     base = float(y.mean())
     current = np.full(n, base)
@@ -180,17 +195,7 @@ def fit_gbt(
             rows = np.sort(rng.choice(n, size=subsample_size, replace=False))
         else:
             rows = all_rows
-        tree = grow_tree(
-            X,
-            residual,
-            rows,
-            max_depth=params.max_depth,
-            min_samples_split=params.min_samples_split,
-            min_samples_leaf=params.min_samples_leaf,
-            n_candidate_features=n_candidates,
-            rng=rng,
-            ranked=ranked,
-        )
+        tree = grow_tree(X, residual, rows, **grow)
         current = current + params.learning_rate * tree.predict(X)
         trees.append(tree)
         train_loss.append(float(np.mean((y - current) ** 2)))
@@ -220,9 +225,8 @@ def fit_rf(
     X, y = _validate_training_input(X, y)
     n, n_features = X.shape
     names = _resolve_names(feature_names, n_features)
-    n_candidates = params.resolve_max_features(n_features)
     rng = np.random.default_rng(params.seed)
-    ranked = rank_columns(X)
+    grow = _grow_options(params, X, rng)
 
     trees: list[RegressionTree] = []
     sample_size = max(1, int(round(params.subsample * n)))
@@ -231,19 +235,7 @@ def fit_rf(
             rows = np.sort(rng.choice(n, size=sample_size, replace=True))
         else:
             rows = np.arange(n)
-        trees.append(
-            grow_tree(
-                X,
-                y,
-                rows,
-                max_depth=params.max_depth,
-                min_samples_split=params.min_samples_split,
-                min_samples_leaf=params.min_samples_leaf,
-                n_candidate_features=n_candidates,
-                rng=rng,
-                ranked=ranked,
-            )
-        )
+        trees.append(grow_tree(X, y, rows, **grow))
     return RfModel(
         params=params,
         feature_names=names,
@@ -333,6 +325,12 @@ def model_from_dict(payload: dict) -> GbtModel | RfModel:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"field {name!r}: {exc}") from None
 
+    def read_finite(name: str, convert):
+        value = read(name, convert)
+        if not np.isfinite(value).all():
+            raise ValueError(f"field {name!r} holds a non-finite number")
+        return value
+
     params = read("params", HyperParams.from_dict)
     feature_names = read("feature_names", list)
 
@@ -346,14 +344,14 @@ def model_from_dict(payload: dict) -> GbtModel | RfModel:
         return out
 
     trees = read("trees", read_trees)
-    importances = read("importances", lambda v: np.asarray(v, dtype=float))
+    importances = read_finite("importances", lambda v: np.asarray(v, dtype=float))
     if importances.shape != (len(feature_names),):
         raise ValueError(f"field 'importances' must be a list of {len(feature_names)} numbers")
     if family == "gbt":
         return GbtModel(
             params=params,
             feature_names=feature_names,
-            base_prediction=read("base_prediction", float),
+            base_prediction=read_finite("base_prediction", float),
             trees=trees,
             importances=importances,
             train_loss=read("train_loss", lambda losses: [float(v) for v in losses], []),

@@ -77,6 +77,8 @@ class RegressionTree:
             size = n_features if name == "feature_gains" else n
             if values.shape != (size,):
                 raise ValueError(f"field {name!r} must be a list of {size} numbers")
+            if not np.isfinite(values).all():
+                raise ValueError(f"field {name!r} holds a non-finite number")
         tree = cls(**arrays)
         if ((tree.feature < -1) | (tree.feature >= n_features)).any():
             raise ValueError(f"field 'feature' holds an index outside [-1, {n_features})")

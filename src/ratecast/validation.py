@@ -11,7 +11,7 @@ predictions at zero before computing RMSE.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Literal, Sequence
 
 import numpy as np
@@ -76,15 +76,7 @@ class HyperParamSpace:
     subsample: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self) -> None:
-        for name in (
-            "learning_rate",
-            "n_estimators",
-            "max_depth",
-            "min_samples_split",
-            "min_samples_leaf",
-            "max_features",
-            "subsample",
-        ):
+        for name in (f.name for f in fields(self)):
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise ValueError(f"empty range for {name}: ({lo}, {hi})")

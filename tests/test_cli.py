@@ -259,6 +259,15 @@ def test_usage_errors_exit_2_and_data_errors_exit_1(tmp_path):
     assert main(["clean", "--in", str(bad_row), "--out", f"{d}/out.csv"]) == 1
 
 
+def test_report_with_negative_top_exits_2_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["report", "--out", str(out), "--top", "-2"])
+    assert exit_info.value.code == 2
+    assert "--top" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _static_features_and_model(d, n):
     """A group-A feature CSV and, for its columns, a tree-less model payload."""
     assert main(["synth", "--out", f"{d}/events.csv", "--n", str(n), "--seed", "3"]) == 0
@@ -289,6 +298,12 @@ def _with_bogus_param(model):
         ("train", "--params", lambda model: {"bogus": 1}, "bogus"),
         ("train", "--params", lambda model: {"max_depth": "deep"}, "max_depth"),
         ("train", "--params", lambda model: {"n_estimators": 2.5}, "n_estimators"),
+        ("train", "--params", lambda model: {"learning_rate": float("nan")}, "learning_rate"),
+        ("train", "--params", lambda model: {"max_features": float("inf")}, "max_features"),
+        ("train", "--from-cv", lambda model: {"best_params": {"subsample": float("nan")}},
+         "subsample"),
+        ("eval", "--model", lambda model: dict(model, base_prediction=float("nan")),
+         "base_prediction"),
         ("eval", "--model", _without_trees, "trees"),
         ("eval", "--model", _with_bogus_param, "bogus"),
         ("eval", "--model", lambda model: json.dumps(model)[:40], "line 1"),
@@ -302,6 +317,10 @@ def _with_bogus_param(model):
         "params-with-unknown-key",
         "params-with-string-value",
         "params-with-fractional-count",
+        "params-with-nan-learning-rate",
+        "params-with-infinite-max-features",
+        "cv-with-nan-subsample",
+        "model-with-nan-base-prediction",
         "model-without-trees",
         "model-with-unknown-param",
         "truncated-model",

@@ -15,7 +15,6 @@ from ratecast import SynthConfig, generate_workload
 from ratecast.events import sort_by_start
 from ratecast.features import (
     ALL_GROUPS,
-    CategoricalEncoder,
     FeatureSpec,
     assemble_features,
     compute_time_features,
@@ -288,20 +287,12 @@ def test_chunk_offset_groups_by_run_and_chunk():
 
 def test_one_hot_block_has_single_one_per_row():
     events = [mk_event(id=i, start=i, instrument=ins) for i, ins in enumerate("abcabc")]
-    values, metas, _ = encode_categoricals(events)
+    values, metas = encode_categoricals(events)
     instrument_cols = [
         j for j, m in enumerate(metas) if m.origin.startswith("one_hot:instrument")
     ]
     assert len(instrument_cols) == 3
     np.testing.assert_array_equal(values[:, instrument_cols].sum(axis=1), np.ones(6))
-
-
-def test_unseen_value_yields_all_zero_block():
-    train = [mk_event(id=0, instrument="cxi"), mk_event(id=1, instrument="xpp")]
-    encoder = CategoricalEncoder().fit(train)
-    block = encoder.one_hot([mk_event(id=2, instrument="mec")], "instrument")
-    assert block.shape == (1, 2)
-    assert block.sum() == 0.0
 
 
 def test_experiment_codes_assigned_by_first_appearance():
@@ -310,10 +301,9 @@ def test_experiment_codes_assigned_by_first_appearance():
         mk_event(id=1, experiment="e2"),
         mk_event(id=2, experiment="e1"),
     ]
-    encoder = CategoricalEncoder().fit(events)
-    codes = encoder.experiment_code(events)
-    assert codes.tolist() == [0.0, 1.0, 0.0]
-    assert encoder.experiment_code([mk_event(id=3, experiment="new")]).tolist() == [-1.0]
+    values, metas = encode_categoricals(events)
+    assert metas[0].name == "A.experiment_code"
+    assert values[:, 0].tolist() == [0.0, 1.0, 0.0]
 
 
 # ------------------------------------------------------------------ assembly

@@ -47,6 +47,15 @@ def test_hyperparams_validation():
         HyperParams(n_estimators=0)
 
 
+@pytest.mark.parametrize("name", ["learning_rate", "max_features", "subsample"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_hyperparams_reject_non_finite_floats(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        HyperParams(**{name: value})
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        HyperParams.from_dict({name: value})
+
+
 def test_max_features_rounding_and_fraction():
     assert HyperParams(max_features=4.12).resolve_max_features(10) == 4
     assert HyperParams(max_features=0.5).resolve_max_features(10) == 5
@@ -464,6 +473,24 @@ def _short_importances(payload):
     payload["importances"] = payload["importances"][:-1]
 
 
+def _set_tree_cell(name, value):
+    def mutate(payload):
+        payload["trees"][1][name][0] = value
+    return mutate
+
+
+def _nan_base_prediction(payload):
+    payload["base_prediction"] = float("nan")
+
+
+def _infinite_importance(payload):
+    payload["importances"][0] = float("inf")
+
+
+def _nan_learning_rate(payload):
+    payload["params"]["learning_rate"] = float("nan")
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -477,10 +504,18 @@ def _short_importances(payload):
         (_loop_back, "tree 0: field 'left' at node 0"),
         (_child_on_leaf, "tree 1: field 'right' at node"),
         (_short_importances, "field 'importances'"),
+        (_set_tree_cell("threshold", float("nan")), "tree 1: field 'threshold' holds a non-finite"),
+        (_set_tree_cell("value", float("inf")), "tree 1: field 'value' holds a non-finite"),
+        (_set_tree_cell("feature_gains", float("-inf")),
+         "tree 1: field 'feature_gains' holds a non-finite"),
+        (_nan_base_prediction, "field 'base_prediction' holds a non-finite"),
+        (_infinite_importance, "field 'importances' holds a non-finite"),
+        (_nan_learning_rate, "field 'params': learning_rate must be finite"),
     ],
     ids=["short-left", "short-value", "short-gains", "two-dimensional", "empty",
          "feature-past-columns", "feature-below-leaf-mark", "child-loops-back",
-         "leaf-with-child", "short-importances"],
+         "leaf-with-child", "short-importances", "nan-threshold", "infinite-value",
+         "infinite-gain", "nan-base-prediction", "infinite-importance", "nan-learning-rate"],
 )
 def test_model_load_rejects_misshapen_trees(mutate, message):
     payload = _two_tree_payload()
