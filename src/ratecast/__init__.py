@@ -4,6 +4,7 @@ from .events import (
     CleaningReport,
     CsvRowError,
     CsvSchemaError,
+    EventLog,
     Stage,
     TransferEvent,
     clean_events,
@@ -60,59 +61,3 @@ from .validation import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CleaningReport",
-    "ColumnMeta",
-    "CsvRowError",
-    "CsvSchemaError",
-    "CvConfig",
-    "CvResult",
-    "FeatureMatrix",
-    "FeatureSpec",
-    "FileNameParts",
-    "FilenameParseError",
-    "FoldSpec",
-    "GbtModel",
-    "HoldoutResult",
-    "HyperParams",
-    "HyperParamSpace",
-    "LagKeyKind",
-    "RegressionTree",
-    "RfModel",
-    "Stage",
-    "SynthConfig",
-    "TransferEvent",
-    "assemble_features",
-    "chronological_split",
-    "clean_events",
-    "compute_chunk_time_offset",
-    "compute_concurrency",
-    "compute_keyed_lags",
-    "compute_time_features",
-    "dump_events",
-    "encode_categoricals",
-    "feature_importance",
-    "fit_family",
-    "fit_gbt",
-    "fit_rf",
-    "format_filename",
-    "generate_workload",
-    "grow_tree",
-    "holdout_eval",
-    "load_events",
-    "load_model",
-    "make_folds",
-    "nested_cv",
-    "parse_event_csv",
-    "parse_filename",
-    "predict",
-    "predict_raw",
-    "rmse",
-    "sample_hyperparams",
-    "save_model",
-    "sort_by_start",
-    "write_event_csv",
-    "write_feature_csv",
-    "read_feature_csv",
-]

@@ -134,13 +134,14 @@ def _cmd_features(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.input}: no events")
     if args.stage:
         stage = Stage(args.stage)
-        events = [e for e in events if e.stage is stage]
+        kept = np.array([s is stage for s in events.categories["stage"]], dtype=bool)
+        events = events.take(kept[events.codes["stage"]])
         if not events:
             raise ValueError(f"{args.input}: no rows of stage {args.stage}")
     events = sort_by_start(events)
     spec = FeatureSpec.parse(args.groups)
     matrix = assemble_features(events, spec, tz_offset_hours=args.tz_offset_hours)
-    targets = np.array([e.transfer_rate_mbs for e in events])
+    targets = events.rates
     meta_path = args.meta or str(Path(args.out).with_suffix(".meta.json"))
     with open(args.out, "w", encoding="utf-8", newline="") as fh, open(
         meta_path, "w", encoding="utf-8"
@@ -357,6 +358,14 @@ def _count(text: str) -> int:
     return value
 
 
+def _tz_offset(text: str) -> float:
+    """argparse type of ``--tz-offset-hours``: a finite number of hours within ±24."""
+    value = float(text)
+    if not -24.0 <= value <= 24.0:
+        raise argparse.ArgumentTypeError(f"must be finite and within ±24 hours, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ratecast",
@@ -391,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--meta", default=None, help="sidecar column-meta JSON path")
     p.add_argument("--groups", default="A", help="comma-separated feature groups")
     p.add_argument("--stage", default=None, choices=[s.value for s in Stage])
-    p.add_argument("--tz-offset-hours", type=float, default=0.0)
+    p.add_argument("--tz-offset-hours", type=_tz_offset, default=0.0)
     p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser("cv", help="nested cross-validation hyperparameter search")

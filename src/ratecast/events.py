@@ -1,36 +1,39 @@
-"""Transfer-event records: CSV ingest, cleaning rules, canonical time ordering."""
+"""Transfer-event logs: a columnar log type, CSV ingest, cleaning rules, canonical time ordering."""
 
 from __future__ import annotations
 
 import csv
 import enum
 import io
-import math
-from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from collections import deque
+from dataclasses import dataclass, fields
+from itertools import islice, repeat
+from operator import attrgetter, index
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
-CSV_COLUMNS = (
-    "start_time",
-    "stop_time",
-    "file_size_gb",
-    "transfer_rate_mbs",
-    "instrument",
-    "experiment",
-    "target_host",
-    "target_fs",
-    "source_fs",
-    "node",
-    "file_name",
-    "stage",
-)
+import numpy as np
 
-#: Fields whose values repeat across events; one parse shares one str per value.
+#: Fields whose values repeat across events; a log holds them as codes.
 _CATEGORICAL_FIELDS = ("instrument", "experiment", "target_host", "target_fs", "source_fs", "node")
+#: Fields held as codes plus a category list: the categorical ones and the stage.
+_CODED_FIELDS = (*_CATEGORICAL_FIELDS, "stage")
+CSV_COLUMNS = (
+    "start_time", "stop_time", "file_size_gb", "transfer_rate_mbs",
+    *_CATEGORICAL_FIELDS, "file_name", "stage",
+)
 
 KNOWN_INSTRUMENTS = ("cxi", "xpp", "mec", "xcs", "sxr", "mfx", "amo")
 
 #: Files larger than this (decimal GB) are treated as misconfigured and dropped.
 OVERSIZE_LIMIT_GB = 1000.0
+
+#: Timestamps must lie within ±TIME_LIMIT_S unix seconds, which keeps every
+#: derived int64 (a time zone shift, a stop-to-start difference) from overflow.
+TIME_LIMIT_S = 2**61
+#: Rows turned into Python values at a time when a log is iterated or written,
+#: and CSV rows parsed at a time: bounds the Python objects alive at once.
+_ROW_BLOCK = 1024
+_PARSE_BLOCK = 4096
 
 
 class Stage(enum.Enum):
@@ -54,13 +57,14 @@ class CsvRowError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class TransferEvent:
-    """One monitored file transfer.
+    """One monitored file transfer: the row type of an :class:`EventLog`.
 
     Units are fixed: ``file_size_gb`` is decimal gigabytes (GB = 10^9 bytes),
     ``transfer_rate_mbs`` is decimal megabytes per second (MB = 10^6 bytes).
-    Timestamps are unix seconds. The recorded rate is authoritative and is
-    never recomputed from size and duration: one-second timestamp granularity
-    makes such a recomputation disagree with the monitored value.
+    Timestamps are unix seconds within ±:data:`TIME_LIMIT_S`. The recorded
+    rate is authoritative and is never recomputed from size and duration:
+    one-second timestamp granularity makes such a recomputation disagree
+    with the monitored value.
     """
 
     id: int
@@ -78,10 +82,126 @@ class TransferEvent:
     stage: Stage
 
     def __post_init__(self) -> None:
+        for name in ("start_time", "stop_time"):
+            if not -TIME_LIMIT_S <= getattr(self, name) <= TIME_LIMIT_S:
+                raise ValueError(_OUT_OF_RANGE.format(name, getattr(self, name)))
         if self.stop_time < self.start_time:
-            raise ValueError(
-                f"stop_time {self.stop_time} precedes start_time {self.start_time}"
-            )
+            raise ValueError(f"stop_time {self.stop_time} precedes start_time {self.start_time}")
+
+
+_OUT_OF_RANGE = "{} {} is outside the supported range of ±2**61 s"
+_FIELD_NAMES = tuple(f.name for f in fields(TransferEvent))
+_SLOT_SETTERS = tuple(getattr(TransferEvent, name).__set__ for name in _FIELD_NAMES)
+
+
+def _rows(fields: list[Iterable]) -> list[TransferEvent]:
+    """TransferEvents of per-field values, filled one field at a time without
+    re-running ``__post_init__``: a log's columns were checked when it was built."""
+    rows = list(map(object.__new__, repeat(TransferEvent, len(fields[0]))))
+    for set_slot, values in zip(_SLOT_SETTERS, fields):
+        deque(map(set_slot, rows, values), maxlen=0)
+    return rows
+
+
+def _factorise(values: Sequence, position: dict | None = None) -> tuple[np.ndarray, list]:
+    """(codes, keys): int64 codes in order of first appearance and the distinct
+    values in code order; None becomes -1 and is not a key. ``position`` (value
+    to code, updated in place) continues the coding of earlier calls."""
+    position = {None: -1} if position is None else position
+    for value in dict.fromkeys(values):
+        position.setdefault(value, len(position) - 1)
+    codes = np.fromiter(map(position.__getitem__, values), np.int64, len(values))
+    return codes, [value for value in position if value is not None]
+
+
+class EventLog:
+    """An immutable transfer-event log held as columns.
+
+    ``ids``, ``starts`` and ``stops`` are int64 arrays, ``sizes`` and ``rates``
+    float64 arrays and ``file_names`` an object array of str, all read-only.
+    Each categorical field and the stage is held as ``codes[field]``, int64
+    codes in order of first appearance in this log, and ``categories[field]``,
+    the distinct values in code order (Stage members for the stage). A log
+    made from another one (cleaned, sorted, sliced) recodes its categories,
+    so a log codes exactly the values it holds.
+
+    Iterating a log, or indexing it with an int, yields :class:`TransferEvent`
+    rows; a slice gives a log, and ``from_events`` makes a log of rows. Arrays
+    derived from the columns (time ranks, key codes) are computed once per log
+    through :meth:`derived`.
+    """
+
+    def __init__(self, ids, starts, stops, sizes, rates, codes, categories, file_names):
+        self.ids, self.starts, self.stops, self.sizes, self.rates = ids, starts, stops, sizes, rates
+        self.file_names = file_names
+        self.codes = {field: codes[field] for field in _CODED_FIELDS}
+        self.categories = {field: list(categories[field]) for field in _CODED_FIELDS}
+        for array in (ids, starts, stops, sizes, rates, file_names, *self.codes.values()):
+            array.flags.writeable = False
+        self._derived: dict = {}
+
+    @classmethod
+    def _from_columns(cls, ids, starts, stops, sizes, rates, *coded) -> "EventLog":
+        """The log of checked value sequences in TransferEvent field order."""
+        *coded, file_names, stages = coded
+        codes, categories = zip(*map(_factorise, (*coded, stages)))
+        return cls(
+            *(np.asarray(a, dtype=np.int64) for a in (ids, starts, stops)),
+            *(np.asarray(a, dtype=np.float64) for a in (sizes, rates)),
+            dict(zip(_CODED_FIELDS, codes)), dict(zip(_CODED_FIELDS, categories)),
+            np.array(file_names, dtype=object).reshape(-1),
+        )
+
+    @classmethod
+    def from_events(cls, events: Iterable[TransferEvent]) -> "EventLog":
+        """The log of ``events``, in their order."""
+        columns = list(zip(*map(attrgetter(*_FIELD_NAMES), events)))
+        return cls._from_columns(*(columns or [()] * len(_FIELD_NAMES)))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def _fields(self, rows: slice) -> list[Iterable]:
+        """The values of ``rows``, one iterable per field in TransferEvent order."""
+        numbers = (self.ids, self.starts, self.stops, self.sizes, self.rates)
+        *coded, stages = (
+            map(self.categories[field].__getitem__, self.codes[field][rows].tolist())
+            for field in _CODED_FIELDS
+        )
+        names = self.file_names[rows].tolist()
+        return [*(a[rows].tolist() for a in numbers), *coded, names, stages]
+
+    def __iter__(self) -> Iterator[TransferEvent]:
+        for lo in range(0, len(self), _ROW_BLOCK):
+            yield from _rows(self._fields(slice(lo, lo + _ROW_BLOCK)))
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self.take(key)
+        i = range(len(self))[index(key)]
+        return _rows(self._fields(slice(i, i + 1)))[0]
+
+    def take(self, rows) -> "EventLog":
+        """The log of ``rows``: a slice, a boolean mask or an array of row indices."""
+        codes, categories = {}, {}
+        for field in _CODED_FIELDS:
+            codes[field], held = _factorise(self.codes[field][rows].tolist())
+            categories[field] = [self.categories[field][code] for code in held]
+        return EventLog(
+            self.ids[rows], self.starts[rows], self.stops[rows], self.sizes[rows],
+            self.rates[rows], codes, categories, self.file_names[rows],
+        )
+
+    def derived(self, key, compute: Callable):
+        """``compute()``, computed on the first call per ``key``: a log never changes."""
+        if key not in self._derived:
+            self._derived[key] = compute()
+        return self._derived[key]
+
+
+def as_log(events: EventLog | Iterable[TransferEvent]) -> EventLog:
+    """``events`` if it is a log, else the log of its rows."""
+    return events if isinstance(events, EventLog) else EventLog.from_events(events)
 
 
 @dataclass(frozen=True)
@@ -98,51 +218,76 @@ class CleaningReport:
             raise ValueError("cleaning report counts do not balance")
 
 
-def _parse_row(row_index: int, row: Sequence[str], shared: dict[str, str]) -> TransferEvent:
-    if len(row) != len(CSV_COLUMNS):
-        raise CsvRowError(
-            row_index, f"expected {len(CSV_COLUMNS)} fields, got {len(row)}"
-        )
-    rec = dict(zip(CSV_COLUMNS, row))
-    try:
-        start_time = int(rec["start_time"])
-        stop_time = int(rec["stop_time"])
-    except ValueError as exc:
-        raise CsvRowError(row_index, f"bad timestamp: {exc}") from exc
-    try:
-        file_size_gb = float(rec["file_size_gb"])
-        transfer_rate_mbs = float(rec["transfer_rate_mbs"])
-    except ValueError as exc:
-        raise CsvRowError(row_index, f"bad numeric field: {exc}") from exc
-    for name, value in (("file_size_gb", file_size_gb), ("transfer_rate_mbs", transfer_rate_mbs)):
-        if not math.isfinite(value):
-            raise CsvRowError(row_index, f"non-finite {name}: {rec[name]!r}")
-    try:
-        stage = Stage(rec["stage"])
-    except ValueError as exc:
-        raise CsvRowError(row_index, f"unknown stage {rec['stage']!r}") from exc
-    try:
-        return TransferEvent(
-            id=row_index,
-            start_time=start_time,
-            stop_time=stop_time,
-            file_size_gb=file_size_gb,
-            transfer_rate_mbs=transfer_rate_mbs,
-            **{name: shared.setdefault(rec[name], rec[name]) for name in _CATEGORICAL_FIELDS},
-            file_name=rec["file_name"],
-            stage=stage,
-        )
-    except ValueError as exc:
-        raise CsvRowError(row_index, str(exc)) from exc
+_STAGES = {stage.value: stage for stage in Stage}
 
 
-def parse_event_csv(source: IO[bytes] | IO[str]) -> list[TransferEvent]:
-    """Parse a transfer-event CSV stream into a list of events.
+def _convert(cells: Sequence[str], convert: Callable) -> tuple[list, tuple | None]:
+    """(the converted cells, None), or (the cells before the first one that
+    ``convert`` rejects, converted; (its index, the error))."""
+    values = []
+    for i, cell in enumerate(cells):
+        try:
+            values.append(convert(cell))
+        except ValueError as exc:
+            return values, (i, exc)
+    return values, None
+
+
+def _parse_block(row_index: list[int], rows: list[list[str]], positions: dict) -> list:
+    """Ids, starts, stops, sizes, rates, the codes of ``_CODED_FIELDS`` (continuing
+    ``positions``) and the file names of non-blank CSV rows; or the first bad row's
+    CsvRowError. The checks run column by column, each over the rows before the first
+    failure so far, in the order a row is checked in (field count, timestamps, numbers,
+    finiteness, stage, timestamp range, time order), so the error is the one that
+    parsing row by row meets first."""
+    error, n = None, len(rows)
+
+    def fail(i: int, message: str) -> None:
+        nonlocal error, n
+        error, n = CsvRowError(row_index[i], message), i
+
+    widths = np.fromiter(map(len, rows), np.int64, len(rows))
+    for i in np.flatnonzero(widths != len(CSV_COLUMNS))[:1]:
+        fail(i, f"expected {len(CSV_COLUMNS)} fields, got {widths[i]}")
+    cells = dict(zip(CSV_COLUMNS, list(zip(*rows[:n])) or [()] * len(CSV_COLUMNS)))
+    values = {}
+    for name in CSV_COLUMNS[:4]:
+        convert, what = (int, "bad timestamp") if "time" in name else (float, "bad numeric field")
+        values[name], failure = _convert(cells[name][:n], convert)
+        if failure is not None:
+            fail(failure[0], f"{what}: {failure[1]}")
+    for name in ("file_size_gb", "transfer_rate_mbs"):
+        for i in np.flatnonzero(~np.isfinite(values[name][:n]))[:1]:
+            fail(i, f"non-finite {name}: {cells[name][i]!r}")
+    stages, _ = _factorise(list(map(_STAGES.get, cells["stage"][:n])), positions["stage"])
+    for i in np.flatnonzero(stages < 0)[:1]:
+        fail(i, f"unknown stage {cells['stage'][i]!r}")
+    for name in ("start_time", "stop_time"):
+        times = values[name][:n]
+        if times and not -TIME_LIMIT_S <= min(times) <= max(times) <= TIME_LIMIT_S:
+            i = next(i for i, t in enumerate(times) if not -TIME_LIMIT_S <= t <= TIME_LIMIT_S)
+            fail(i, _OUT_OF_RANGE.format(name, times[i]))
+    starts, stops = (np.array(values[name][:n], dtype=np.int64) for name in CSV_COLUMNS[:2])
+    for i in np.flatnonzero(stops < starts)[:1]:
+        fail(i, f"stop_time {stops[i]} precedes start_time {starts[i]}")
+    if error is not None:
+        raise error
+    return [
+        np.array(row_index, dtype=np.int64), starts, stops,
+        *(np.array(values[name], dtype=np.float64) for name in CSV_COLUMNS[2:4]),
+        *(_factorise(cells[field], positions[field])[0] for field in _CATEGORICAL_FIELDS),
+        stages, np.array(cells["file_name"], dtype=object).reshape(-1),
+    ]
+
+
+def parse_event_csv(source: IO[bytes] | IO[str]) -> EventLog:
+    """Parse a transfer-event CSV stream into an :class:`EventLog`.
 
     The header must match :data:`CSV_COLUMNS` exactly. Event ids are assigned
-    as the 0-based data-row index in order of appearance. Unparseable rows,
-    including NaN or infinite sizes and rates, raise :class:`CsvRowError`
-    rather than being skipped.
+    as the 0-based data-row index in order of appearance; blank lines are
+    skipped but counted. Unparseable rows, including NaN or infinite sizes
+    and rates and timestamps outside ±:data:`TIME_LIMIT_S`, raise
+    :class:`CsvRowError` naming the first such row rather than being skipped.
     """
     if isinstance(source, io.TextIOBase):
         text = source
@@ -163,55 +308,42 @@ def parse_event_csv(source: IO[bytes] | IO[str]) -> list[TransferEvent]:
         if extra:
             raise CsvSchemaError(f"unknown column {extra[0]!r}")
         raise CsvSchemaError(f"columns out of order: got {header!r}")
-    events = []
-    shared: dict[str, str] = {}
-    for i, row in enumerate(reader):
-        if not row:
-            continue
-        events.append(_parse_row(i, row, shared))
-    return events
+    positions = {field: {None: -1} for field in _CODED_FIELDS}
+    blocks = [_parse_block([], [], positions)]
+    numbered = enumerate(reader)
+    while chunk := [(i, row) for i, row in islice(numbered, _PARSE_BLOCK) if row]:
+        blocks.append(_parse_block(*map(list, zip(*chunk)), positions))
+    *columns, file_names = (np.concatenate(parts) for parts in zip(*blocks))
+    codes = dict(zip(_CODED_FIELDS, columns[5:]))
+    categories = {field: [v for v in positions[field] if v is not None] for field in _CODED_FIELDS}
+    return EventLog(*columns[:5], codes, categories, file_names)
 
 
-def load_events(path: str) -> list[TransferEvent]:
+def load_events(path: str) -> EventLog:
     with open(path, "rb") as fh:
         return parse_event_csv(fh)
 
 
-def _fmt_float(value: float) -> str:
-    # 17 significant digits guarantee bit-exact float round-trips.
-    return format(value, ".17g")
-
-
-def write_event_csv(events: Iterable[TransferEvent], sink: IO[str]) -> None:
+def write_event_csv(events: EventLog | Iterable[TransferEvent], sink: IO[str]) -> None:
+    log = as_log(events)
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for e in events:
-        writer.writerow(
-            (
-                str(e.start_time),
-                str(e.stop_time),
-                _fmt_float(e.file_size_gb),
-                _fmt_float(e.transfer_rate_mbs),
-                e.instrument,
-                e.experiment,
-                e.target_host,
-                e.target_fs,
-                e.source_fs,
-                e.node,
-                e.file_name,
-                e.stage.value,
-            )
-        )
+    # 17 significant digits guarantee bit-exact float round-trips.
+    fmt = "%.17g".__mod__
+    for lo in range(0, len(log), _ROW_BLOCK):
+        _, starts, stops, sizes, rates, *names, stages = log._fields(slice(lo, lo + _ROW_BLOCK))
+        writer.writerows(zip(
+            map(str, starts), map(str, stops), map(fmt, sizes), map(fmt, rates),
+            *names, (stage.value for stage in stages),
+        ))
 
 
-def dump_events(events: Iterable[TransferEvent], path: str) -> None:
+def dump_events(events: EventLog | Iterable[TransferEvent], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         write_event_csv(events, fh)
 
 
-def clean_events(
-    events: Sequence[TransferEvent],
-) -> tuple[list[TransferEvent], CleaningReport]:
+def clean_events(events: EventLog | Iterable[TransferEvent]) -> tuple[EventLog, CleaningReport]:
     """Drop oversize and zero-valued records, preserving relative order.
 
     Removal classes, applied per event in priority order:
@@ -220,27 +352,19 @@ def clean_events(
     * zero: non-positive ``file_size_gb`` or ``transfer_rate_mbs``.
 
     An event matching both rules is counted once, under oversize, so the
-    report is deterministic.
+    report is deterministic. A log that loses no record is returned as is.
     """
-    kept: list[TransferEvent] = []
-    n_oversize = 0
-    n_zero = 0
-    for e in events:
-        if e.file_size_gb > OVERSIZE_LIMIT_GB:
-            n_oversize += 1
-        elif e.file_size_gb <= 0.0 or e.transfer_rate_mbs <= 0.0:
-            n_zero += 1
-        else:
-            kept.append(e)
-    report = CleaningReport(
-        n_input=len(events),
-        n_oversize_removed=n_oversize,
-        n_zero_removed=n_zero,
-        n_output=len(kept),
-    )
-    return kept, report
+    log = as_log(events)
+    oversize = log.sizes > OVERSIZE_LIMIT_GB
+    zero = ~oversize & ((log.sizes <= 0.0) | (log.rates <= 0.0))
+    kept = ~(oversize | zero)
+    report = CleaningReport(len(log), int(oversize.sum()), int(zero.sum()), int(kept.sum()))
+    return (log if report.n_output == len(log) else log.take(kept)), report
 
 
-def sort_by_start(events: Iterable[TransferEvent]) -> list[TransferEvent]:
-    """Canonical time order: (start_time, stop_time, id), stable and total."""
-    return sorted(events, key=lambda e: (e.start_time, e.stop_time, e.id))
+def sort_by_start(events: EventLog | Iterable[TransferEvent]) -> EventLog:
+    """Canonical time order: (start_time, stop_time, id), stable and total.
+    A log already in that order is returned as is."""
+    log = as_log(events)
+    order = np.lexsort((log.ids, log.stops, log.starts))
+    return log if np.array_equal(order, np.arange(len(log))) else log.take(order)

@@ -27,32 +27,20 @@ import json
 import re
 import warnings
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, Iterable
 
 import numpy as np
 
-from .events import TransferEvent
-from .lags import (
-    LagKeyKind,
-    compute_chunk_time_offset,
-    compute_concurrency,
-    compute_keyed_lags,
-    _EventTable,
-    _KEY_FIELDS,
-    _table,
-)
+from .events import EventLog, TransferEvent, as_log
+from .lags import LagKeyKind, compute_chunk_time_offset, compute_concurrency, compute_keyed_lags
+from .lags import _ranks
 
 ALL_GROUPS = ("A", "B", "C1", "C2", "D1", "D2", "D3", "E")
 
 MISSING_SENTINEL = -1.0
 
-#: One-hot blocks of group A (node is a lag and concurrency key, not a feature).
-_ONE_HOT_KINDS = (
-    LagKeyKind.SAME_INSTRUMENT,
-    LagKeyKind.SAME_SOURCE_FS,
-    LagKeyKind.SAME_TARGET_FS,
-    LagKeyKind.SAME_TARGET_HOST,
-)
+#: One-hot fields of group A (node is a lag and concurrency key, not a feature).
+_ONE_HOT_FIELDS = ("instrument", "source_fs", "target_fs", "target_host")
 
 _D1_KEYED_KINDS = (
     LagKeyKind.SAME_INSTRUMENT,
@@ -130,48 +118,40 @@ class FeatureMatrix:
     def column_names(self) -> list[str]:
         return [c.name for c in self.columns]
 
-    def column(self, name: str) -> np.ndarray:
-        try:
-            idx = self.column_names.index(name)
-        except ValueError:
-            raise KeyError(name) from None
-        return self.values[:, idx]
-
 
 def compute_time_features(
-    events: Sequence[TransferEvent] | _EventTable, tz_offset_hours: float = 0.0
+    events: EventLog | Iterable[TransferEvent], tz_offset_hours: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """(day_of_week, hour_of_day) arrays of the start times; day 0 is Monday.
 
     A fixed UTC offset shifts the clock; no daylight-saving rules are applied.
     """
-    shifted = _table(events).starts + int(round(tz_offset_hours * 3600.0))
+    shifted = as_log(events).starts + int(round(tz_offset_hours * 3600.0))
     days, seconds = np.divmod(shifted, 86400)
     day_of_week = (days + 3) % 7  # 1970-01-01 was a Thursday
     return day_of_week, seconds // 3600
 
 
 def encode_categoricals(
-    events: Sequence[TransferEvent] | _EventTable,
+    events: EventLog | Iterable[TransferEvent],
 ) -> tuple[np.ndarray, list[ColumnMeta]]:
-    """Group A's encoded blocks and their column metadata, from the table's codes.
+    """Group A's encoded blocks and their column metadata, from the log's codes.
 
     Categories take codes in order of first appearance. The first column is
     the experiment code, then ``codes == category`` for each one-hot field.
     """
-    table = _table(events)
-    blocks: list[np.ndarray] = [table.codes(LagKeyKind.SAME_EXPERIMENT)[:, None]]
+    log = as_log(events)
+    blocks: list[np.ndarray] = [log.codes["experiment"][:, None]]
     metas = [ColumnMeta("A.experiment_code", "A", "category_code:experiment")]
-    for kind in _ONE_HOT_KINDS:
-        name = _KEY_FIELDS[kind]
-        codes, values = table.keys(kind)
-        blocks.append(codes[:, None] == np.arange(len(values)))
+    for name in _ONE_HOT_FIELDS:
+        values = log.categories[name]
+        blocks.append(log.codes[name][:, None] == np.arange(len(values)))
         metas += (ColumnMeta(f"A.{name}.{v}", "A", f"one_hot:{name}={v}") for v in values)
     return np.hstack(blocks, dtype=float), metas
 
 
 def assemble_features(
-    events: Sequence[TransferEvent],
+    events: EventLog | Iterable[TransferEvent],
     spec: FeatureSpec,
     tz_offset_hours: float = 0.0,
 ) -> FeatureMatrix:
@@ -183,19 +163,19 @@ def assemble_features(
     leaves row i unchanged. The C and D columns come from
     ``_CONCURRENCY_BLOCKS`` and ``_LAG_BLOCKS``.
     """
-    # One table per call: every lookup below shares its times, ranks and key
-    # codes, so each key kind (chunk file names included) is factorised once.
-    table = _EventTable(events)
-    table.ranks  # checks the order up front, even when no lookup runs
-    starts, stops, sizes, rates = table.starts, table.stops, table.sizes, table.rates
-    encoded, encoded_metas = encode_categoricals(table)
+    # Every lookup below shares the log's times, ranks and key codes, so the
+    # chunk file names are parsed once.
+    log = as_log(events)
+    _ranks(log)  # checks the order up front, even when no lookup runs
+    starts, stops, sizes, rates = log.starts, log.stops, log.sizes, log.rates
+    encoded, encoded_metas = encode_categoricals(log)
     lag_blocks = [block for block in _LAG_BLOCKS if block[0] in spec.groups]
     # File size, the encoded block, then B, C, D and E: the matrix is filled in
     # place, column by column, and never exists twice.
     width = 1 + len(encoded_metas) + 2 * len(spec.groups & {"B", "E"})
     width += sum(len(stats) for group, _, stats in _CONCURRENCY_BLOCKS if group in spec.groups)
     width += sum(len(stats) + 1 for *_, stats in lag_blocks)
-    values = np.empty((len(events), width))
+    values = np.empty((len(log), width))
     metas: list[ColumnMeta] = []
 
     def add(name: str, group: str, origin: str, column, missing=None) -> None:
@@ -209,13 +189,13 @@ def assemble_features(
     del encoded  # not held through the lag lookups, where assembly peaks
 
     if "B" in spec.groups:
-        dows, hours = compute_time_features(table, tz_offset_hours)
+        dows, hours = compute_time_features(log, tz_offset_hours)
         add("B.day_of_week", "B", "calendar:day_of_week", dows)
         add("B.hour_of_day", "B", "calendar:hour_of_day", hours)
 
     for group, kind, stats in _CONCURRENCY_BLOCKS:
         if group in spec.groups:
-            counts = compute_concurrency(table, kind)
+            counts = compute_concurrency(log, kind)
             for stat, count_name, column in zip(stats, ("total", "unique_experiments"), counts):
                 origin = f"concurrency:{kind.value}:{count_name}"
                 add(f"{group}.{kind.value}.{stat}", group, origin, column)
@@ -223,7 +203,7 @@ def assemble_features(
     orders: dict[LagKeyKind, set[int]] = {}
     for _, kind, order, _ in lag_blocks:
         orders.setdefault(kind, set()).add(order)
-    lag_rows = {kind: compute_keyed_lags(table, kind, o) for kind, o in orders.items()}
+    lag_rows = {kind: compute_keyed_lags(log, kind, o) for kind, o in orders.items()}
     for group, kind, order, stats in lag_blocks:
         rows = lag_rows[kind][order]
         missing = rows < 0
@@ -240,13 +220,13 @@ def assemble_features(
         add(f"{prefix}.missing", group, "indicator", missing)
 
     if "E" in spec.groups:
-        offsets, missing = compute_chunk_time_offset(table)
+        offsets, missing = compute_chunk_time_offset(log)
         add("E.chunk_time_offset", "E", "chunk_offset", offsets, missing)
         add("E.chunk_time_offset.missing", "E", "indicator", missing)
 
     if len(metas) != width:
         raise RuntimeError(f"assembly filled {len(metas)} of {width} feature columns")
-    return FeatureMatrix(values=values, columns=metas, event_ids=table.ids)
+    return FeatureMatrix(values=values, columns=metas, event_ids=log.ids)
 
 
 def write_feature_csv(

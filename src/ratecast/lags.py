@@ -9,22 +9,21 @@ Three families of dynamic features share the same machinery:
 * chunk timing: seconds since the first transfer of the same chunk started
   (``compute_chunk_time_offset``).
 
-Each key kind is factorised into integer codes once per event table (one per
-call, or one per assembly when the caller passes a table), and every count or
-lookup is a ``searchsorted`` into arrays sorted by (code, time). No object is
-built per event. All of them only look at information available when a
-transfer starts, so rows never leak future data.
+Each function takes an :class:`~ratecast.events.EventLog` (a row list gets a
+log of its own per call). The categorical keys are the log's codes, the
+chunk key is factorised once per log, and every count or lookup is a
+``searchsorted`` into arrays sorted by (code, time). All of them only look at
+information available when a transfer starts, so rows never leak future data.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .events import TransferEvent
+from .events import _CATEGORICAL_FIELDS, EventLog, TransferEvent, _factorise, as_log
 from .filenames import FilenameParseError, parse_filename
 
 
@@ -41,14 +40,8 @@ class LagKeyKind(enum.Enum):
     SAME_CHUNK = "same_chunk"
 
 
-_KEY_FIELDS = {
-    LagKeyKind.SAME_INSTRUMENT: "instrument",
-    LagKeyKind.SAME_EXPERIMENT: "experiment",
-    LagKeyKind.SAME_SOURCE_FS: "source_fs",
-    LagKeyKind.SAME_TARGET_FS: "target_fs",
-    LagKeyKind.SAME_TARGET_HOST: "target_host",
-    LagKeyKind.SAME_NODE: "node",
-}
+#: The log field of each categorical kind: same_<field> keys on <field>.
+_KEY_FIELDS = {kind: kind.value[5:] for kind in LagKeyKind if kind.value[5:] in _CATEGORICAL_FIELDS}
 
 
 def _chunk_key(file_name: str) -> tuple[int, int, int] | None:
@@ -59,88 +52,40 @@ def _chunk_key(file_name: str) -> tuple[int, int, int] | None:
     return (parts.experiment_num, parts.run_num, parts.chunk_num)
 
 
-def _factorise(values: Iterable) -> tuple[np.ndarray, list]:
-    """(codes, keys): int64 codes in order of first appearance and the distinct
-    values in code order; None becomes -1 and is not a key."""
-    codes: dict = {}
-    array = np.array(
-        [-1 if v is None else codes.setdefault(v, len(codes)) for v in values],
-        dtype=np.int64,
-    )
-    return array, list(codes)
+def _keys(log: EventLog, kind: LagKeyKind) -> tuple[np.ndarray, list]:
+    """(codes, keys) of ``log`` under ``kind``; code -1 means unkeyed.
 
-
-def _key_codes(events: Sequence[TransferEvent], kind: LagKeyKind) -> tuple[np.ndarray, list]:
-    """(codes, keys) of ``events`` under ``kind``; code -1 means unkeyed.
-
-    Only SAME_CHUNK can be unkeyed: it requires a parseable file name and
-    keys on (experiment, run, chunk) so all streams of a chunk match.
+    The categorical kinds are the log's codes. SAME_CHUNK, made once per log,
+    keys on (experiment, run, chunk) so all streams of a chunk match; only it
+    can be unkeyed, when the file name does not parse.
     """
     if kind is LagKeyKind.OVERALL:
-        return np.zeros(len(events), dtype=np.int64), [kind.value] if len(events) else []
+        return np.zeros(len(log), dtype=np.int64), [kind.value] if len(log) else []
     if kind is LagKeyKind.SAME_CHUNK:
-        return _factorise(_chunk_key(e.file_name) for e in events)
+        return log.derived(kind, lambda: _factorise(list(map(_chunk_key, log.file_names))))
     field = _KEY_FIELDS[kind]
-    return _factorise(getattr(e, field) for e in events)
+    return log.codes[field], log.categories[field]
 
 
-class _EventTable:
-    """Columns of one event list: times, ids, sizes, rates, time ranks and key codes.
+def _ranks(log: EventLog) -> tuple[np.ndarray, np.ndarray, int]:
+    """Dense ranks of every start and stop in their joint order, and the rank count.
 
-    The public functions accept a table in place of an event list, so that
-    ``assemble_features`` reads every column, checks and ranks the times and
-    factorises each key kind once for all of its lookups. A plain list gets
-    a table of its own per call.
+    Raises unless the events are in sort_by_start order (start_time,
+    stop_time, id). ``code * width + rank`` then orders (code, time) pairs
+    as one int64 without overflowing for any timestamp range.
     """
 
-    def __init__(self, events: Sequence[TransferEvent]):
-        self.events = events
-        self.starts, self.stops, self.ids, self.sizes, self.rates = (
-            np.array([getattr(e, field) for e in events], dtype=dtype)
-            for field, dtype in (
-                ("start_time", np.int64),
-                ("stop_time", np.int64),
-                ("id", np.int64),
-                ("file_size_gb", np.float64),
-                ("transfer_rate_mbs", np.float64),
-            )
-        )
-        self._keys: dict[LagKeyKind, tuple[np.ndarray, list]] = {}
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    @cached_property
-    def ranks(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """Dense ranks of every start and stop in their joint order, and the rank count.
-
-        Raises unless the events are in sort_by_start order (start_time,
-        stop_time, id). ``code * width + rank`` then orders (code, time)
-        pairs as one int64 without overflowing for any timestamp range.
-        """
-        starts, stops = self.starts, self.stops
-        d_start, d_stop, d_id = np.diff(starts), np.diff(stops), np.diff(self.ids)
+    def compute():
+        starts, stops = log.starts, log.stops
+        d_start, d_stop, d_id = np.diff(starts), np.diff(stops), np.diff(log.ids)
         tie = d_start == 0
         if np.any((d_start < 0) | (tie & (d_stop < 0)) | (tie & (d_stop == 0) & (d_id < 0))):
-            raise ValueError(
-                "events must be in sort_by_start order (start_time, stop_time, id)"
-            )
+            raise ValueError("events must be in sort_by_start order (start_time, stop_time, id)")
         values, inverse = np.unique(np.concatenate([starts, stops]), return_inverse=True)
         n = len(starts)
         return inverse[:n], inverse[n:], max(len(values), 1)
 
-    def keys(self, kind: LagKeyKind) -> tuple[np.ndarray, list]:
-        """(codes, keys) under ``kind``, factorised on first use."""
-        if kind not in self._keys:
-            self._keys[kind] = _key_codes(self.events, kind)
-        return self._keys[kind]
-
-    def codes(self, kind: LagKeyKind) -> np.ndarray:
-        return self.keys(kind)[0]
-
-
-def _table(events: Sequence[TransferEvent] | _EventTable) -> _EventTable:
-    return events if isinstance(events, _EventTable) else _EventTable(events)
+    return log.derived("ranks", compute)
 
 
 def _active(
@@ -163,9 +108,7 @@ def _active(
 
 
 def compute_keyed_lags(
-    events: Sequence[TransferEvent] | _EventTable,
-    kind: LagKeyKind,
-    orders: Iterable[int],
+    events: EventLog | Iterable[TransferEvent], kind: LagKeyKind, orders: Iterable[int]
 ) -> dict[int, np.ndarray]:
     """Row indices into ``events`` of each event's lags, one array per order.
 
@@ -182,11 +125,11 @@ def compute_keyed_lags(
     order_list = sorted(set(int(o) for o in orders))
     if not order_list or order_list[0] < 1:
         raise ValueError("orders must be positive integers")
-    table = _table(events)
-    start_ranks, stop_ranks, width = table.ranks
-    codes = table.codes(kind)
+    log = as_log(events)
+    start_ranks, stop_ranks, width = _ranks(log)
+    codes, _ = _keys(log, kind)
 
-    by_stop = np.lexsort((table.ids, table.stops, codes))
+    by_stop = np.lexsort((log.ids, log.stops, codes))
     sorted_keys = (codes * width + stop_ranks)[by_stop]
     group_start = np.searchsorted(sorted_keys, codes * width, side="left")
     end = np.searchsorted(sorted_keys, codes * width + start_ranks, side="left")
@@ -200,7 +143,7 @@ def compute_keyed_lags(
 
 
 def compute_concurrency(
-    events: Sequence[TransferEvent] | _EventTable, kind: LagKeyKind
+    events: EventLog | Iterable[TransferEvent], kind: LagKeyKind
 ) -> tuple[np.ndarray, np.ndarray]:
     """(total, unique_experiments): other same-key transfers running at each start.
 
@@ -213,15 +156,15 @@ def compute_concurrency(
     each (key, experiment) pair that cover the start, minus the event's own
     pair when the event is that pair's only active member.
     """
-    table = _table(events)
-    start_ranks, stop_ranks, width = table.ranks
-    codes = table.codes(kind)
-    self_active = table.stops > table.starts
+    log = as_log(events)
+    start_ranks, stop_ranks, width = _ranks(log)
+    codes, _ = _keys(log, kind)
+    self_active = log.stops > log.starts
 
     total = _active(codes, start_ranks, stop_ranks, codes, start_ranks, width)
     total -= self_active
 
-    experiments, experiment_keys = table.keys(LagKeyKind.SAME_EXPERIMENT)
+    experiments, experiment_keys = _keys(log, LagKeyKind.SAME_EXPERIMENT)
     _, pairs = np.unique((codes + 1) * len(experiment_keys) + experiments, return_inverse=True)
     pair_active = _active(pairs, start_ranks, stop_ranks, pairs, start_ranks, width)
     # Merge each pair's intervals: sorted by (pair, start), a merged interval
@@ -230,7 +173,7 @@ def compute_concurrency(
     base = (pairs * width)[by_start]
     sorted_starts = start_ranks[by_start]
     reach = np.maximum.accumulate(base + stop_ranks[by_start])
-    begins = np.ones(len(table), dtype=bool)
+    begins = np.ones(len(log), dtype=bool)
     begins[1:] = base[1:] + sorted_starts[1:] > reach[:-1]
     # begins[0] is always set, so rolling it to the back marks the last run's end.
     ends = np.roll(begins, -1)
@@ -251,7 +194,7 @@ def compute_concurrency(
 
 
 def compute_chunk_time_offset(
-    events: Sequence[TransferEvent] | _EventTable,
+    events: EventLog | Iterable[TransferEvent],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seconds between each event's start and its chunk's earliest start.
 
@@ -259,12 +202,12 @@ def compute_chunk_time_offset(
     (offsets, missing): events whose file name does not parse get a missing
     flag and a NaN offset; the chunk's first job gets 0.
     """
-    table = _table(events)
-    codes = table.codes(LagKeyKind.SAME_CHUNK)
+    log = as_log(events)
+    codes, _ = _keys(log, LagKeyKind.SAME_CHUNK)
     keyed = codes >= 0
-    starts, codes = table.starts[keyed], codes[keyed]
+    starts, codes = log.starts[keyed], codes[keyed]
     first_start = np.full(codes.max(initial=-1) + 1, np.iinfo(np.int64).max)
     np.minimum.at(first_start, codes, starts)
-    offsets = np.full(len(table), np.nan)
+    offsets = np.full(len(log), np.nan)
     offsets[keyed] = starts - first_start[codes]
     return offsets, ~keyed

@@ -47,7 +47,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .events import KNOWN_INSTRUMENTS, Stage, TransferEvent
+from .events import KNOWN_INSTRUMENTS, EventLog, Stage
 
 _NEH_INSTRUMENTS = ("amo", "sxr", "xpp")
 _NEH_FFB_HOSTS = ("psana102", "psana103")
@@ -151,11 +151,8 @@ def _uniform(random, lo: float, hi: float) -> float:
 
 # A skeleton is one transfer before its rate is known: (start_time, delay_s,
 # file_size_gb, instrument, experiment, target_host, target_fs, source_fs,
-# node, file_name). A record puts stop_time after start_time, the rate after
-# the size, and the three hidden factors last, so that its first 11 fields
-# follow TransferEvent's order after the id.
+# node, file_name).
 _SKELETON_ORDER = itemgetter(0, 9)
-_RECORD_ORDER = itemgetter(0, 1, 10)
 
 
 class _InstrumentLine:
@@ -245,7 +242,7 @@ def _ar_factors(
 
 def generate_workload(
     config: SynthConfig,
-) -> tuple[list[TransferEvent], dict[str, np.ndarray]]:
+) -> tuple[EventLog, dict[str, np.ndarray]]:
     """Generate a cleaned-valid transfer log plus its hidden state trace.
 
     Returns events in canonical start order with dense ids, and a dict of
@@ -266,7 +263,9 @@ def generate_workload(
     skeletons.sort(key=_SKELETON_ORDER)
     del skeletons[config.n_events:]
     n = len(skeletons)
-    starts, delays, sizes, _, _, hosts, _, sources, nodes, _ = list(zip(*skeletons)) or [()] * 10
+    columns = list(zip(*skeletons)) or [()] * 10
+    del skeletons
+    starts, delays, sizes, _, _, hosts, _, sources, nodes, _ = columns
 
     # Every remaining draw is a standard normal, taken as one block: per
     # event, the source_fs, target_host and node innovations when states
@@ -295,33 +294,33 @@ def generate_workload(
         rate += noise * z[:, -1]
     rate = np.minimum(np.maximum(rate, _RATE_FLOOR_MBS), config.rate_cap_mbs)
     duration = np.maximum(1, np.rint(size * 1000.0 / rate)).astype(np.int64)
-    stops = np.array(starts, dtype=np.int64) + duration
-    records = [
-        (sk[0], stop, sk[2], r, *sk[3:], f_src, f_host, f_node)
-        for sk, stop, r, f_src, f_host, f_node
-        in zip(skeletons, stops.tolist(), rate.tolist(), *(f.tolist() for f in factors))
-    ]
+    start = np.array(starts, dtype=np.int64)
+    # A record's fields: TransferEvent's after the id, then the three hidden factors.
+    records = [start, start + duration, size, rate,
+               *(np.array(column, dtype=object) for column in columns[3:]), *factors]
+    del columns, starts, delays, sizes, hosts, sources, nodes
 
     if config.inject_oversize or config.inject_zero:
-        records.extend(_corrupt_records(config, rng, records))
-    # ids are assigned in canonical (start, stop) order once durations are known
-    records.sort(key=_RECORD_ORDER)
+        corrupt = zip(*_corrupt_records(config, rng, start))
+        records = [np.concatenate([f, np.array(extra, dtype=f.dtype)])
+                   for f, extra in zip(records, corrupt)]
+    # ids are assigned in canonical (start, stop, file name) order once
+    # durations are known
+    _, name_ranks = np.unique(records[10], return_inverse=True)
+    order = np.lexsort((name_ranks, records[1], records[0]))
+    records = [field[order] for field in records]
 
-    events = [TransferEvent(idx, *r[:11], config.stage) for idx, r in enumerate(records)]
-    hidden = {
-        key: np.array([r[j] for r in records], dtype=float)
-        for j, key in enumerate(("source_fs", "target_host", "node"), start=11)
-    }
+    n = len(order)
+    events = EventLog._from_columns(np.arange(n), *records[:11], [config.stage] * n)
+    hidden = dict(zip(("source_fs", "target_host", "node"), records[11:]))
     return events, hidden
 
 
-def _corrupt_records(
-    config: SynthConfig, rng: np.random.Generator, records: list[tuple]
-) -> list[tuple]:
-    """Oversize and zero-valued records for cleaning-rule exercises."""
-    if records:
-        # records are still in skeleton (start_time) order
-        t_lo, t_hi = records[0][0], records[-1][0]
+def _corrupt_records(config: SynthConfig, rng: np.random.Generator, starts) -> list[tuple]:
+    """Oversize and zero-valued records for cleaning-rule exercises, drawn
+    between the first and last of the real ``starts``, in start order."""
+    if len(starts):
+        t_lo, t_hi = int(starts[0]), int(starts[-1])
     else:
         t_lo = config.start_epoch
         t_hi = config.start_epoch + 86400

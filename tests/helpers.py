@@ -1,8 +1,9 @@
-"""Shared test fixtures: event factories, random event-log generators and a
-traced-memory probe."""
+"""Shared test fixtures: event factories, random event-log generators and
+traced-memory probes."""
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -95,13 +96,29 @@ def random_events(
 def traced_peak(call, *args):
     """(peak bytes traced while ``call(*args)`` ran, above the level it started
     at; its result). numpy reports its array buffers to tracemalloc."""
+    peak, _, result = _traced(call, args)
+    return peak, result
+
+
+def traced_held(call, *args):
+    """(bytes still traced once ``call(*args)`` has returned, above the level
+    it started at: what its result holds; its result). A full collection
+    first empties the interpreter's free lists, whose blocks the result does
+    not hold."""
+    _, held, result = _traced(call, args)
+    return held, result
+
+
+def _traced(call, args):
     was_tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
         start = tracemalloc.get_traced_memory()[0]
         result = call(*args)
-        return tracemalloc.get_traced_memory()[1] - start, result
+        peak = tracemalloc.get_traced_memory()[1] - start
+        gc.collect()
+        return peak, tracemalloc.get_traced_memory()[0] - start, result
     finally:
         if not was_tracing:
             tracemalloc.stop()

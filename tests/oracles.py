@@ -1,24 +1,110 @@
-"""Brute-force reference implementations for the lag and concurrency features,
-the feature CSV format and the regression tree's split search.
+"""Brute-force reference implementations for the event-log ingest, the lag and
+concurrency features, the feature CSV format and the regression tree's split
+search.
 
 These follow the feature definitions literally, one event at a time, with no
 shared state between queries; they are deliberately independent of the
 sorted-array code they are used to check, down to their own key definition.
-The CSV oracles format and parse one cell at a time with ``csv``. The tree
-oracle sorts each candidate feature's float values at every node.
+The event-log oracles parse, clean and sort one ``TransferEvent`` row at a
+time. The CSV oracles format and parse one cell at a time with ``csv``. The
+tree oracle sorts each candidate feature's float values at every node.
 """
 
 from __future__ import annotations
 
 import csv
-from typing import IO, Hashable, NamedTuple, Sequence
+import io
+import math
+from typing import IO, Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from ratecast.events import TransferEvent
+from ratecast.events import (
+    CSV_COLUMNS,
+    OVERSIZE_LIMIT_GB,
+    CleaningReport,
+    CsvRowError,
+    CsvSchemaError,
+    Stage,
+    TransferEvent,
+)
 from ratecast.filenames import FilenameParseError, parse_filename
 from ratecast.lags import LagKeyKind
 from ratecast.tree import RegressionTree
+
+
+def _reference_row(row_index: int, row: Sequence[str]) -> TransferEvent:
+    if len(row) != len(CSV_COLUMNS):
+        raise CsvRowError(row_index, f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
+    rec = dict(zip(CSV_COLUMNS, row))
+    try:
+        start_time = int(rec["start_time"])
+        stop_time = int(rec["stop_time"])
+    except ValueError as exc:
+        raise CsvRowError(row_index, f"bad timestamp: {exc}") from exc
+    try:
+        file_size_gb = float(rec["file_size_gb"])
+        transfer_rate_mbs = float(rec["transfer_rate_mbs"])
+    except ValueError as exc:
+        raise CsvRowError(row_index, f"bad numeric field: {exc}") from exc
+    for name, value in (("file_size_gb", file_size_gb), ("transfer_rate_mbs", transfer_rate_mbs)):
+        if not math.isfinite(value):
+            raise CsvRowError(row_index, f"non-finite {name}: {rec[name]!r}")
+    try:
+        stage = Stage(rec["stage"])
+    except ValueError as exc:
+        raise CsvRowError(row_index, f"unknown stage {rec['stage']!r}") from exc
+    try:
+        # TransferEvent checks the timestamp range and the time order.
+        return TransferEvent(
+            id=row_index,
+            start_time=start_time,
+            stop_time=stop_time,
+            file_size_gb=file_size_gb,
+            transfer_rate_mbs=transfer_rate_mbs,
+            **{name: rec[name] for name in CSV_COLUMNS[4:11]},
+            stage=stage,
+        )
+    except ValueError as exc:
+        raise CsvRowError(row_index, str(exc)) from exc
+
+
+def reference_parse_event_csv(source: IO[bytes]) -> list[TransferEvent]:
+    """Transfer events parsed one ``csv.reader`` row at a time.
+
+    This is ``ratecast.events.parse_event_csv`` as it was before the log
+    became columnar: ids are the 0-based data-row index, blank lines are
+    skipped but counted, and the first bad row raises ``CsvRowError``.
+    """
+    reader = csv.reader(io.TextIOWrapper(source, encoding="utf-8", newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise CsvSchemaError("empty input: missing header")
+    if tuple(header) != CSV_COLUMNS:
+        raise CsvSchemaError(f"bad header: {header!r}")
+    return [_reference_row(i, row) for i, row in enumerate(reader) if row]
+
+
+def reference_clean_events(
+    events: Iterable[TransferEvent],
+) -> tuple[list[TransferEvent], CleaningReport]:
+    """Per event: oversize first, then non-positive size or rate; the rest kept in order."""
+    kept: list[TransferEvent] = []
+    n_input = n_oversize = n_zero = 0
+    for e in events:
+        n_input += 1
+        if e.file_size_gb > OVERSIZE_LIMIT_GB:
+            n_oversize += 1
+        elif e.file_size_gb <= 0.0 or e.transfer_rate_mbs <= 0.0:
+            n_zero += 1
+        else:
+            kept.append(e)
+    return kept, CleaningReport(n_input, n_oversize, n_zero, len(kept))
+
+
+def reference_sort_by_start(events: Iterable[TransferEvent]) -> list[TransferEvent]:
+    """A stable sort on (start_time, stop_time, id)."""
+    return sorted(events, key=lambda e: (e.start_time, e.stop_time, e.id))
 
 
 class LagInfo(NamedTuple):

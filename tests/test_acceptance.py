@@ -208,7 +208,8 @@ def test_criterion_03_order_preservation_and_leak_freedom():
                 experiment="exp0" if target.experiment != "exp0" else "exp1",
                 node="node0" if target.node != "node0" else "node1",
             )
-            perturbed = sort_by_start(events[:idx] + [mutated] + events[idx + 1 :])
+            rows = list(events)
+            perturbed = sort_by_start(rows[:idx] + [mutated] + rows[idx + 1 :])
             other = assemble_features(perturbed, spec)
             by_id = {int(other.event_ids[i]): i for i in range(len(perturbed))}
             for i, e in enumerate(events):
@@ -363,5 +364,5 @@ def test_criterion_10_cleaning_class_counts():
         assert report.n_output == 10_000
         assert len(kept) == 10_000
         again, report2 = clean_events(kept)
-        assert again == kept
+        assert list(again) == list(kept)
         assert report2.n_oversize_removed == report2.n_zero_removed == 0

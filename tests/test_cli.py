@@ -465,6 +465,76 @@ def test_features_of_an_empty_log_exits_1(tmp_path, capsys):
     assert not (tmp_path / "f.csv").exists()
 
 
+def _write_log(path, times):
+    """A one-key event log with one row per (start_time, stop_time) pair."""
+    header = (
+        "start_time,stop_time,file_size_gb,transfer_rate_mbs,instrument,experiment,"
+        "target_host,target_fs,source_fs,node,file_name,stage"
+    )
+    rows = [
+        f"{start},{stop},1.5,100.0,cxi,cxi00001,psana201,ffb21,dss-feh,cxidss01,"
+        f"e1-r1-s0-c{i}.xtc,DSS_TO_FFB"
+        for i, (start, stop) in enumerate(times)
+    ]
+    path.write_text("\n".join([header, *rows]) + "\n")
+
+
+def test_features_of_a_start_time_past_int64_exits_1(tmp_path, capsys):
+    # It parsed, then ended in an OverflowError traceback in the lag lookups'
+    # int64 conversion.
+    _write_log(tmp_path / "e.csv", [(1500000000, 1500000010), (10**20 - 1, 10**20 - 1)])
+    assert main(["features", "--in", str(tmp_path / "e.csv"), "--out", str(tmp_path / "f.csv"),
+                 "--groups", "A,B,D1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: row 1: start_time 99999999999999999999 is outside the supported range"
+        " of ±2**61 s\n"
+    )
+    assert not (tmp_path / "f.csv").exists()
+
+
+def test_features_of_a_start_time_near_int64_with_tz_offset_exits_1(tmp_path, capsys):
+    # It exited 0: the tz shift wrapped in int64 and group B held the hour of
+    # the wrapped clock.
+    _write_log(tmp_path / "e.csv", [(9223372036854775000, 9223372036854775000)])
+    assert main(["features", "--in", str(tmp_path / "e.csv"), "--out", str(tmp_path / "f.csv"),
+                 "--groups", "A,B", "--tz-offset-hours", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: row 0: start_time 9223372036854775000 is outside the supported range"
+        " of ±2**61 s\n"
+    )
+
+
+def test_features_at_the_timestamp_bounds_match_exact_arithmetic(tmp_path):
+    limit = 2**61
+    _write_log(tmp_path / "e.csv", [(-limit, -limit), (limit, limit)])
+    for offset in (-24, 24):
+        out = tmp_path / f"f{offset}.csv"
+        assert main(["features", "--in", str(tmp_path / "e.csv"), "--out", str(out),
+                     "--groups", "A,B,D1", "--tz-offset-hours", str(offset)]) == 0
+        with open(out, newline="") as fh:
+            X, names, _, _ = read_feature_csv(fh)
+        for row, start in enumerate((-limit, limit)):
+            days, seconds = divmod(start + offset * 3600, 86400)
+            assert X[row, names.index("B.day_of_week")] == (days + 3) % 7
+            assert X[row, names.index("B.hour_of_day")] == seconds // 3600
+        assert X[1, names.index("D1.overall.lag1.file_size")] == 1.5
+        assert X[1, names.index("D1.same_instrument.lag1.time_diff")] == float(2 * limit)
+
+
+@pytest.mark.parametrize("offset", ["inf", "-inf", "nan", "1e20", "24.5", "-25"])
+def test_features_rejects_a_tz_offset_beyond_a_day_as_a_bad_flag(tmp_path, capsys, offset):
+    # inf and 1e20 ended in OverflowError tracebacks, and nan exited 1.
+    _write_log(tmp_path / "e.csv", [(1500000000, 1500000010)])
+    with pytest.raises(SystemExit) as exit_info:
+        main(["features", "--in", str(tmp_path / "e.csv"), "--out", str(tmp_path / "f.csv"),
+              "--groups", "A,B", f"--tz-offset-hours={offset}"])
+    assert exit_info.value.code == 2
+    assert "argument --tz-offset-hours: must be finite and within ±24 hours" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "f.csv").exists()
+
+
 @pytest.mark.parametrize(
     "line, cell, detail",
     # Mid-file rows, so every cv fold's training region (40 of 60 rows) holds them.

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import io
 
@@ -6,13 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mk_event
+from helpers import mk_event, random_events, traced_held
+from oracles import reference_clean_events, reference_parse_event_csv, reference_sort_by_start
+from ratecast import SynthConfig, generate_workload
 from ratecast.events import (
     CSV_COLUMNS,
+    TIME_LIMIT_S,
     CleaningReport,
     CsvRowError,
     CsvSchemaError,
+    EventLog,
     Stage,
+    TransferEvent,
     clean_events,
     parse_event_csv,
     sort_by_start,
@@ -27,7 +33,7 @@ def _parse(text: str):
 
 
 def test_parse_header_only_gives_empty_sequence():
-    assert _parse(HEADER + "\n") == []
+    assert list(_parse(HEADER + "\n")) == []
 
 
 def test_parse_real_row_values():
@@ -132,7 +138,7 @@ def test_clean_removes_both_rule_classes():
 def test_clean_identity_on_valid_events():
     events = [mk_event(id=i, start=i) for i in range(5)]
     kept, report = clean_events(events)
-    assert kept == events
+    assert list(kept) == events
     assert report == CleaningReport(5, 0, 0, 5)
 
 
@@ -172,7 +178,7 @@ def test_clean_removes_exactly_injected_records():
         if e.file_size_gb <= 1000.0 and e.file_size_gb > 0 and e.transfer_rate_mbs > 0
     ]
     kept, report = clean_events(events)
-    assert kept == expect_kept
+    assert list(kept) == expect_kept
     assert report.n_oversize_removed == 12
     assert report.n_zero_removed == 76
     assert report.n_output == 10_000 - 88
@@ -194,25 +200,25 @@ def test_clean_is_idempotent(size_rate_pairs):
     ]
     once, report1 = clean_events(events)
     twice, report2 = clean_events(once)
-    assert twice == once
+    assert list(twice) == list(once)
     assert report2 == CleaningReport(len(once), 0, 0, len(once))
     assert report1.n_output == len(once)
 
 
 def test_sort_already_sorted_is_identity():
     events = [mk_event(id=i, start=i * 10) for i in range(6)]
-    assert sort_by_start(events) == events
+    assert list(sort_by_start(events)) == events
 
 
 def test_sort_breaks_start_ties_by_stop():
     a = mk_event(id=0, start=5, stop=15)
     b = mk_event(id=1, start=5, stop=10)
-    assert sort_by_start([a, b]) == [b, a]
+    assert list(sort_by_start([a, b])) == [b, a]
 
 
 def test_sort_reversed_input_is_exactly_reversed():
     events = [mk_event(id=i, start=100 - i) for i in range(10)]
-    assert sort_by_start(events) == events[::-1]
+    assert list(sort_by_start(events)) == events[::-1]
 
 
 @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 20)), max_size=40))
@@ -240,4 +246,204 @@ def test_csv_round_trip_is_bit_exact(size, rate, start, duration):
     sink = io.StringIO()
     write_event_csv([event], sink)
     parsed = parse_event_csv(io.BytesIO(sink.getvalue().encode("utf-8")))
-    assert parsed == [event]
+    assert list(parsed) == [event]
+
+
+# ------------------------------------------------------------------ the log
+
+
+def _assert_codes_follow_first_appearance(log: EventLog) -> None:
+    """Each coded field holds first-appearance codes of exactly the values in the log."""
+    rows = list(log)
+    for field in ("instrument", "experiment", "target_host", "target_fs", "source_fs", "node",
+                  "stage"):
+        values = [getattr(e, field) for e in rows]
+        categories = list(dict.fromkeys(values))
+        assert log.categories[field] == categories, field
+        assert log.codes[field].tolist() == [categories.index(v) for v in values], field
+
+
+def test_log_rows_round_trip_through_from_events():
+    events = random_events(np.random.default_rng(3), 60)
+    log = EventLog.from_events(events)
+    assert len(log) == 60
+    assert list(log) == events
+    assert [log[i] for i in range(60)] == events
+    assert log[-1] == events[-1] and log[np.int64(7)] == events[7]
+    with pytest.raises(IndexError):
+        log[60]
+    assert log.starts.dtype == np.int64 and log.sizes.dtype == np.float64
+    _assert_codes_follow_first_appearance(log)
+
+
+def test_log_slices_and_takes_are_logs_with_their_own_codes():
+    events = random_events(np.random.default_rng(4), 80)
+    log = EventLog.from_events(events)
+    for rows, want in (
+        (slice(10, 30), events[10:30]),
+        (slice(None, None, -3), events[::-3]),
+        (slice(5, 5), []),
+    ):
+        part = log[rows]
+        assert isinstance(part, EventLog)
+        assert list(part) == want
+        _assert_codes_follow_first_appearance(part)
+    mask = np.arange(80) % 3 == 0
+    assert list(log.take(mask)) == [e for e, keep in zip(events, mask) if keep]
+    _assert_codes_follow_first_appearance(log.take(mask))
+    assert list(log.take(np.array([5, 2, 5]))) == [events[5], events[2], events[5]]
+
+
+def test_log_columns_are_read_only():
+    log = EventLog.from_events(random_events(np.random.default_rng(5), 5))
+    for column in (log.ids, log.starts, log.stops, log.sizes, log.rates, log.file_names,
+                   log.codes["node"], log[1:].starts):
+        with pytest.raises(ValueError):
+            column[0] = column[1]
+
+
+def test_rows_from_a_log_skip_the_constructor_check_but_equal_checked_rows():
+    log = EventLog.from_events([mk_event(id=3, start=5, stop=9)])
+    row = log[0]
+    assert type(row) is TransferEvent and not hasattr(row, "__dict__")
+    assert row == mk_event(id=3, start=5, stop=9)
+    assert hash(row) == hash(mk_event(id=3, start=5, stop=9))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.start_time = 1
+
+
+def test_clean_and_sort_return_an_untouched_log_as_is():
+    log = sort_by_start(random_events(np.random.default_rng(6), 50))
+    assert sort_by_start(log) is log
+    kept, report = clean_events(log)
+    assert kept is log and report == CleaningReport(50, 0, 0, 50)
+
+
+def test_a_generated_log_is_already_sorted():
+    log, _ = generate_workload(SynthConfig(n_events=300, seed=8))
+    assert sort_by_start(log) is log
+    _assert_codes_follow_first_appearance(log)
+
+
+def test_logs_hold_under_200_bytes_per_event():
+    # Each event costs its int64 and float64 columns, seven int64 codes and a
+    # file-name str (71 bytes for a 22-character name); a TransferEvent object
+    # per event cost about 400 bytes.
+    config = SynthConfig(n_events=5000, seed=20250808)
+    generate_workload(config)  # imports and first-call caches are not the log's
+    held, log = traced_held(lambda: generate_workload(config)[0])
+    assert len(log) == 5000
+    assert held <= 200 * len(log)
+
+    sink = io.StringIO()
+    write_event_csv(log, sink)
+    data = sink.getvalue().encode("utf-8")
+    held, parsed = traced_held(parse_event_csv, io.BytesIO(data))
+    assert list(parsed) == list(log)
+    assert held <= 200 * len(parsed)
+
+
+# ------------------------------------------------------- timestamp range
+
+
+@pytest.mark.parametrize("start, stop, accepted", [
+    (-TIME_LIMIT_S, -TIME_LIMIT_S, True),
+    (-TIME_LIMIT_S, TIME_LIMIT_S, True),
+    (-TIME_LIMIT_S - 1, 0, False),
+    (0, TIME_LIMIT_S + 1, False),
+    (2**63, 2**63, False),
+    (10**20 - 1, 10**20 - 1, False),
+])
+def test_parse_bounds_timestamps_to_the_supported_range(start, stop, accepted):
+    rows = [
+        "10,20,1.0,50.0,cxi,e1,h,tfs,sfs,n,f,DSS_TO_FFB",
+        f"{start},{stop},1.0,50.0,cxi,e1,h,tfs,sfs,n,f,DSS_TO_FFB",
+    ]
+    text = HEADER + "\n" + "\n".join(rows) + "\n"
+    if accepted:
+        assert (_parse(text)[1].start_time, _parse(text)[1].stop_time) == (start, stop)
+        return
+    with pytest.raises(CsvRowError, match="outside the supported range of ±2\\*\\*61 s") as err:
+        _parse(text)
+    assert err.value.row_index == 1
+    with pytest.raises(ValueError, match="outside the supported range"):
+        mk_event(start=start, stop=stop)
+
+
+# ------------------------------------------- columnar ingest vs row-wise
+
+
+_CATEGORY = st.text(alphabet='ab ,"\n\ré日', max_size=3)
+_BAD_CELLS = st.sampled_from([
+    "abc", "", "nan", "inf", "-inf", "1.5", "1_0", " 8", "+2", "-1", "SIDEWAYS",
+    str(TIME_LIMIT_S + 1), str(-TIME_LIMIT_S - 1), "99999999999999999999",
+    "9223372036854775000",
+])
+
+
+@st.composite
+def _event_rows(draw):
+    """One CSV row: mostly valid, with start and stop ties, or a blank line (None)."""
+    if draw(st.integers(0, 9)) == 0:
+        return None
+    start = draw(st.integers(0, 6))
+    cells = [
+        str(start),
+        str(start + draw(st.integers(0, 3))),
+        draw(st.sampled_from(["0.5", "1", "1e3", "1000", "1000.5", "0", "-2", "7.25"])),
+        draw(st.sampled_from(["3", "0", "-1", "120.5", "2e2"])),
+        *(draw(_CATEGORY) for _ in range(6)),
+        draw(st.one_of(_CATEGORY, st.sampled_from(["e1-r2-s0-c1.xtc", "é.dat"]))),
+        draw(st.sampled_from(["DSS_TO_FFB", "FFB_TO_ANA"])),
+    ]
+    if draw(st.integers(0, 7)) == 0:
+        position = draw(st.integers(0, len(cells)))
+        if position == len(cells):
+            cells.pop(draw(st.integers(0, len(cells) - 1)))
+        else:
+            cells[position] = draw(_BAD_CELLS)
+    return cells
+
+
+@st.composite
+def _event_csvs(draw) -> bytes:
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    sink = io.StringIO()
+    writer = csv.writer(sink, lineterminator=eol)
+    writer.writerow(CSV_COLUMNS)
+    for row in draw(st.lists(_event_rows(), max_size=30)):
+        if row is None:
+            sink.write(eol)
+        else:
+            writer.writerow(row)
+    return sink.getvalue().encode("utf-8")
+
+
+def _outcome(parse, data: bytes):
+    try:
+        return list(parse(io.BytesIO(data))), None
+    except Exception as exc:
+        return None, (type(exc), str(exc), getattr(exc, "row_index", None))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_event_csvs())
+def test_columnar_ingest_matches_the_row_wise_reference(data):
+    want_rows, want_error = _outcome(reference_parse_event_csv, data)
+    got_rows, got_error = _outcome(parse_event_csv, data)
+    assert got_error == want_error
+    if want_error is not None:
+        return
+    assert got_rows == want_rows
+    log = parse_event_csv(io.BytesIO(data))
+    _assert_codes_follow_first_appearance(log)
+
+    kept, report = clean_events(log)
+    want_kept, want_report = reference_clean_events(want_rows)
+    assert list(kept) == want_kept
+    assert report == want_report
+    _assert_codes_follow_first_appearance(kept)
+
+    ordered = sort_by_start(kept)
+    assert list(ordered) == reference_sort_by_start(want_kept)
+    _assert_codes_follow_first_appearance(ordered)

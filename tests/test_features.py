@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ratecast.events
 import ratecast.lags
 from helpers import mk_event, random_events, traced_peak
 from oracles import assert_same_lags, brute_force_concurrency, brute_force_lags
@@ -357,8 +358,10 @@ def test_d1_column_set_matches_definition():
 def test_missing_lag_cells_carry_sentinel_and_indicator():
     events = sort_by_start([mk_event(id=0, start=0), mk_event(id=1, start=100)])
     matrix = assemble_features(events, FeatureSpec.parse("A,D1"))
-    rate = matrix.column("D1.overall.lag1.rate")
-    indicator = matrix.column("D1.overall.lag1.missing")
+    rate, indicator = (
+        matrix.values[:, matrix.column_names.index(name)]
+        for name in ("D1.overall.lag1.rate", "D1.overall.lag1.missing")
+    )
     assert rate[0] == -1.0 and indicator[0] == 1.0
     assert rate[1] == 100.0 and indicator[1] == 0.0
 
@@ -429,12 +432,18 @@ def test_chunk_file_names_parse_once_per_assembly():
     with mock.patch.object(ratecast.lags, "parse_filename", counting):
         matrix = assemble_features(events, FeatureSpec.parse(",".join(ALL_GROUPS)))
     assert len(calls) == len(events)
+    # A row list gets a log of its own, so each of these parses once more.
     with mock.patch.object(ratecast.lags, "parse_filename", counting):
         alone = [
-            assemble_features(events, FeatureSpec.parse(groups)).values
+            assemble_features(list(events), FeatureSpec.parse(groups)).values
             for groups in ("A,D3", "A,E")
         ]
     assert len(calls) == 3 * len(events)
+    # The log keeps its chunk codes: assembling it again parses nothing.
+    with mock.patch.object(ratecast.lags, "parse_filename", counting):
+        again = assemble_features(events, FeatureSpec.parse(",".join(ALL_GROUPS)))
+    assert len(calls) == 3 * len(events)
+    assert again.values.tobytes() == matrix.values.tobytes()
     d3_and_e = [
         matrix.values[:, [j for j, c in enumerate(matrix.columns) if c.group in groups]]
         for groups in (("A", "D3"), ("A", "E"))
@@ -456,18 +465,26 @@ def test_shared_table_columns_equal_single_group_assembly(group):
 
 def test_assembly_factorises_each_key_kind_at_most_once():
     events = sort_by_start(random_events(np.random.default_rng(22), 300))
-    factorise = ratecast.lags._factorise
+    factorise = ratecast.events._factorise
+    spec = FeatureSpec.parse(",".join(ALL_GROUPS))
     calls = []
 
     def counting(values):
         calls.append(1)
         return factorise(values)
 
-    with mock.patch.object(ratecast.lags, "_factorise", counting):
-        assemble_features(events, FeatureSpec.parse(",".join(ALL_GROUPS)))
-    # Every kind but OVERALL is factorised, each once; no per-event dict
-    # is built for the concurrency (key, experiment) pairs.
-    assert len(calls) == len(LagKeyKind) - 1
+    with mock.patch.object(ratecast.events, "_factorise", counting), mock.patch.object(
+        ratecast.lags, "_factorise", counting
+    ):
+        # The row list's log codes the six categorical fields and the stage;
+        # the chunk key is factorised once. No per-event dict is built for
+        # the concurrency (key, experiment) pairs.
+        assemble_features(list(events), spec)
+        assert len(calls) == (len(LagKeyKind) - 2) + 1 + 1
+        # A log already holds its categorical codes and keeps its chunk codes.
+        assemble_features(events, spec)
+        assemble_features(events, spec)
+        assert len(calls) == (len(LagKeyKind) - 2) + 1 + 1 + 1
 
 
 def test_assembly_peak_memory_stays_near_the_matrix_size():

@@ -51,7 +51,7 @@ def test_seeded_log_bytes_are_unchanged(name):
 
 def test_zero_events_gives_empty_log():
     events, hidden = generate_workload(SynthConfig(n_events=0))
-    assert events == []
+    assert len(events) == 0
     assert all(arr.size == 0 for arr in hidden.values())
 
 
@@ -70,7 +70,7 @@ def test_generated_events_are_sorted_with_dense_ids():
     events, _ = generate_workload(SynthConfig(n_events=800, seed=1))
     assert len(events) == 800
     assert [e.id for e in events] == list(range(800))
-    assert events == sort_by_start(events)
+    assert list(events) == list(sort_by_start(events))
 
 
 def test_generated_log_passes_cleaning_untouched():
@@ -78,7 +78,7 @@ def test_generated_log_passes_cleaning_untouched():
     kept, report = clean_events(events)
     assert report.n_oversize_removed == 0
     assert report.n_zero_removed == 0
-    assert kept == events
+    assert list(kept) == list(events)
 
 
 def test_every_generated_filename_parses():
