@@ -310,8 +310,8 @@ def parse_event_csv(source: IO[bytes] | IO[str]) -> EventLog:
         raise CsvSchemaError(f"columns out of order: got {header!r}")
     positions = {field: {None: -1} for field in _CODED_FIELDS}
     blocks = [_parse_block([], [], positions)]
-    numbered = enumerate(reader)
-    while chunk := [(i, row) for i, row in islice(numbered, _PARSE_BLOCK) if row]:
+    numbered = ((i, row) for i, row in enumerate(reader) if row)
+    while chunk := list(islice(numbered, _PARSE_BLOCK)):
         blocks.append(_parse_block(*map(list, zip(*chunk)), positions))
     *columns, file_names = (np.concatenate(parts) for parts in zip(*blocks))
     codes = dict(zip(_CODED_FIELDS, columns[5:]))

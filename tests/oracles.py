@@ -164,6 +164,7 @@ def brute_force_lags(
     events: Sequence[TransferEvent], kind: LagKeyKind, orders: Sequence[int]
 ) -> list[dict[int, LagInfo]]:
     """Per-event lags by scanning all other events per query."""
+    events = list(events)  # rows, one per event, whatever sequence holds them
     starts = np.array([e.start_time for e in events], dtype=np.int64)
     stops = np.array([e.stop_time for e in events], dtype=np.int64)
     ids = np.array([e.id for e in events], dtype=np.int64)
@@ -205,6 +206,7 @@ def assert_same_lags(
     payload. A present lag must give the oracle's rate, size and time
     difference.
     """
+    events = list(events)
     assert len(want) == len(events)
     for i, w_map in enumerate(want):
         assert got_indices.keys() == w_map.keys(), f"event {i}: order sets differ"
@@ -226,6 +228,7 @@ def brute_force_concurrency(
     events: Sequence[TransferEvent], kind: LagKeyKind
 ) -> tuple[np.ndarray, np.ndarray]:
     """(total, unique_experiments) by pairwise interval checks."""
+    events = list(events)
     starts = np.array([e.start_time for e in events], dtype=np.int64)
     stops = np.array([e.stop_time for e in events], dtype=np.int64)
     codes = _key_codes(events, kind)

@@ -36,6 +36,13 @@ def test_parse_header_only_gives_empty_sequence():
     assert list(_parse(HEADER + "\n")) == []
 
 
+def test_parse_skips_blank_lines_but_counts_them_in_ids():
+    row = "10,20,1.0,50.0,cxi,e1,h,tfs,sfs,n,f,DSS_TO_FFB"
+    # Two parse blocks' worth of blank lines, then a second row.
+    events = _parse(HEADER + "\n" + row + "\n" + "\n" * 9000 + row + "\n")
+    assert [e.id for e in events] == [0, 9001]
+
+
 def test_parse_real_row_values():
     row = (
         "1498066922,1498066946,0.3168954,13.73635,mfx,mfx12345,"
