@@ -259,8 +259,8 @@ def _parse_block(row_index: list[int], rows: list[list[str]], positions: dict) -
     for name in ("file_size_gb", "transfer_rate_mbs"):
         for i in np.flatnonzero(~np.isfinite(values[name][:n]))[:1]:
             fail(i, f"non-finite {name}: {cells[name][i]!r}")
-    stages, _ = _factorise(list(map(_STAGES.get, cells["stage"][:n])), positions["stage"])
-    for i in np.flatnonzero(stages < 0)[:1]:
+    stages, names = _factorise(cells["stage"][:n], positions["stage"])
+    for i in np.flatnonzero(~np.isin(stages, [c for c, v in enumerate(names) if v in _STAGES]))[:1]:
         fail(i, f"unknown stage {cells['stage'][i]!r}")
     for name in ("start_time", "stop_time"):
         times = values[name][:n]
@@ -314,9 +314,9 @@ def parse_event_csv(source: IO[bytes] | IO[str]) -> EventLog:
     while chunk := list(islice(numbered, _PARSE_BLOCK)):
         blocks.append(_parse_block(*map(list, zip(*chunk)), positions))
     *columns, file_names = (np.concatenate(parts) for parts in zip(*blocks))
-    codes = dict(zip(_CODED_FIELDS, columns[5:]))
     categories = {field: [v for v in positions[field] if v is not None] for field in _CODED_FIELDS}
-    return EventLog(*columns[:5], codes, categories, file_names)
+    categories["stage"] = list(map(_STAGES.__getitem__, categories["stage"]))
+    return EventLog(*columns[:5], dict(zip(_CODED_FIELDS, columns[5:])), categories, file_names)
 
 
 def load_events(path: str) -> EventLog:
