@@ -30,9 +30,7 @@ OVERSIZE_LIMIT_GB = 1000.0
 #: Timestamps must lie within ±TIME_LIMIT_S unix seconds, which keeps every
 #: derived int64 (a time zone shift, a stop-to-start difference) from overflow.
 TIME_LIMIT_S = 2**61
-#: Rows turned into Python values at a time when a log is iterated or written,
-#: and CSV rows parsed at a time: bounds the Python objects alive at once.
-_ROW_BLOCK = 1024
+#: CSV rows parsed at a time: bounds the cell strs alive at once.
 _PARSE_BLOCK = 4096
 
 
@@ -172,8 +170,7 @@ class EventLog:
         return [*(a[rows].tolist() for a in numbers), *coded, names, stages]
 
     def __iter__(self) -> Iterator[TransferEvent]:
-        for lo in range(0, len(self), _ROW_BLOCK):
-            yield from _rows(self._fields(slice(lo, lo + _ROW_BLOCK)))
+        yield from _rows(self._fields(slice(None)))
 
     def __getitem__(self, key):
         if isinstance(key, slice):
@@ -330,12 +327,11 @@ def write_event_csv(events: EventLog | Iterable[TransferEvent], sink: IO[str]) -
     writer.writerow(CSV_COLUMNS)
     # 17 significant digits guarantee bit-exact float round-trips.
     fmt = "%.17g".__mod__
-    for lo in range(0, len(log), _ROW_BLOCK):
-        _, starts, stops, sizes, rates, *names, stages = log._fields(slice(lo, lo + _ROW_BLOCK))
-        writer.writerows(zip(
-            map(str, starts), map(str, stops), map(fmt, sizes), map(fmt, rates),
-            *names, (stage.value for stage in stages),
-        ))
+    _, starts, stops, sizes, rates, *names, stages = log._fields(slice(None))
+    writer.writerows(zip(
+        map(str, starts), map(str, stops), map(fmt, sizes), map(fmt, rates),
+        *names, (stage.value for stage in stages),
+    ))
 
 
 def dump_events(events: EventLog | Iterable[TransferEvent], path: str) -> None:
