@@ -1,0 +1,73 @@
+"""JSON artifacts, each declared once as a dataclass whose field types say what its file holds."""
+
+from __future__ import annotations
+
+import math
+import types
+import typing
+from dataclasses import MISSING, asdict, fields
+
+#: How an error names a pair type; every other type is named as annotated.
+_PAIRS = {
+    tuple[int, int]: "a [lo, hi] pair of integers",
+    tuple[float, float]: "a [lo, hi] pair of finite numbers",
+}
+
+
+def _matches(tp, value) -> bool:
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:
+        return any(_matches(arg, value) for arg in args)
+    if origin is tuple:
+        pair = isinstance(value, list) and len(value) == 2
+        return pair and all(_matches(args[0], v) and math.isfinite(v) for v in value)
+    if origin is list:
+        return isinstance(value, list) and all(_matches(args[0], v) for v in value)
+    if isinstance(value, bool):  # JSON true and false are not numbers
+        return tp is bool
+    return isinstance(value, (int, float) if tp is float else tp)
+
+
+class JsonArtifact:
+    """Mixin of a dataclass that is one JSON artifact: its fields are the file's.
+
+    ``from_dict`` checks each value against its field's type. ``int`` is an
+    integer and never a boolean, ``float`` any number, and ``tuple[X, X]`` a
+    ``[lo, hi]`` pair of finite numbers; ``str``, ``dict``, ``list[X]`` and
+    ``X | None`` are what they say. A field with a default may be absent. A key
+    that names no field is ignored, so that a file with a field added later
+    still reads, unless the class sets ``unknown_key``: then it is an error.
+    """
+
+    #: What the error calls a key that names no field; None lets such keys pass.
+    unknown_key: typing.ClassVar[str | None] = None
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, payload):
+        """The artifact in the JSON value ``payload``.
+
+        Raises ValueError naming the first field, in declaration order, that is
+        absent with no default or holds a value its type does not allow.
+        """
+        hints, declared = typing.get_type_hints(cls), fields(cls)
+        required = [f.name for f in declared if f.default is f.default_factory is MISSING]
+        if not isinstance(payload, dict):
+            holding = f" with fields {', '.join(map(repr, required))}" if required else ""
+            raise ValueError(f"must be a JSON object{holding}, got {payload!r}")
+        if cls.unknown_key and (extra := payload.keys() - {f.name for f in declared}):
+            raise ValueError(f"unknown {cls.unknown_key} {min(extra)!r}")
+        kwargs = {}
+        for f in declared:
+            tp, value = hints[f.name], payload.get(f.name, MISSING)
+            if value is MISSING:
+                if f.name in required:
+                    raise ValueError(f"lacks field {f.name!r}")
+            elif not _matches(tp, value):
+                what = _PAIRS.get(tp, f.type)
+                raise ValueError(f"field {f.name!r} must be {what}, got {value!r}")
+            else:
+                kwargs[f.name] = tuple(value) if typing.get_origin(tp) is tuple else value
+        return cls(**kwargs)

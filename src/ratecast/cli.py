@@ -5,9 +5,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -15,15 +15,19 @@ import numpy as np
 
 from .events import (
     CleaningReport,
-    CsvRowError,
-    CsvSchemaError,
     Stage,
     clean_events,
     dump_events,
     load_events,
     sort_by_start,
 )
-from .features import FeatureSpec, assemble_features, read_feature_csv, write_feature_csv
+from .features import (
+    FeatureSpec,
+    FeaturesMeta,
+    assemble_features,
+    read_feature_csv,
+    write_feature_csv,
+)
 from .models import (
     HyperParams,
     feature_importance,
@@ -33,7 +37,10 @@ from .models import (
 )
 from .synth import SynthConfig, generate_workload
 from .validation import (
+    CvBest,
     CvConfig,
+    CvReport,
+    EvalReport,
     HyperParamSpace,
     fit_family,
     chronological_split,
@@ -49,49 +56,29 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _read_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+@contextmanager
+def _naming(path: str):
+    """Re-raise a ValueError from the body, its message prefixed by ``path``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# Field checks for _read_object: (predicate, what the value must be).
-_INT = (lambda v: _is_number(v) and isinstance(v, int), "an integer")
-_NUMBER = (_is_number, "a number")
-_STRING = (lambda v: isinstance(v, str), "a string")
-_OBJECT = (lambda v: isinstance(v, dict), "an object")
-_LIST = (lambda v: isinstance(v, list), "a list")
-_NUMBERS = (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers")
-_STRINGS = (
-    lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v), "a list of strings"
-)
-
-
-def _read_object(path: str, required: dict, optional: dict | None = None) -> dict:
-    """The JSON object in ``path``, with every ``required`` field and each
-    ``optional`` one it has passing its (predicate, description) check;
-    raises ValueError naming the first field that is absent or wrongly typed."""
-    payload = _read_json(path)
-    for name, (check, what) in {**required, **(optional or {})}.items():
-        if not isinstance(payload, dict) or name in required and name not in payload:
-            raise ValueError(f"{path}: lacks field {name!r}")
-        if name in payload and not check(payload[name]):
-            raise ValueError(f"{path}: field {name!r} must be {what}")
-    return payload
+def _read_json(path: str, read):
+    """``read`` of the JSON value in ``path``, typically an artifact's ``from_dict``."""
+    with open(path, "r", encoding="utf-8") as fh, _naming(path):
+        return read(json.load(fh))
 
 
 def _load_features(path: str):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            return read_feature_csv(fh)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    with open(path, "r", encoding="utf-8", newline="") as fh, _naming(path):
+        return read_feature_csv(fh)
+
+
+def _load_log(path: str):
+    with _naming(path):
+        return load_events(path)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -116,11 +103,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_clean(args: argparse.Namespace) -> int:
-    events = load_events(args.input)
-    kept, report = clean_events(events)
+    kept, report = clean_events(_load_log(args.input))
     dump_events(kept, args.out)
     if args.report:
-        _write_json(args.report, asdict(report))
+        _write_json(args.report, report.to_dict())
     print(
         f"cleaned {report.n_input} -> {report.n_output} events "
         f"({report.n_oversize_removed} oversize, {report.n_zero_removed} zero-valued)"
@@ -129,7 +115,7 @@ def _cmd_clean(args: argparse.Namespace) -> int:
 
 
 def _cmd_features(args: argparse.Namespace) -> int:
-    events = load_events(args.input)
+    events = _load_log(args.input)
     if not events:
         raise ValueError(f"{args.input}: no events")
     if args.stage:
@@ -141,74 +127,29 @@ def _cmd_features(args: argparse.Namespace) -> int:
     events = sort_by_start(events)
     spec = FeatureSpec.parse(args.groups)
     matrix = assemble_features(events, spec, tz_offset_hours=args.tz_offset_hours)
-    targets = events.rates
-    meta_path = args.meta or str(Path(args.out).with_suffix(".meta.json"))
-    with open(args.out, "w", encoding="utf-8", newline="") as fh, open(
-        meta_path, "w", encoding="utf-8"
-    ) as mh:
-        write_feature_csv(
-            matrix,
-            targets,
-            fh,
-            mh,
-            extra_meta={
-                "groups": spec.sorted_groups(),
-                "tz_offset_hours": args.tz_offset_hours,
-                "stage": args.stage or "all",
-            },
-        )
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        write_feature_csv(matrix, events.rates, fh)
+    meta = FeaturesMeta(
+        groups=spec.sorted_groups(),
+        column_meta=[asdict(c) for c in matrix.columns],
+        n_rows=len(events),
+        tz_offset_hours=args.tz_offset_hours,
+        stage=args.stage or "all",
+    )
+    _write_json(args.meta or str(Path(args.out).with_suffix(".meta.json")), meta.to_dict())
     print(f"wrote {matrix.values.shape[0]}x{matrix.values.shape[1]} matrix to {args.out}")
     return 0
-
-
-def _space_from_file(path: str | None) -> HyperParamSpace:
-    if path is None:
-        return HyperParamSpace()
-    raw = _read_json(path)
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: sampling ranges must be a JSON object, got {raw!r}")
-    types = {f.name: f.type for f in fields(HyperParamSpace)}
-    kwargs = {}
-    for name, bounds in raw.items():
-        if name not in types:
-            raise ValueError(f"{path}: unknown hyperparameter {name!r}")
-        allowed = int if types[name] == "tuple[int, int]" else (int, float)
-        if not (
-            isinstance(bounds, list)
-            and len(bounds) == 2
-            and all(isinstance(v, allowed) and not isinstance(v, bool) for v in bounds)
-            and all(math.isfinite(v) for v in bounds)
-        ):
-            kind = "integers" if allowed is int else "finite numbers"
-            raise ValueError(f"{path}: {name!r} must be a [lo, hi] pair of {kind}, got {bounds!r}")
-        kwargs[name] = tuple(bounds)
-    try:
-        return HyperParamSpace(**kwargs)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def _cmd_cv(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     X, _, _, y = _load_features(args.features)
-    config = CvConfig(
-        num_params=args.num_params,
-        k=args.cv_k,
-        train_width=args.train_width,
-        test_width=args.test_width,
-        train_size=args.train_size,
-        test_size=args.test_size,
-        seed=args.seed,
-    )
-    result = nested_cv(X, y, config, _space_from_file(args.space), family=args.family)
-    payload = {
-        "format_version": 1,
-        "family": args.family,
-        "config": vars(config),
-        **result.to_dict(),
-        "timing": {"wall_s": round(time.monotonic() - t0, 3)},
-    }
-    _write_json(args.out, payload)
+    config = CvConfig(**{f.name: getattr(args, f.name) for f in fields(CvConfig)})
+    space = _read_json(args.space, HyperParamSpace.from_dict) if args.space else HyperParamSpace()
+    result = nested_cv(X, y, config, space, family=args.family)
+    timing = {"wall_s": round(time.monotonic() - t0, 3)}
+    report = CvReport(family=args.family, config=vars(config), timing=timing, **result.to_dict())
+    _write_json(args.out, report.to_dict())
     best = result.best_params
     print(
         f"best candidate {result.best_index}: mean RMSE "
@@ -222,16 +163,12 @@ def _resolve_params(args: argparse.Namespace) -> HyperParams:
     if args.params and args.from_cv:
         raise ValueError("pass either --params or --from-cv, not both")
     if args.params:
-        path, payload = args.params, _read_json(args.params)
-    elif args.from_cv:
-        cv = _read_object(args.from_cv, {"best_params": _OBJECT})
-        path, payload = args.from_cv, cv["best_params"]
-    else:
-        return HyperParams()
-    try:
-        return HyperParams.from_dict(payload)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        return _read_json(args.params, HyperParams.from_dict)
+    if args.from_cv:
+        return _read_json(
+            args.from_cv, lambda cv: HyperParams.from_dict(CvBest.from_dict(cv).best_params)
+        )
+    return HyperParams()
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -267,17 +204,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                     [int(event_ids[row]), format(actual[i], ".17g"), format(preds[i], ".17g")]
                 )
     if args.out:
-        _write_json(
-            args.out,
-            {
-                "rmse_mbs": score,
-                "n_test": int(rows.size),
-                "split": args.split,
-                "test_subset": args.test_subset,
-                "seed": args.seed,
-                "timing": {"wall_s": round(time.monotonic() - t0, 3)},
-            },
+        report = EvalReport(
+            rmse_mbs=score,
+            n_test=int(rows.size),
+            split=args.split,
+            test_subset=args.test_subset,
+            seed=args.seed,
+            timing={"wall_s": round(time.monotonic() - t0, 3)},
         )
+        _write_json(args.out, report.to_dict())
     print(f"holdout RMSE: {score:.4f} MB/s over {rows.size} rows")
     return 0
 
@@ -285,68 +220,48 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     report: dict = {"format_version": 1}
     timing: dict = {}
+    lines = ["run report", "----------"]
     if args.clean_report:
-        counts = dict.fromkeys((f.name for f in fields(CleaningReport)), _INT)
-        report["cleaning"] = _read_object(args.clean_report, counts)
-    if args.features_meta:
-        meta = _read_object(
-            args.features_meta, {"groups": _STRINGS, "column_meta": _LIST},
-            {"tz_offset_hours": _NUMBER, "stage": _STRING},
+        c = _read_json(args.clean_report, CleaningReport.from_dict)
+        report["cleaning"] = c.to_dict()
+        lines.append(
+            f"cleaning: {c.n_input} in, {c.n_output} out "
+            f"({c.n_oversize_removed} oversize, {c.n_zero_removed} zero)"
         )
+    if args.features_meta:
+        meta = _read_json(args.features_meta, FeaturesMeta.from_dict)
         report["feature_spec"] = {
-            "groups": meta["groups"],
-            "n_columns": len(meta["column_meta"]),
-            "tz_offset_hours": meta.get("tz_offset_hours"),
-            "stage": meta.get("stage"),
+            "groups": meta.groups,
+            "n_columns": len(meta.column_meta),
+            "tz_offset_hours": meta.tz_offset_hours,
+            "stage": meta.stage,
         }
+        lines.append(f"features: groups={','.join(meta.groups)} columns={len(meta.column_meta)}")
     if args.cv:
-        kept = {"best_index": _INT, "best_params": _OBJECT, "mean_rmse": _NUMBERS}
-        cv = _read_object(args.cv, kept, {"timing": _OBJECT})
-        best, n = cv["best_index"], len(cv["mean_rmse"])
-        if not 0 <= best < n:
-            message = f"field 'best_index' must index 'mean_rmse' of {n}, got {best}"
-            raise ValueError(f"{args.cv}: {message}")
-        report["cv"] = {name: cv[name] for name in kept}
-        if "timing" in cv:
-            timing["cv_wall_s"] = cv["timing"].get("wall_s")
+        cv = _read_json(args.cv, CvReport.from_dict)
+        report["cv"] = {
+            "best_index": cv.best_index, "best_params": cv.best_params, "mean_rmse": cv.mean_rmse
+        }
+        if cv.timing is not None:
+            timing["cv_wall_s"] = cv.timing.get("wall_s")
+        lines.append(
+            f"cv: best candidate {cv.best_index} {json.dumps(cv.best_params, sort_keys=True)} "
+            f"mean RMSE {cv.mean_rmse[cv.best_index]:.4f} MB/s"
+        )
     if args.eval:
-        holdout = _read_object(args.eval, {"rmse_mbs": _NUMBER}, {"timing": _OBJECT})
-        if "timing" in holdout:
-            timing["eval_wall_s"] = holdout.pop("timing").get("wall_s")
+        holdout = _read_json(args.eval, EvalReport.from_dict).to_dict()
+        if (eval_timing := holdout.pop("timing")) is not None:
+            timing["eval_wall_s"] = eval_timing.get("wall_s")
         report["holdout"] = holdout
+        lines.append(f"holdout RMSE: {holdout['rmse_mbs']:.4f} MB/s")
     if timing:
         report["timing"] = timing
     if args.model:
-        model = load_model(args.model)
-        ranked = feature_importance(model)[: args.top]
-        report["top_importances"] = [
-            {"feature": name, "share": share} for name, share in ranked
-        ]
+        ranked = feature_importance(load_model(args.model))[: args.top]
+        report["top_importances"] = [{"feature": name, "share": share} for name, share in ranked]
+        lines += ["top feature importances:"] + [f"  {s * 100:7.3f}%  {n}" for n, s in ranked]
     _write_json(args.out, report)
-
-    print("run report")
-    print("----------")
-    if "cleaning" in report:
-        c = report["cleaning"]
-        print(
-            f"cleaning: {c['n_input']} in, {c['n_output']} out "
-            f"({c['n_oversize_removed']} oversize, {c['n_zero_removed']} zero)"
-        )
-    if "feature_spec" in report:
-        fs = report["feature_spec"]
-        print(f"features: groups={','.join(fs['groups'])} columns={fs['n_columns']}")
-    if "cv" in report:
-        c = report["cv"]
-        print(
-            f"cv: best candidate {c['best_index']} {json.dumps(c['best_params'], sort_keys=True)} "
-            f"mean RMSE {c['mean_rmse'][c['best_index']]:.4f} MB/s"
-        )
-    if "holdout" in report:
-        print(f"holdout RMSE: {report['holdout']['rmse_mbs']:.4f} MB/s")
-    if "top_importances" in report:
-        print("top feature importances:")
-        for entry in report["top_importances"]:
-            print(f"  {entry['share'] * 100:7.3f}%  {entry['feature']}")
+    print("\n".join(lines))
     return 0
 
 
@@ -408,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--family", default="gbt", choices=["gbt", "rf"])
     p.add_argument("--num-params", type=int, default=10)
-    p.add_argument("--cv-k", type=int, default=10)
+    p.add_argument("--cv-k", dest="k", type=int, default=10)
     p.add_argument("--train-width", type=int, default=20000)
     p.add_argument("--test-width", type=int, default=2000)
     p.add_argument("--train-size", type=int, default=5000)
@@ -456,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CsvSchemaError, CsvRowError, FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,6 +13,8 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .artifacts import JsonArtifact
+
 #: Fields whose values repeat across events; a log holds them as codes.
 _CATEGORICAL_FIELDS = ("instrument", "experiment", "target_host", "target_fs", "source_fs", "node")
 #: Fields held as codes plus a category list: the categorical ones and the stage.
@@ -205,8 +207,8 @@ def as_log(events: EventLog | Iterable[TransferEvent]) -> EventLog:
 
 
 @dataclass(frozen=True)
-class CleaningReport:
-    """Counts of records removed by each cleaning rule."""
+class CleaningReport(JsonArtifact):
+    """Counts of records removed by each cleaning rule (``clean.json``)."""
 
     n_input: int
     n_oversize_removed: int

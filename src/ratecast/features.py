@@ -23,7 +23,6 @@ columns); trees can split on the indicator directly.
 from __future__ import annotations
 
 import csv
-import json
 import re
 import warnings
 from dataclasses import dataclass
@@ -31,6 +30,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
+from .artifacts import JsonArtifact
 from .events import EventLog, TransferEvent, as_log
 from .lags import LagKeyKind, compute_chunk_time_offset, compute_concurrency, compute_keyed_lags
 from .lags import _ranks
@@ -104,6 +104,19 @@ class ColumnMeta:
     name: str
     group: str
     origin: str
+
+
+@dataclass(frozen=True)
+class FeaturesMeta(JsonArtifact):
+    """The sidecar of a feature CSV (``features.meta.json``): its columns, as
+    :class:`ColumnMeta` objects, and the options ``features`` built them with."""
+
+    groups: list[str]
+    column_meta: list[dict]
+    n_rows: int | None = None
+    tz_offset_hours: float | None = None
+    stage: str | None = None
+    format_version: int = 1
 
 
 @dataclass
@@ -229,14 +242,8 @@ def assemble_features(
     return FeatureMatrix(values=values, columns=metas, event_ids=log.ids)
 
 
-def write_feature_csv(
-    matrix: FeatureMatrix,
-    targets: np.ndarray,
-    sink: IO[str],
-    meta_sink: IO[str] | None = None,
-    extra_meta: dict | None = None,
-) -> None:
-    """Export the matrix as CSV plus a sidecar JSON of column metadata.
+def write_feature_csv(matrix: FeatureMatrix, targets: np.ndarray, sink: IO[str]) -> None:
+    """Export the matrix as CSV; :class:`FeaturesMeta` is its sidecar.
 
     Layout: ``meta.event_id``, one column per feature (named ``group.feature``),
     then ``target.transfer_rate_mbs``; cells are ``%d``/``%.17g``, LF line ends.
@@ -253,19 +260,6 @@ def write_feature_csv(
         block = slice(lo, lo + _CSV_BLOCK_ROWS)
         rows = _format_rows(matrix.event_ids[block], matrix.values[block], targets[block])
         sink.write("".join([",".join(row) + "\n" for row in rows]))
-    if meta_sink is not None:
-        payload = {
-            "format_version": 1,
-            "n_rows": int(matrix.values.shape[0]),
-            "column_meta": [
-                {"name": c.name, "group": c.group, "origin": c.origin}
-                for c in matrix.columns
-            ],
-        }
-        if extra_meta:
-            payload.update(extra_meta)
-        json.dump(payload, meta_sink, indent=2, sort_keys=True)
-        meta_sink.write("\n")
 
 
 def _format_rows(ids: np.ndarray, values: np.ndarray, targets: np.ndarray) -> list[list[str]]:

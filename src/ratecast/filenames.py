@@ -19,7 +19,7 @@ class FilenameParseError(ValueError):
         self.name = name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FileNameParts:
     """Experiment, run, stream and chunk indices encoded in a file name."""
 
@@ -29,9 +29,8 @@ class FileNameParts:
     chunk_num: int
 
     def __post_init__(self) -> None:
-        for field in ("experiment_num", "run_num", "stream_num", "chunk_num"):
-            if getattr(self, field) < 0:
-                raise ValueError(f"{field} must be non-negative")
+        if min(self.experiment_num, self.run_num, self.stream_num, self.chunk_num) < 0:
+            raise ValueError(f"file name parts must be non-negative, got {self}")
 
 
 def parse_filename(name: str) -> FileNameParts:

@@ -10,18 +10,19 @@ meaningless. Importances are per-feature split gains normalized to sum to 1.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
+from .artifacts import JsonArtifact
 from .tree import RegressionTree, grow_tree, rank_columns
 
 MODEL_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class HyperParams:
+class HyperParams(JsonArtifact):
     """Ensemble knobs; defaults are the tuned boosting settings.
 
     ``max_features`` values >= 1 are rounded to a candidate-feature count per
@@ -29,6 +30,7 @@ class HyperParams:
     counts like 4.12 come out of random hyperparameter sampling.
     """
 
+    unknown_key = "hyperparameter"  # from_dict rejects a key that names no field
     learning_rate: float = 0.1
     n_estimators: int = 600
     max_depth: int = 11
@@ -66,26 +68,6 @@ class HyperParams:
                 )
             return count
         return max(1, int(round(self.max_features * n_features)))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "HyperParams":
-        """Parse a JSON object of hyperparameters; omitted ones keep their defaults.
-
-        Raises ValueError naming the offending field.
-        """
-        if not isinstance(payload, dict):
-            raise ValueError(f"hyperparameters must be a JSON object, got {payload!r}")
-        types = {f.name: f.type for f in fields(cls)}
-        for name, value in payload.items():
-            if name not in types:
-                raise ValueError(f"unknown hyperparameter {name!r}")
-            allowed = int if types[name] == "int" else (int, float)
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                raise ValueError(f"hyperparameter {name!r} must be {types[name]}, got {value!r}")
-        return cls(**payload)
 
 
 @dataclass

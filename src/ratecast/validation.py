@@ -11,11 +11,12 @@ predictions at zero before computing RMSE.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Literal, Sequence
 
 import numpy as np
 
+from .artifacts import JsonArtifact
 from .models import GbtModel, HyperParams, RfModel, fit_gbt, fit_rf, predict
 from .models import _validate_training_input
 
@@ -58,7 +59,7 @@ class CvConfig:
 
 
 @dataclass(frozen=True)
-class HyperParamSpace:
+class HyperParamSpace(JsonArtifact):
     """Sampling ranges per knob: log-uniform learning rate, uniform otherwise.
 
     ``min_samples_leaf`` is drawn after ``min_samples_split`` and capped by it
@@ -67,6 +68,7 @@ class HyperParamSpace:
     Degenerate ranges (lo == hi) pin a knob.
     """
 
+    unknown_key = "hyperparameter"  # from_dict rejects a key that names no field
     learning_rate: tuple[float, float] = (0.02, 0.3)
     n_estimators: tuple[int, int] = (50, 400)
     max_depth: tuple[int, int] = (3, 11)
@@ -178,13 +180,33 @@ class CvResult:
         return self.candidates[self.best_index]
 
     def to_dict(self) -> dict:
-        return {
-            "candidates": [c.to_dict() for c in self.candidates],
-            "fold_rmse": self.fold_rmse,
-            "mean_rmse": self.mean_rmse,
-            "best_index": self.best_index,
-            "best_params": self.best_params.to_dict(),
-        }
+        return {**asdict(self), "best_params": self.best_params.to_dict()}
+
+
+@dataclass(frozen=True)
+class CvBest(JsonArtifact):
+    """What ``train --from-cv`` reads of ``cv.json``: the winning hyperparameters."""
+
+    best_params: dict
+
+
+@dataclass(frozen=True)
+class CvReport(CvBest):
+    """``cv.json``: a :class:`CvResult` with the family, config and timing of its run."""
+
+    best_index: int
+    mean_rmse: list[float]
+    candidates: list[dict] | None = None
+    fold_rmse: list[list[float]] | None = None
+    family: str | None = None
+    config: dict | None = None
+    timing: dict | None = None
+    format_version: int = 1
+
+    def __post_init__(self) -> None:
+        best, n = self.best_index, len(self.mean_rmse)
+        if not 0 <= best < n:
+            raise ValueError(f"field 'best_index' must index 'mean_rmse' of {n}, got {best}")
 
 
 def fit_family(
@@ -286,6 +308,18 @@ class HoldoutResult:
     test_rows: np.ndarray
     predictions: np.ndarray
     actuals: np.ndarray
+
+
+@dataclass(frozen=True)
+class EvalReport(JsonArtifact):
+    """``eval.json``: the holdout RMSE of a model and the rows ``eval`` scored."""
+
+    rmse_mbs: float
+    n_test: int | None = None
+    split: float | None = None
+    test_subset: int | None = None
+    seed: int | None = None
+    timing: dict | None = None
 
 
 def holdout_eval(

@@ -74,6 +74,8 @@ def test_full_pipeline_produces_consistent_artifacts(tmp_path, capsys):
 
     meta = _read_json(f"{d}/features.meta.json")
     assert meta["groups"] == ["A", "B", "D1", "E"]
+    with open(f"{d}/features.csv") as fh:
+        assert [c["name"] for c in meta["column_meta"]] == read_feature_csv(fh)[1]
 
     cv = _read_json(f"{d}/cv.json")
     assert len(cv["candidates"]) == 2
@@ -486,8 +488,8 @@ def test_features_of_a_start_time_past_int64_exits_1(tmp_path, capsys):
     assert main(["features", "--in", str(tmp_path / "e.csv"), "--out", str(tmp_path / "f.csv"),
                  "--groups", "A,B,D1"]) == 1
     assert capsys.readouterr().err == (
-        "error: row 1: start_time 99999999999999999999 is outside the supported range"
-        " of ±2**61 s\n"
+        f"error: {tmp_path / 'e.csv'}: row 1: start_time 99999999999999999999 is outside"
+        " the supported range of ±2**61 s\n"
     )
     assert not (tmp_path / "f.csv").exists()
 
@@ -499,9 +501,28 @@ def test_features_of_a_start_time_near_int64_with_tz_offset_exits_1(tmp_path, ca
     assert main(["features", "--in", str(tmp_path / "e.csv"), "--out", str(tmp_path / "f.csv"),
                  "--groups", "A,B", "--tz-offset-hours", "1"]) == 1
     assert capsys.readouterr().err == (
-        "error: row 0: start_time 9223372036854775000 is outside the supported range"
-        " of ±2**61 s\n"
+        f"error: {tmp_path / 'e.csv'}: row 0: start_time 9223372036854775000 is outside"
+        " the supported range of ±2**61 s\n"
     )
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        ("start_time,stop_time\n1,2\n", "missing column 'file_size_gb'"),
+        (None, "row 0: stop_time 10 precedes start_time 20"),
+    ],
+    ids=["bad-header", "bad-row"],
+)
+def test_clean_of_a_bad_log_exits_1_naming_the_file(tmp_path, capsys, text, detail):
+    path = tmp_path / "e.csv"
+    if text is None:
+        _write_log(path, [(20, 10)])
+    else:
+        path.write_text(text)
+    assert main(["clean", "--in", str(path), "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {detail}\n"
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_features_at_the_timestamp_bounds_match_exact_arithmetic(tmp_path):

@@ -506,15 +506,10 @@ def test_feature_csv_round_trip():
     events = sort_by_start(random_events(rng, 40))
     matrix = assemble_features(events, FeatureSpec.parse("A,D1,E"))
     targets = np.array([e.transfer_rate_mbs for e in events])
-    sink, meta_sink = io.StringIO(), io.StringIO()
-    write_feature_csv(matrix, targets, sink, meta_sink, extra_meta={"groups": ["A", "D1", "E"]})
+    sink = io.StringIO()
+    write_feature_csv(matrix, targets, sink)
     X, names, ids, y = read_feature_csv(io.StringIO(sink.getvalue()))
     assert names == matrix.column_names
     np.testing.assert_array_equal(X, matrix.values)
     np.testing.assert_array_equal(ids, matrix.event_ids)
     np.testing.assert_array_equal(y, targets)
-    import json
-
-    meta = json.loads(meta_sink.getvalue())
-    assert meta["groups"] == ["A", "D1", "E"]
-    assert [c["name"] for c in meta["column_meta"]] == matrix.column_names
