@@ -14,29 +14,40 @@ _PAIRS = {
 }
 
 
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite number; a JSON integer too large for a float is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _matches(tp, value) -> bool:
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:
         return any(_matches(arg, value) for arg in args)
     if origin is tuple:
         pair = isinstance(value, list) and len(value) == 2
-        return pair and all(_matches(args[0], v) and math.isfinite(v) for v in value)
+        return pair and all(_matches(args[0], v) and _finite(v) for v in value)
     if origin is list:
         return isinstance(value, list) and all(_matches(args[0], v) for v in value)
     if isinstance(value, bool):  # JSON true and false are not numbers
         return tp is bool
-    return isinstance(value, (int, float) if tp is float else tp)
+    if tp is float:  # any float, or an integer that a float can hold
+        return isinstance(value, float) or isinstance(value, int) and _finite(value)
+    return isinstance(value, tp)
 
 
 class JsonArtifact:
     """Mixin of a dataclass that is one JSON artifact: its fields are the file's.
 
     ``from_dict`` checks each value against its field's type. ``int`` is an
-    integer and never a boolean, ``float`` any number, and ``tuple[X, X]`` a
-    ``[lo, hi]`` pair of finite numbers; ``str``, ``dict``, ``list[X]`` and
-    ``X | None`` are what they say. A field with a default may be absent. A key
-    that names no field is ignored, so that a file with a field added later
-    still reads, unless the class sets ``unknown_key``: then it is an error.
+    integer and never a boolean, ``float`` any number that a float can hold,
+    and ``tuple[X, X]`` a ``[lo, hi]`` pair of finite numbers; ``str``,
+    ``dict``, ``list[X]`` and ``X | None`` are what they say. A field with a
+    default may be absent. A key that names no field is ignored, so that a
+    file with a field added later still reads, unless the class sets
+    ``unknown_key``: then it is an error.
     """
 
     #: What the error calls a key that names no field; None lets such keys pass.

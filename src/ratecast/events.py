@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import math
 from collections import deque
 from dataclasses import dataclass, fields
 from itertools import islice, repeat
@@ -82,14 +83,20 @@ class TransferEvent:
     stage: Stage
 
     def __post_init__(self) -> None:
-        for name in ("start_time", "stop_time"):
-            if not -TIME_LIMIT_S <= getattr(self, name) <= TIME_LIMIT_S:
-                raise ValueError(_OUT_OF_RANGE.format(name, getattr(self, name)))
-        if self.stop_time < self.start_time:
-            raise ValueError(f"stop_time {self.stop_time} precedes start_time {self.start_time}")
+        if (message := _times_error(self.start_time, self.stop_time)) is not None:
+            raise ValueError(message)
 
 
-_OUT_OF_RANGE = "{} {} is outside the supported range of ±2**61 s"
+def _times_error(start: int, stop: int) -> str | None:
+    """What is wrong with an event's timestamps: the range, then the order; None if nothing."""
+    for name, time in (("start_time", start), ("stop_time", stop)):
+        if not -TIME_LIMIT_S <= time <= TIME_LIMIT_S:
+            return f"{name} {time} is outside the supported range of ±2**61 s"
+    if stop < start:
+        return f"stop_time {stop} precedes start_time {start}"
+    return None
+
+
 _FIELD_NAMES = tuple(f.name for f in fields(TransferEvent))
 _SLOT_SETTERS = tuple(getattr(TransferEvent, name).__set__ for name in _FIELD_NAMES)
 
@@ -201,11 +208,6 @@ class EventLog:
         return self._derived[key]
 
 
-def as_log(events: EventLog | Iterable[TransferEvent]) -> EventLog:
-    """``events`` if it is a log, else the log of its rows."""
-    return events if isinstance(events, EventLog) else EventLog.from_events(events)
-
-
 @dataclass(frozen=True)
 class CleaningReport(JsonArtifact):
     """Counts of records removed by each cleaning rule (``clean.json``)."""
@@ -223,60 +225,51 @@ class CleaningReport(JsonArtifact):
 _STAGES = {stage.value: stage for stage in Stage}
 
 
-def _convert(cells: Sequence[str], convert: Callable) -> tuple[list, tuple | None]:
-    """(the converted cells, None), or (the cells before the first one that
-    ``convert`` rejects, converted; (its index, the error))."""
-    values = []
-    for i, cell in enumerate(cells):
-        try:
-            values.append(convert(cell))
-        except ValueError as exc:
-            return values, (i, exc)
-    return values, None
+def _row_error(row: list[str]) -> str | None:
+    """The first check a CSV row fails, in the order field count, integer
+    timestamps, numbers, finite size and rate, stage, timestamp range, time
+    order; None if it passes them all."""
+    if len(row) != len(CSV_COLUMNS):
+        return f"expected {len(CSV_COLUMNS)} fields, got {len(row)}"
+    try:
+        start, stop = int(row[0]), int(row[1])
+    except ValueError as exc:
+        return f"bad timestamp: {exc}"
+    try:
+        numbers = list(map(float, row[2:4]))
+    except ValueError as exc:
+        return f"bad numeric field: {exc}"
+    for name, value, cell in zip(CSV_COLUMNS[2:4], numbers, row[2:4]):
+        if not math.isfinite(value):
+            return f"non-finite {name}: {cell!r}"
+    if row[-1] not in _STAGES:
+        return f"unknown stage {row[-1]!r}"
+    return _times_error(start, stop)
 
 
 def _parse_block(row_index: list[int], rows: list[list[str]], positions: dict) -> list:
     """Ids, starts, stops, sizes, rates, the codes of ``_CODED_FIELDS`` (continuing
-    ``positions``) and the file names of non-blank CSV rows; or the first bad row's
-    CsvRowError. The checks run column by column, each over the rows before the first
-    failure so far, in the order a row is checked in (field count, timestamps, numbers,
-    finiteness, stage, timestamp range, time order), so the error is the one that
-    parsing row by row meets first."""
-    error, n = None, len(rows)
-
-    def fail(i: int, message: str) -> None:
-        nonlocal error, n
-        error, n = CsvRowError(row_index[i], message), i
-
-    widths = np.fromiter(map(len, rows), np.int64, len(rows))
-    for i in np.flatnonzero(widths != len(CSV_COLUMNS))[:1]:
-        fail(i, f"expected {len(CSV_COLUMNS)} fields, got {widths[i]}")
-    cells = dict(zip(CSV_COLUMNS, list(zip(*rows[:n])) or [()] * len(CSV_COLUMNS)))
-    values = {}
-    for name in CSV_COLUMNS[:4]:
-        convert, what = (int, "bad timestamp") if "time" in name else (float, "bad numeric field")
-        values[name], failure = _convert(cells[name][:n], convert)
-        if failure is not None:
-            fail(failure[0], f"{what}: {failure[1]}")
-    for name in ("file_size_gb", "transfer_rate_mbs"):
-        for i in np.flatnonzero(~np.isfinite(values[name][:n]))[:1]:
-            fail(i, f"non-finite {name}: {cells[name][i]!r}")
-    stages, names = _factorise(cells["stage"][:n], positions["stage"])
-    for i in np.flatnonzero(~np.isin(stages, [c for c, v in enumerate(names) if v in _STAGES]))[:1]:
-        fail(i, f"unknown stage {cells['stage'][i]!r}")
-    for name in ("start_time", "stop_time"):
-        times = values[name][:n]
-        if times and not -TIME_LIMIT_S <= min(times) <= max(times) <= TIME_LIMIT_S:
-            i = next(i for i, t in enumerate(times) if not -TIME_LIMIT_S <= t <= TIME_LIMIT_S)
-            fail(i, _OUT_OF_RANGE.format(name, times[i]))
-    starts, stops = (np.array(values[name][:n], dtype=np.int64) for name in CSV_COLUMNS[:2])
-    for i in np.flatnonzero(stops < starts)[:1]:
-        fail(i, f"stop_time {stops[i]} precedes start_time {starts[i]}")
-    if error is not None:
-        raise error
+    ``positions``) and the file names of non-blank CSV rows. Whole columns are
+    converted and checked at once; only a block that fails is walked row by row,
+    to raise the first bad row's CsvRowError."""
+    n = len(rows)
+    cells = dict(zip(CSV_COLUMNS, list(zip(*rows)) or [()] * len(CSV_COLUMNS)))
+    try:
+        if set(map(len, rows)) - {len(CSV_COLUMNS)}:
+            raise ValueError("a row has the wrong number of fields")
+        starts, stops = (np.fromiter(map(int, cells[c]), np.int64, n) for c in CSV_COLUMNS[:2])
+        sizes, rates = (np.fromiter(map(float, cells[c]), np.float64, n) for c in CSV_COLUMNS[2:4])
+        stages, names = _factorise(cells["stage"], positions["stage"])
+        valid = (
+            np.isfinite(sizes).all() and np.isfinite(rates).all() and set(names) <= _STAGES.keys()
+            and ((-TIME_LIMIT_S <= starts) & (starts <= stops) & (stops <= TIME_LIMIT_S)).all()
+        )
+    except (ValueError, OverflowError):  # a cell that int or float rejects, or beyond int64
+        valid = False
+    if not valid:
+        raise next(CsvRowError(i, m) for i, row in zip(row_index, rows) if (m := _row_error(row)))
     return [
-        np.array(row_index, dtype=np.int64), starts, stops,
-        *(np.array(values[name], dtype=np.float64) for name in CSV_COLUMNS[2:4]),
+        np.array(row_index, dtype=np.int64), starts, stops, sizes, rates,
         *(_factorise(cells[field], positions[field])[0] for field in _CATEGORICAL_FIELDS),
         stages, np.array(cells["file_name"], dtype=object).reshape(-1),
     ]
@@ -326,8 +319,7 @@ def load_events(path: str) -> EventLog:
         return parse_event_csv(fh)
 
 
-def write_event_csv(events: EventLog | Iterable[TransferEvent], sink: IO[str]) -> None:
-    log = as_log(events)
+def write_event_csv(log: EventLog, sink: IO[str]) -> None:
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     # 17 significant digits guarantee bit-exact float round-trips.
@@ -339,12 +331,12 @@ def write_event_csv(events: EventLog | Iterable[TransferEvent], sink: IO[str]) -
     ))
 
 
-def dump_events(events: EventLog | Iterable[TransferEvent], path: str) -> None:
+def dump_events(log: EventLog, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_event_csv(events, fh)
+        write_event_csv(log, fh)
 
 
-def clean_events(events: EventLog | Iterable[TransferEvent]) -> tuple[EventLog, CleaningReport]:
+def clean_events(log: EventLog) -> tuple[EventLog, CleaningReport]:
     """Drop oversize and zero-valued records, preserving relative order.
 
     Removal classes, applied per event in priority order:
@@ -355,7 +347,6 @@ def clean_events(events: EventLog | Iterable[TransferEvent]) -> tuple[EventLog, 
     An event matching both rules is counted once, under oversize, so the
     report is deterministic. A log that loses no record is returned as is.
     """
-    log = as_log(events)
     oversize = log.sizes > OVERSIZE_LIMIT_GB
     zero = ~oversize & ((log.sizes <= 0.0) | (log.rates <= 0.0))
     kept = ~(oversize | zero)
@@ -363,9 +354,8 @@ def clean_events(events: EventLog | Iterable[TransferEvent]) -> tuple[EventLog, 
     return (log if report.n_output == len(log) else log.take(kept)), report
 
 
-def sort_by_start(events: EventLog | Iterable[TransferEvent]) -> EventLog:
+def sort_by_start(log: EventLog) -> EventLog:
     """Canonical time order: (start_time, stop_time, id), stable and total.
     A log already in that order is returned as is."""
-    log = as_log(events)
     order = np.lexsort((log.ids, log.stops, log.starts))
     return log if np.array_equal(order, np.arange(len(log))) else log.take(order)

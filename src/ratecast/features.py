@@ -26,12 +26,12 @@ import csv
 import re
 import warnings
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
 from .artifacts import JsonArtifact
-from .events import EventLog, TransferEvent, as_log
+from .events import EventLog
 from .lags import LagKeyKind, compute_chunk_time_offset, compute_concurrency, compute_keyed_lags
 from .lags import _ranks
 
@@ -133,27 +133,24 @@ class FeatureMatrix:
 
 
 def compute_time_features(
-    events: EventLog | Iterable[TransferEvent], tz_offset_hours: float = 0.0
+    log: EventLog, tz_offset_hours: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """(day_of_week, hour_of_day) arrays of the start times; day 0 is Monday.
 
     A fixed UTC offset shifts the clock; no daylight-saving rules are applied.
     """
-    shifted = as_log(events).starts + int(round(tz_offset_hours * 3600.0))
+    shifted = log.starts + int(round(tz_offset_hours * 3600.0))
     days, seconds = np.divmod(shifted, 86400)
     day_of_week = (days + 3) % 7  # 1970-01-01 was a Thursday
     return day_of_week, seconds // 3600
 
 
-def encode_categoricals(
-    events: EventLog | Iterable[TransferEvent],
-) -> tuple[np.ndarray, list[ColumnMeta]]:
+def encode_categoricals(log: EventLog) -> tuple[np.ndarray, list[ColumnMeta]]:
     """Group A's encoded blocks and their column metadata, from the log's codes.
 
     Categories take codes in order of first appearance. The first column is
     the experiment code, then ``codes == category`` for each one-hot field.
     """
-    log = as_log(events)
     blocks: list[np.ndarray] = [log.codes["experiment"][:, None]]
     metas = [ColumnMeta("A.experiment_code", "A", "category_code:experiment")]
     for name in _ONE_HOT_FIELDS:
@@ -164,9 +161,7 @@ def encode_categoricals(
 
 
 def assemble_features(
-    events: EventLog | Iterable[TransferEvent],
-    spec: FeatureSpec,
-    tz_offset_hours: float = 0.0,
+    log: EventLog, spec: FeatureSpec, tz_offset_hours: float = 0.0
 ) -> FeatureMatrix:
     """Build the feature matrix for cleaned, start-sorted events.
 
@@ -178,7 +173,6 @@ def assemble_features(
     """
     # Every lookup below shares the log's times, ranks and key codes, so the
     # chunk file names are parsed once.
-    log = as_log(events)
     _ranks(log)  # checks the order up front, even when no lookup runs
     starts, stops, sizes, rates = log.starts, log.stops, log.sizes, log.rates
     encoded, encoded_metas = encode_categoricals(log)

@@ -9,11 +9,11 @@ Three families of dynamic features share the same machinery:
 * chunk timing: seconds since the first transfer of the same chunk started
   (``compute_chunk_time_offset``).
 
-Each function takes an :class:`~ratecast.events.EventLog` (a row list gets a
-log of its own per call). The categorical keys are the log's codes, the
-chunk key is factorised once per log, and every count or lookup is a
-``searchsorted`` into arrays sorted by (code, time). All of them only look at
-information available when a transfer starts, so rows never leak future data.
+Each function takes an :class:`~ratecast.events.EventLog`. The categorical
+keys are the log's codes, the chunk key is factorised once per log, and every
+count or lookup is a ``searchsorted`` into arrays sorted by (code, time). All
+of them only look at information available when a transfer starts, so rows
+never leak future data.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .events import _CATEGORICAL_FIELDS, EventLog, TransferEvent, _factorise, as_log
+from .events import _CATEGORICAL_FIELDS, EventLog, _factorise
 from .filenames import FilenameParseError, parse_filename
 
 
@@ -108,9 +108,9 @@ def _active(
 
 
 def compute_keyed_lags(
-    events: EventLog | Iterable[TransferEvent], kind: LagKeyKind, orders: Iterable[int]
+    log: EventLog, kind: LagKeyKind, orders: Iterable[int]
 ) -> dict[int, np.ndarray]:
-    """Row indices into ``events`` of each event's lags, one array per order.
+    """Row indices into ``log`` of each event's lags, one array per order.
 
     For event i and order l, the lag is the l-th most recent event j with the
     same key that finished strictly before i started (stop_time(j) <
@@ -125,7 +125,6 @@ def compute_keyed_lags(
     order_list = sorted(set(int(o) for o in orders))
     if not order_list or order_list[0] < 1:
         raise ValueError("orders must be positive integers")
-    log = as_log(events)
     start_ranks, stop_ranks, width = _ranks(log)
     codes, _ = _keys(log, kind)
 
@@ -142,9 +141,7 @@ def compute_keyed_lags(
     return result
 
 
-def compute_concurrency(
-    events: EventLog | Iterable[TransferEvent], kind: LagKeyKind
-) -> tuple[np.ndarray, np.ndarray]:
+def compute_concurrency(log: EventLog, kind: LagKeyKind) -> tuple[np.ndarray, np.ndarray]:
     """(total, unique_experiments): other same-key transfers running at each start.
 
     Event j is active for event i when start_time(j) <= start_time(i) <
@@ -156,7 +153,6 @@ def compute_concurrency(
     each (key, experiment) pair that cover the start, minus the event's own
     pair when the event is that pair's only active member.
     """
-    log = as_log(events)
     start_ranks, stop_ranks, width = _ranks(log)
     codes, _ = _keys(log, kind)
     self_active = log.stops > log.starts
@@ -193,16 +189,13 @@ def compute_concurrency(
     return total, unique
 
 
-def compute_chunk_time_offset(
-    events: EventLog | Iterable[TransferEvent],
-) -> tuple[np.ndarray, np.ndarray]:
+def compute_chunk_time_offset(log: EventLog) -> tuple[np.ndarray, np.ndarray]:
     """Seconds between each event's start and its chunk's earliest start.
 
     Chunks are keyed by (experiment, run, chunk) from the file name. Returns
     (offsets, missing): events whose file name does not parse get a missing
     flag and a NaN offset; the chunk's first job gets 0.
     """
-    log = as_log(events)
     codes, _ = _keys(log, LagKeyKind.SAME_CHUNK)
     keyed = codes >= 0
     starts, codes = log.starts[keyed], codes[keyed]

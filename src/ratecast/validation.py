@@ -131,9 +131,7 @@ class FoldSpec:
     test_rows: np.ndarray
 
 
-def make_folds(
-    n_rows: int, config: CvConfig, rng: np.random.Generator
-) -> list[FoldSpec]:
+def make_folds(n_rows: int, config: CvConfig, rng: np.random.Generator) -> list[FoldSpec]:
     """Sample ``config.k`` folds; every train row index precedes every test row index.
 
     The training region start is uniform over all placements that leave room
@@ -141,30 +139,14 @@ def make_folds(
     """
     width = config.train_width + config.test_width
     if width > n_rows:
-        raise ValueError(
-            f"train_width + test_width = {width} exceeds {n_rows} rows"
-        )
+        raise ValueError(f"train_width + test_width = {width} exceeds {n_rows} rows")
     folds = []
     for _ in range(config.k):
         a = int(rng.integers(0, n_rows - width + 1))
-        train_lo, train_hi = a, a + config.train_width
-        test_lo, test_hi = train_hi, train_hi + config.test_width
-        train_rows = np.sort(
-            rng.choice(
-                np.arange(train_lo, train_hi), size=config.train_size, replace=False
-            )
-        )
-        test_rows = np.sort(
-            rng.choice(np.arange(test_lo, test_hi), size=config.test_size, replace=False)
-        )
-        folds.append(
-            FoldSpec(
-                train_region=(train_lo, train_hi),
-                test_region=(test_lo, test_hi),
-                train_rows=train_rows,
-                test_rows=test_rows,
-            )
-        )
+        train, test = (a, a + config.train_width), (a + config.train_width, a + width)
+        train_rows = subset_rows(*train, config.train_size, rng, "train_size")
+        test_rows = subset_rows(*test, config.test_size, rng, "test_size")
+        folds.append(FoldSpec(train, test, train_rows, test_rows))
     return folds
 
 

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 
-from ratecast.events import Stage, TransferEvent
+from ratecast.events import EventLog, Stage, TransferEvent
 
 
 def mk_event(
@@ -91,6 +91,11 @@ def random_events(
             )
         )
     return events
+
+
+def random_log(rng: np.random.Generator, n: int, **kwargs) -> EventLog:
+    """The log of :func:`random_events`' rows."""
+    return EventLog.from_events(random_events(rng, n, **kwargs))
 
 
 def traced_peak(call, *args):

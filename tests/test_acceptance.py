@@ -15,9 +15,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import mk_event, random_events
+from helpers import mk_event, random_log
 from oracles import assert_same_lags, brute_force_concurrency, brute_force_lags
-from ratecast.events import clean_events, sort_by_start
+from ratecast.events import EventLog, clean_events, sort_by_start
 from ratecast.features import FeatureSpec, assemble_features
 from ratecast.filenames import FileNameParts, format_filename, parse_filename
 from ratecast.lags import LagKeyKind, compute_chunk_time_offset, compute_concurrency, compute_keyed_lags
@@ -143,7 +143,7 @@ def test_criterion_01_lag_oracle_equivalence():
     with criterion(1, "lag oracle equivalence"):
         t0 = time.monotonic()
         rng = np.random.default_rng(2025)
-        events = sort_by_start(random_events(rng, 1000))
+        events = sort_by_start(random_log(rng, 1000))
         orders = list(range(1, 21))
         for kind in LagKeyKind:
             got = compute_keyed_lags(events, kind, orders)
@@ -156,7 +156,7 @@ def test_criterion_02_concurrency_oracle_equivalence():
     with criterion(2, "concurrency oracle equivalence"):
         t0 = time.monotonic()
         rng = np.random.default_rng(2026)
-        events = sort_by_start(random_events(rng, 1000, time_span=2000, max_duration=120))
+        events = sort_by_start(random_log(rng, 1000, time_span=2000, max_duration=120))
         c1_c2_kinds = [
             LagKeyKind.SAME_EXPERIMENT,
             LagKeyKind.SAME_INSTRUMENT,
@@ -195,7 +195,7 @@ def test_criterion_03_order_preservation_and_leak_freedom():
         import dataclasses
 
         spec = FeatureSpec.parse("A,B,C1,C2,D1,D2,D3,E")
-        events = sort_by_start(random_events(np.random.default_rng(77), 300))
+        events = sort_by_start(random_log(np.random.default_rng(77), 300))
         baseline = assemble_features(events, spec)
         for _ in range(5):
             idx = int(rng.integers(50, len(events)))
@@ -209,7 +209,8 @@ def test_criterion_03_order_preservation_and_leak_freedom():
                 node="node0" if target.node != "node0" else "node1",
             )
             rows = list(events)
-            perturbed = sort_by_start(rows[:idx] + [mutated] + rows[idx + 1 :])
+            rows[idx] = mutated
+            perturbed = sort_by_start(EventLog.from_events(rows))
             other = assemble_features(perturbed, spec)
             by_id = {int(other.event_ids[i]): i for i in range(len(perturbed))}
             for i, e in enumerate(events):
@@ -326,12 +327,12 @@ def test_criterion_09_filename_grammar_and_chunk_offsets():
         base = 1498066922
         late = base + 9984
         events = sort_by_start(
-            [
+            EventLog.from_events([
                 mk_event(id=0, start=base, stop=base + 24, file_name="e991-r2-s0-c0.xtc"),
                 mk_event(id=1, start=base, stop=base + 24, file_name="e991-r2-s1-c0.xtc"),
                 mk_event(id=2, start=late, stop=late + 2, file_name="e991-r2-s4-c0.xtc"),
                 mk_event(id=3, start=late, stop=late + 2, file_name="e991-r2-s5-c0.xtc"),
-            ]
+            ])
         )
         offsets, missing = compute_chunk_time_offset(events)
         assert offsets.tolist() == [0.0, 0.0, 9984.0, 9984.0]
@@ -340,11 +341,11 @@ def test_criterion_09_filename_grammar_and_chunk_offsets():
         # chunk whose last stream lags by about two minutes: offset 401 s
         base = 1506109706
         events = sort_by_start(
-            [
+            EventLog.from_events([
                 mk_event(id=0, start=base, stop=base + 511, file_name="e7-r3-s0-c1.xtc"),
                 mk_event(id=1, start=base, stop=base + 511, file_name="e7-r3-s1-c1.xtc"),
                 mk_event(id=2, start=base + 401, stop=base + 755, file_name="e7-r3-s4-c1.xtc"),
-            ]
+            ])
         )
         offsets, _ = compute_chunk_time_offset(events)
         assert offsets.tolist() == [0.0, 0.0, 401.0]

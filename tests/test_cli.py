@@ -301,6 +301,7 @@ def _with_bogus_param(model):
         ("train", "--params", lambda model: {"max_depth": "deep"}, "max_depth"),
         ("train", "--params", lambda model: {"n_estimators": 2.5}, "n_estimators"),
         ("train", "--params", lambda model: {"learning_rate": float("nan")}, "learning_rate"),
+        ("train", "--params", lambda model: {"learning_rate": 10**400}, "learning_rate"),
         ("train", "--params", lambda model: {"max_features": float("inf")}, "max_features"),
         ("train", "--from-cv", lambda model: {"best_params": {"subsample": float("nan")}},
          "subsample"),
@@ -320,6 +321,7 @@ def _with_bogus_param(model):
         "params-with-string-value",
         "params-with-fractional-count",
         "params-with-nan-learning-rate",
+        "params-with-learning-rate-too-large-for-a-float",
         "params-with-infinite-max-features",
         "cv-with-nan-subsample",
         "model-with-nan-base-prediction",
@@ -364,6 +366,7 @@ _FEATURES_META = {"groups": ["A"], "column_meta": []}
         ("--model", "trees=5", "trees"),
         ("--eval", {"rmse_mbs": None}, "rmse_mbs"),
         ("--eval", {"rmse_mbs": "1.0"}, "rmse_mbs"),
+        ("--eval", {"rmse_mbs": 10**400}, "rmse_mbs"),
         ("--eval", {"rmse_mbs": 1.0, "timing": 5}, "timing"),
         ("--features-meta", dict(_FEATURES_META, groups=5), "groups"),
         ("--features-meta", dict(_FEATURES_META, groups=["A", 1]), "groups"),
@@ -381,7 +384,8 @@ _FEATURES_META = {"groups": ["A"], "column_meta": []}
     ],
     ids=["clean-report-without-counts", "eval-without-rmse", "eval-list", "eval-number",
          "features-meta-list", "cv-list", "model-with-number-for-trees",
-         "eval-null-rmse", "eval-string-rmse", "eval-number-for-timing",
+         "eval-null-rmse", "eval-string-rmse", "eval-rmse-too-large-for-a-float",
+         "eval-number-for-timing",
          "features-meta-number-for-groups", "features-meta-number-in-groups",
          "features-meta-number-for-column-meta", "features-meta-number-for-stage",
          "clean-report-string-count", "clean-report-boolean-count",
@@ -610,13 +614,14 @@ def test_non_finite_target_in_a_test_only_row_exits_1(tmp_path, capsys):
         ({"max_depth": 3}, "'max_depth' must be a [lo, hi] pair of integers"),
         ({"max_depth": [3.5, 5]}, "'max_depth' must be a [lo, hi] pair of integers"),
         ({"max_depth": [2, 3, 4]}, "'max_depth' must be a [lo, hi] pair"),
+        ({"max_depth": [2, 10**400]}, "'max_depth' must be a [lo, hi] pair of integers"),
         ({"learning_rate": ["a", 0.3]}, "'learning_rate' must be a [lo, hi] pair of finite"),
         ({"learning_rate": [0.1, float("inf")]}, "'learning_rate' must be a [lo, hi] pair"),
         ({"bogus": [1, 2]}, "unknown hyperparameter 'bogus'"),
         ({"max_depth": [5, 3]}, "empty range for max_depth"),
     ],
-    ids=["list", "scalar", "fractional-int", "triple", "string", "infinite", "unknown-key",
-         "empty-range"],
+    ids=["list", "scalar", "fractional-int", "triple", "too-large-for-a-float", "string",
+         "infinite", "unknown-key", "empty-range"],
 )
 def test_bad_space_file_exits_1(tmp_path, capsys, space, detail):
     d = str(tmp_path)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mk_event, random_events, traced_held
+from helpers import mk_event, random_events, random_log, traced_held
 from oracles import reference_clean_events, reference_parse_event_csv, reference_sort_by_start
 from ratecast import SynthConfig, generate_workload
 from ratecast.events import (
@@ -137,21 +137,21 @@ def test_clean_removes_both_rule_classes():
         mk_event(id=1, start=1, size=1200.0),
         mk_event(id=2, start=2, size=0.0),
     ]
-    kept, report = clean_events(events)
+    kept, report = clean_events(EventLog.from_events(events))
     assert [e.id for e in kept] == [0]
     assert report == CleaningReport(3, 1, 1, 1)
 
 
 def test_clean_identity_on_valid_events():
     events = [mk_event(id=i, start=i) for i in range(5)]
-    kept, report = clean_events(events)
+    kept, report = clean_events(EventLog.from_events(events))
     assert list(kept) == events
     assert report == CleaningReport(5, 0, 0, 5)
 
 
 def test_clean_oversize_wins_when_both_rules_match():
     events = [mk_event(id=0, size=2000.0, rate=0.0)]
-    _, report = clean_events(events)
+    _, report = clean_events(EventLog.from_events(events))
     assert report.n_oversize_removed == 1
     assert report.n_zero_removed == 0
 
@@ -184,7 +184,7 @@ def test_clean_removes_exactly_injected_records():
         for e in events
         if e.file_size_gb <= 1000.0 and e.file_size_gb > 0 and e.transfer_rate_mbs > 0
     ]
-    kept, report = clean_events(events)
+    kept, report = clean_events(EventLog.from_events(events))
     assert list(kept) == expect_kept
     assert report.n_oversize_removed == 12
     assert report.n_zero_removed == 76
@@ -205,7 +205,7 @@ def test_clean_is_idempotent(size_rate_pairs):
         mk_event(id=i, start=i, size=s, rate=r)
         for i, (s, r) in enumerate(size_rate_pairs)
     ]
-    once, report1 = clean_events(events)
+    once, report1 = clean_events(EventLog.from_events(events))
     twice, report2 = clean_events(once)
     assert list(twice) == list(once)
     assert report2 == CleaningReport(len(once), 0, 0, len(once))
@@ -214,24 +214,24 @@ def test_clean_is_idempotent(size_rate_pairs):
 
 def test_sort_already_sorted_is_identity():
     events = [mk_event(id=i, start=i * 10) for i in range(6)]
-    assert list(sort_by_start(events)) == events
+    assert list(sort_by_start(EventLog.from_events(events))) == events
 
 
 def test_sort_breaks_start_ties_by_stop():
     a = mk_event(id=0, start=5, stop=15)
     b = mk_event(id=1, start=5, stop=10)
-    assert list(sort_by_start([a, b])) == [b, a]
+    assert list(sort_by_start(EventLog.from_events([a, b]))) == [b, a]
 
 
 def test_sort_reversed_input_is_exactly_reversed():
     events = [mk_event(id=i, start=100 - i) for i in range(10)]
-    assert list(sort_by_start(events)) == events[::-1]
+    assert list(sort_by_start(EventLog.from_events(events))) == events[::-1]
 
 
 @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 20)), max_size=40))
 def test_sort_is_a_permutation(times):
     events = [mk_event(id=i, start=s, stop=s + d) for i, (s, d) in enumerate(times)]
-    out = sort_by_start(events)
+    out = sort_by_start(EventLog.from_events(events))
     assert sorted(e.id for e in out) == list(range(len(events)))
     for prev, cur in zip(out, out[1:]):
         assert (prev.start_time, prev.stop_time, prev.id) <= (
@@ -251,7 +251,7 @@ def test_sort_is_a_permutation(times):
 def test_csv_round_trip_is_bit_exact(size, rate, start, duration):
     event = mk_event(id=0, start=start, stop=start + duration, size=size, rate=rate)
     sink = io.StringIO()
-    write_event_csv([event], sink)
+    write_event_csv(EventLog.from_events([event]), sink)
     parsed = parse_event_csv(io.BytesIO(sink.getvalue().encode("utf-8")))
     assert list(parsed) == [event]
 
@@ -320,7 +320,7 @@ def test_rows_from_a_log_skip_the_constructor_check_but_equal_checked_rows():
 
 
 def test_clean_and_sort_return_an_untouched_log_as_is():
-    log = sort_by_start(random_events(np.random.default_rng(6), 50))
+    log = sort_by_start(random_log(np.random.default_rng(6), 50))
     assert sort_by_start(log) is log
     kept, report = clean_events(log)
     assert kept is log and report == CleaningReport(50, 0, 0, 50)
@@ -384,7 +384,7 @@ _CATEGORY = st.text(alphabet='ab ,"\n\ré日', max_size=3)
 _BAD_CELLS = st.sampled_from([
     "abc", "", "nan", "inf", "-inf", "1.5", "1_0", " 8", "+2", "-1", "SIDEWAYS",
     str(TIME_LIMIT_S + 1), str(-TIME_LIMIT_S - 1), "99999999999999999999",
-    "9223372036854775000",
+    "9223372036854775000", str(-2**63),
 ])
 
 
@@ -454,3 +454,17 @@ def test_columnar_ingest_matches_the_row_wise_reference(data):
     ordered = sort_by_start(kept)
     assert list(ordered) == reference_sort_by_start(want_kept)
     _assert_codes_follow_first_appearance(ordered)
+
+
+def test_a_bad_row_past_the_first_parse_block_is_named_like_the_row_wise_parse():
+    # Rows are parsed 4,096 non-blank rows at a time, and blank lines count in
+    # the row index. The first bad row fails two checks and a later one a
+    # third, so the error must name that row and its first check.
+    rows = [f"{i},{i + 5},1.0,50.0,cxi,e1,h,tfs,sfs,n,f,DSS_TO_FFB" for i in range(6000)]
+    rows[4500] = "4500,4400,1.0,50.0,cxi,e1,h,tfs,sfs,n,f,SIDEWAYS"
+    rows[4600] = "4600,4605,1.0"
+    lines = (row if i % 700 else "\n" + row for i, row in enumerate(rows))
+    data = (HEADER + "\n" + "\n".join(lines) + "\n").encode("utf-8")
+    want = _outcome(reference_parse_event_csv, data)[1]
+    assert want == (CsvRowError, "row 4507: unknown stage 'SIDEWAYS'", 4507)
+    assert _outcome(parse_event_csv, data)[1] == want

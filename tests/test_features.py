@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 import ratecast.events
 import ratecast.lags
-from helpers import mk_event, random_events, traced_peak
+from helpers import mk_event, random_log, traced_peak
 from oracles import assert_same_lags, brute_force_concurrency, brute_force_lags
 from ratecast import SynthConfig, generate_workload
-from ratecast.events import sort_by_start
+from ratecast.events import EventLog, sort_by_start
 from ratecast.features import (
     ALL_GROUPS,
     FeatureSpec,
@@ -44,7 +44,8 @@ C_KINDS = [
 
 
 def _time_features(start, tz_offset_hours=0.0):
-    dows, hours = compute_time_features([mk_event(start=start)], tz_offset_hours)
+    log = EventLog.from_events([mk_event(start=start)])
+    dows, hours = compute_time_features(log, tz_offset_hours)
     return int(dows[0]), int(hours[0])
 
 
@@ -61,7 +62,8 @@ def test_time_features_one_day_later():
 def test_time_features_match_calendar_oracle(offset_hours):
     rng = np.random.default_rng(11)
     starts = [int(s) for s in rng.integers(0, 2_000_000_000, size=200)]
-    dows, hours = compute_time_features([mk_event(start=s) for s in starts], offset_hours)
+    log = EventLog.from_events([mk_event(start=s) for s in starts])
+    dows, hours = compute_time_features(log, offset_hours)
     tz = timezone(timedelta(hours=offset_hours))
     for start, dow, hour in zip(starts, dows, hours):
         moment = datetime.fromtimestamp(start, tz=tz)
@@ -79,7 +81,7 @@ def test_time_features_known_timestamp_with_offset():
 
 
 def test_first_event_has_no_lag():
-    events = sort_by_start([mk_event(id=0, start=0)])
+    events = sort_by_start(EventLog.from_events([mk_event(id=0, start=0)]))
     for kind in ALL_KINDS:
         result = compute_keyed_lags(events, kind, [1])
         assert result[1].tolist() == [-1]
@@ -88,7 +90,7 @@ def test_first_event_has_no_lag():
 def test_lag_of_completed_predecessor():
     a = mk_event(id=0, start=0, stop=10, rate=100.0, size=2.0)
     b = mk_event(id=1, start=20, stop=30)
-    events = [a, b]
+    events = EventLog.from_events([a, b])
     result = compute_keyed_lags(events, LagKeyKind.SAME_INSTRUMENT, [1])
     assert result[1].tolist() == [-1, 0]
     want = brute_force_lags(events, LagKeyKind.SAME_INSTRUMENT, [1])
@@ -99,7 +101,7 @@ def test_lag_of_completed_predecessor():
 def test_lag_requires_strict_completion_before_start():
     a = mk_event(id=0, start=0, stop=20)
     b = mk_event(id=1, start=20, stop=30)  # a stops exactly when b starts
-    result = compute_keyed_lags([a, b], LagKeyKind.OVERALL, [1])
+    result = compute_keyed_lags(EventLog.from_events([a, b]), LagKeyKind.OVERALL, [1])
     assert result[1].tolist() == [-1, -1]
 
 
@@ -107,7 +109,7 @@ def test_lag_ties_on_stop_prefer_larger_id():
     a = mk_event(id=0, start=0, stop=10, rate=1.0)
     b = mk_event(id=1, start=0, stop=10, rate=2.0)
     c = mk_event(id=2, start=50, stop=60)
-    result = compute_keyed_lags([a, b, c], LagKeyKind.OVERALL, [1, 2])
+    result = compute_keyed_lags(EventLog.from_events([a, b, c]), LagKeyKind.OVERALL, [1, 2])
     assert result[1][2] == 1  # b, rate 2.0
     assert result[2][2] == 0  # a, rate 1.0
 
@@ -116,28 +118,28 @@ def test_lag_unparseable_filename_is_unkeyed_for_chunk():
     a = mk_event(id=0, start=0, stop=5, file_name="e1-r1-s0-c0.xtc")
     b = mk_event(id=1, start=10, stop=20, file_name="garbage.dat")
     c = mk_event(id=2, start=30, stop=40, file_name="e1-r1-s1-c0.xtc")
-    result = compute_keyed_lags([a, b, c], LagKeyKind.SAME_CHUNK, [1])
+    result = compute_keyed_lags(EventLog.from_events([a, b, c]), LagKeyKind.SAME_CHUNK, [1])
     assert result[1][1] == -1  # unkeyed event gets no lag
     assert result[1][2] == 0  # skips the unkeyed middle event: 30 - 5 = 25 s
 
 
 def test_lags_require_sorted_input():
-    events = [mk_event(id=0, start=10), mk_event(id=1, start=0)]
+    events = EventLog.from_events([mk_event(id=0, start=10), mk_event(id=1, start=0)])
     with pytest.raises(ValueError, match="sort_by_start"):
         compute_keyed_lags(events, LagKeyKind.OVERALL, [1])
 
 
 def test_lags_reject_bad_orders():
     with pytest.raises(ValueError):
-        compute_keyed_lags([], LagKeyKind.OVERALL, [0])
+        compute_keyed_lags(EventLog.from_events([]), LagKeyKind.OVERALL, [0])
     with pytest.raises(ValueError):
-        compute_keyed_lags([], LagKeyKind.OVERALL, [])
+        compute_keyed_lags(EventLog.from_events([]), LagKeyKind.OVERALL, [])
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
 def test_lag_sweep_matches_brute_force(kind):
     rng = np.random.default_rng(123)
-    events = sort_by_start(random_events(rng, 1000))
+    events = sort_by_start(random_log(rng, 1000))
     orders = [1, 5]
     got = compute_keyed_lags(events, kind, orders)
     want = brute_force_lags(events, kind, orders)
@@ -148,7 +150,7 @@ def test_lag_sweep_matches_brute_force(kind):
 @given(seed=st.integers(0, 10**6), n=st.integers(0, 60))
 def test_lag_sweep_matches_brute_force_fuzzed(seed, n):
     rng = np.random.default_rng(seed)
-    events = sort_by_start(random_events(rng, n, time_span=80, max_duration=30))
+    events = sort_by_start(random_log(rng, n, time_span=80, max_duration=30))
     for kind in ALL_KINDS:
         got = compute_keyed_lags(events, kind, [1, 2, 3])
         want = brute_force_lags(events, kind, [1, 2, 3])
@@ -159,7 +161,8 @@ def test_lag_sweep_matches_brute_force_fuzzed(seed, n):
 
 
 def test_concurrency_single_event_is_zero():
-    total, unique = compute_concurrency([mk_event(id=0)], LagKeyKind.SAME_TARGET_HOST)
+    events = EventLog.from_events([mk_event(id=0)])
+    total, unique = compute_concurrency(events, LagKeyKind.SAME_TARGET_HOST)
     assert total.tolist() == [0]
     assert unique.tolist() == [0]
 
@@ -167,14 +170,14 @@ def test_concurrency_single_event_is_zero():
 def test_concurrency_counts_only_already_started_overlaps():
     a = mk_event(id=0, start=0, stop=100)
     b = mk_event(id=1, start=50, stop=60)
-    total, _ = compute_concurrency([a, b], LagKeyKind.SAME_TARGET_HOST)
+    total, _ = compute_concurrency(EventLog.from_events([a, b]), LagKeyKind.SAME_TARGET_HOST)
     assert total.tolist() == [0, 1]  # B starts after A, so A sees nothing
 
 
 def test_concurrency_same_start_events_see_each_other():
     a = mk_event(id=0, start=10, stop=20, experiment="e1")
     b = mk_event(id=1, start=10, stop=30, experiment="e2")
-    total, unique = compute_concurrency([a, b], LagKeyKind.SAME_TARGET_HOST)
+    total, unique = compute_concurrency(EventLog.from_events([a, b]), LagKeyKind.SAME_TARGET_HOST)
     assert total.tolist() == [1, 1]
     assert unique.tolist() == [1, 1]
 
@@ -182,7 +185,7 @@ def test_concurrency_same_start_events_see_each_other():
 def test_concurrency_zero_duration_event_is_never_active():
     a = mk_event(id=0, start=10, stop=10)
     b = mk_event(id=1, start=10, stop=30)
-    total, _ = compute_concurrency([a, b], LagKeyKind.SAME_TARGET_HOST)
+    total, _ = compute_concurrency(EventLog.from_events([a, b]), LagKeyKind.SAME_TARGET_HOST)
     assert total.tolist() == [1, 0]  # a sees b; b does not see a
 
 
@@ -190,7 +193,8 @@ def test_concurrency_unique_experiments_excludes_self_only_experiment():
     a = mk_event(id=0, start=0, stop=100, experiment="e1")
     b = mk_event(id=1, start=10, stop=100, experiment="e1")
     c = mk_event(id=2, start=20, stop=100, experiment="e2")
-    total, unique = compute_concurrency([a, b, c], LagKeyKind.SAME_TARGET_HOST)
+    events = EventLog.from_events([a, b, c])
+    total, unique = compute_concurrency(events, LagKeyKind.SAME_TARGET_HOST)
     # c sees both e1 events -> 1 distinct; b sees a (same experiment) -> 1
     assert total.tolist() == [0, 1, 2]
     assert unique.tolist() == [0, 1, 1]
@@ -199,7 +203,7 @@ def test_concurrency_unique_experiments_excludes_self_only_experiment():
 @pytest.mark.parametrize("kind", C_KINDS, ids=lambda k: k.value)
 def test_concurrency_matches_brute_force(kind):
     rng = np.random.default_rng(321)
-    events = sort_by_start(random_events(rng, 1000, time_span=2000, max_duration=120))
+    events = sort_by_start(random_log(rng, 1000, time_span=2000, max_duration=120))
     total, unique = compute_concurrency(events, kind)
     want_total, want_unique = brute_force_concurrency(events, kind)
     np.testing.assert_array_equal(total, want_total)
@@ -210,7 +214,7 @@ def test_concurrency_matches_brute_force(kind):
 @given(seed=st.integers(0, 10**6), n=st.integers(0, 60))
 def test_concurrency_matches_brute_force_fuzzed(seed, n):
     rng = np.random.default_rng(seed)
-    events = sort_by_start(random_events(rng, n, time_span=50, max_duration=40))
+    events = sort_by_start(random_log(rng, n, time_span=50, max_duration=40))
     for kind in C_KINDS + [LagKeyKind.SAME_CHUNK]:
         total, unique = compute_concurrency(events, kind)
         want_total, want_unique = brute_force_concurrency(events, kind)
@@ -223,7 +227,7 @@ def test_concurrency_matches_brute_force_fuzzed(seed, n):
 
 def test_chunk_offset_first_stream_is_zero():
     events = sort_by_start(
-        [mk_event(id=0, start=100, file_name="e1-r1-s0-c0.xtc")]
+        EventLog.from_events([mk_event(id=0, start=100, file_name="e1-r1-s0-c0.xtc")])
     )
     offsets, missing = compute_chunk_time_offset(events)
     assert offsets[0] == 0.0
@@ -235,12 +239,12 @@ def test_chunk_offset_hours_late_streams():
     base = 1498066922
     late = base + 9984
     events = sort_by_start(
-        [
+        EventLog.from_events([
             mk_event(id=0, start=base, stop=base + 24, file_name="e991-r2-s0-c0.xtc"),
             mk_event(id=1, start=base, stop=base + 24, file_name="e991-r2-s1-c0.xtc"),
             mk_event(id=2, start=late, stop=late + 2, file_name="e991-r2-s4-c0.xtc"),
             mk_event(id=3, start=late, stop=late + 2, file_name="e991-r2-s5-c0.xtc"),
-        ]
+        ])
     )
     offsets, missing = compute_chunk_time_offset(events)
     assert offsets.tolist() == [0.0, 0.0, 9984.0, 9984.0]
@@ -251,20 +255,20 @@ def test_chunk_offset_minutes_late_stream():
     # first streams at 19:48:26, the last one at 19:55:07
     base = 1506109706
     events = sort_by_start(
-        [
+        EventLog.from_events([
             mk_event(id=0, start=base, stop=base + 511, file_name="e7-r3-s0-c1.xtc"),
             mk_event(id=1, start=base, stop=base + 511, file_name="e7-r3-s1-c1.xtc"),
             mk_event(id=2, start=base + 136, stop=base + 512, file_name="e7-r3-s2-c1.xtc"),
             mk_event(id=3, start=base + 305, stop=base + 679, file_name="e7-r3-s3-c1.xtc"),
             mk_event(id=4, start=base + 401, stop=base + 755, file_name="e7-r3-s4-c1.xtc"),
-        ]
+        ])
     )
     offsets, _ = compute_chunk_time_offset(events)
     assert offsets.tolist() == [0.0, 0.0, 136.0, 305.0, 401.0]
 
 
 def test_chunk_offset_unparseable_is_missing():
-    events = [mk_event(id=0, start=0, file_name="nope.dat")]
+    events = EventLog.from_events([mk_event(id=0, start=0, file_name="nope.dat")])
     offsets, missing = compute_chunk_time_offset(events)
     assert missing[0]
     assert np.isnan(offsets[0])
@@ -272,12 +276,12 @@ def test_chunk_offset_unparseable_is_missing():
 
 def test_chunk_offset_groups_by_run_and_chunk():
     events = sort_by_start(
-        [
+        EventLog.from_events([
             mk_event(id=0, start=0, file_name="e1-r1-s0-c0.xtc"),
             mk_event(id=1, start=50, file_name="e1-r2-s0-c0.xtc"),  # other run
             mk_event(id=2, start=70, file_name="e1-r1-s0-c1.xtc"),  # other chunk
             mk_event(id=3, start=90, file_name="e1-r1-s1-c0.xtc"),  # same chunk as id 0
-        ]
+        ])
     )
     offsets, _ = compute_chunk_time_offset(events)
     assert offsets.tolist() == [0.0, 0.0, 0.0, 90.0]
@@ -287,7 +291,9 @@ def test_chunk_offset_groups_by_run_and_chunk():
 
 
 def test_one_hot_block_has_single_one_per_row():
-    events = [mk_event(id=i, start=i, instrument=ins) for i, ins in enumerate("abcabc")]
+    events = EventLog.from_events(
+        [mk_event(id=i, start=i, instrument=ins) for i, ins in enumerate("abcabc")]
+    )
     values, metas = encode_categoricals(events)
     instrument_cols = [
         j for j, m in enumerate(metas) if m.origin.startswith("one_hot:instrument")
@@ -297,11 +303,11 @@ def test_one_hot_block_has_single_one_per_row():
 
 
 def test_experiment_codes_assigned_by_first_appearance():
-    events = [
+    events = EventLog.from_events([
         mk_event(id=0, experiment="e1"),
         mk_event(id=1, experiment="e2"),
         mk_event(id=2, experiment="e1"),
-    ]
+    ])
     values, metas = encode_categoricals(events)
     assert metas[0].name == "A.experiment_code"
     assert values[:, 0].tolist() == [0.0, 1.0, 0.0]
@@ -319,7 +325,7 @@ def test_feature_spec_requires_group_a():
 
 def test_static_only_matrix_has_no_indicator_columns():
     rng = np.random.default_rng(5)
-    events = sort_by_start(random_events(rng, 50))
+    events = sort_by_start(random_log(rng, 50))
     matrix = assemble_features(events, FeatureSpec.parse("A"))
     assert all(c.group == "A" for c in matrix.columns)
     assert not any(c.origin == "indicator" for c in matrix.columns)
@@ -331,7 +337,7 @@ def test_static_only_matrix_has_no_indicator_columns():
 
 def test_d1_column_set_matches_definition():
     rng = np.random.default_rng(6)
-    events = sort_by_start(random_events(rng, 50))
+    events = sort_by_start(random_log(rng, 50))
     matrix = assemble_features(events, FeatureSpec.parse("A,D1"))
     d1 = [c.name for c in matrix.columns if c.group == "D1"]
     assert d1 == [
@@ -356,7 +362,8 @@ def test_d1_column_set_matches_definition():
 
 
 def test_missing_lag_cells_carry_sentinel_and_indicator():
-    events = sort_by_start([mk_event(id=0, start=0), mk_event(id=1, start=100)])
+    rows = [mk_event(id=0, start=0), mk_event(id=1, start=100)]
+    events = sort_by_start(EventLog.from_events(rows))
     matrix = assemble_features(events, FeatureSpec.parse("A,D1"))
     rate, indicator = (
         matrix.values[:, matrix.column_names.index(name)]
@@ -367,14 +374,14 @@ def test_missing_lag_cells_carry_sentinel_and_indicator():
 
 
 def test_assembly_requires_sorted_events():
-    events = [mk_event(id=0, start=10), mk_event(id=1, start=0)]
+    events = EventLog.from_events([mk_event(id=0, start=10), mk_event(id=1, start=0)])
     with pytest.raises(ValueError, match="sort_by_start"):
         assemble_features(events, FeatureSpec.parse("A"))
 
 
 def test_assembly_is_deterministic():
     rng = np.random.default_rng(9)
-    events = sort_by_start(random_events(rng, 200))
+    events = sort_by_start(random_log(rng, 200))
     spec = FeatureSpec.parse("A,B,C1,C2,D1,D2,D3,E")
     m1 = assemble_features(events, spec)
     m2 = assemble_features(events, spec)
@@ -402,13 +409,13 @@ def _perturb_future_event(rng, events, idx):
 def test_rows_are_leak_free_under_future_perturbations():
     rng = np.random.default_rng(77)
     spec = FeatureSpec.parse("A,B,C1,C2,D1,D2,D3,E")
-    events = sort_by_start(random_events(rng, 300))
+    events = sort_by_start(random_log(rng, 300))
     baseline = assemble_features(events, spec)
     for _ in range(8):
         idx = int(rng.integers(50, len(events)))
         perturbed = list(events)
         perturbed[idx] = _perturb_future_event(rng, events, idx)
-        perturbed = sort_by_start(perturbed)
+        perturbed = sort_by_start(EventLog.from_events(perturbed))
         other = assemble_features(perturbed, spec)
         cutoff = events[idx].start_time
         rows = [i for i, e in enumerate(events) if e.start_time < cutoff]
@@ -421,7 +428,7 @@ def test_rows_are_leak_free_under_future_perturbations():
 
 
 def test_chunk_file_names_parse_once_per_assembly():
-    events = sort_by_start(random_events(np.random.default_rng(8), 120))
+    events = sort_by_start(random_log(np.random.default_rng(8), 120))
     parse = ratecast.lags.parse_filename
     calls = []
 
@@ -432,10 +439,10 @@ def test_chunk_file_names_parse_once_per_assembly():
     with mock.patch.object(ratecast.lags, "parse_filename", counting):
         matrix = assemble_features(events, FeatureSpec.parse(",".join(ALL_GROUPS)))
     assert len(calls) == len(events)
-    # A row list gets a log of its own, so each of these parses once more.
+    # A fresh log of the same rows has no chunk codes yet, so each of these parses once more.
     with mock.patch.object(ratecast.lags, "parse_filename", counting):
         alone = [
-            assemble_features(list(events), FeatureSpec.parse(groups)).values
+            assemble_features(EventLog.from_events(events), FeatureSpec.parse(groups)).values
             for groups in ("A,D3", "A,E")
         ]
     assert len(calls) == 3 * len(events)
@@ -454,7 +461,7 @@ def test_chunk_file_names_parse_once_per_assembly():
 
 @pytest.mark.parametrize("group", [g for g in ALL_GROUPS if g != "A"])
 def test_shared_table_columns_equal_single_group_assembly(group):
-    events = sort_by_start(random_events(np.random.default_rng(21), 400))
+    events = sort_by_start(random_log(np.random.default_rng(21), 400))
     full = assemble_features(events, FeatureSpec.parse(",".join(ALL_GROUPS)))
     alone = assemble_features(events, FeatureSpec.parse(f"A,{group}"))
     assert [c for c in full.columns if c.group in ("A", group)] == alone.columns
@@ -464,7 +471,7 @@ def test_shared_table_columns_equal_single_group_assembly(group):
 
 
 def test_assembly_factorises_each_key_kind_at_most_once():
-    events = sort_by_start(random_events(np.random.default_rng(22), 300))
+    events = sort_by_start(random_log(np.random.default_rng(22), 300))
     factorise = ratecast.events._factorise
     spec = FeatureSpec.parse(",".join(ALL_GROUPS))
     calls = []
@@ -476,10 +483,10 @@ def test_assembly_factorises_each_key_kind_at_most_once():
     with mock.patch.object(ratecast.events, "_factorise", counting), mock.patch.object(
         ratecast.lags, "_factorise", counting
     ):
-        # The row list's log codes the six categorical fields and the stage;
+        # A fresh log of the rows codes the six categorical fields and the stage;
         # the chunk key is factorised once. No per-event dict is built for
         # the concurrency (key, experiment) pairs.
-        assemble_features(list(events), spec)
+        assemble_features(EventLog.from_events(events), spec)
         assert len(calls) == (len(LagKeyKind) - 2) + 1 + 1
         # A log already holds its categorical codes and keeps its chunk codes.
         assemble_features(events, spec)
@@ -503,7 +510,7 @@ def test_assembly_peak_memory_stays_near_the_matrix_size():
 
 def test_feature_csv_round_trip():
     rng = np.random.default_rng(13)
-    events = sort_by_start(random_events(rng, 40))
+    events = sort_by_start(random_log(rng, 40))
     matrix = assemble_features(events, FeatureSpec.parse("A,D1,E"))
     targets = np.array([e.transfer_rate_mbs for e in events])
     sink = io.StringIO()
