@@ -7,9 +7,13 @@ import types
 import typing
 from dataclasses import MISSING, asdict, fields
 
-#: How an error names a pair type; every other type is named as annotated.
-_PAIRS = {
-    tuple[int, int]: "a [lo, hi] pair of integers",
+#: What an ``int`` field holds, since numpy keeps counts and seeds as int64.
+_INT64 = range(-(2**63), 2**63)
+
+#: How an error names these types; every other type is named as annotated.
+_NAMES = {
+    int: "an integer from -2**63 to 2**63 - 1",
+    tuple[int, int]: "a [lo, hi] pair of integers with lo >= -2**63 and hi < 2**63 - 1",
     tuple[float, float]: "a [lo, hi] pair of finite numbers",
 }
 
@@ -28,13 +32,18 @@ def _matches(tp, value) -> bool:
         return any(_matches(arg, value) for arg in args)
     if origin is tuple:
         pair = isinstance(value, list) and len(value) == 2
-        return pair and all(_matches(args[0], v) and _finite(v) for v in value)
+        if not (pair and all(_matches(args[0], v) and _finite(v) for v in value)):
+            return False
+        # an integer range is drawn below hi + 1, which must be an int64 too
+        return args[0] is not int or value[1] + 1 in _INT64
     if origin is list:
         return isinstance(value, list) and all(_matches(args[0], v) for v in value)
     if isinstance(value, bool):  # JSON true and false are not numbers
         return tp is bool
     if tp is float:  # any float, or an integer that a float can hold
         return isinstance(value, float) or isinstance(value, int) and _finite(value)
+    if tp is int:
+        return isinstance(value, int) and value in _INT64
     return isinstance(value, tp)
 
 
@@ -42,8 +51,9 @@ class JsonArtifact:
     """Mixin of a dataclass that is one JSON artifact: its fields are the file's.
 
     ``from_dict`` checks each value against its field's type. ``int`` is an
-    integer and never a boolean, ``float`` any number that a float can hold,
-    and ``tuple[X, X]`` a ``[lo, hi]`` pair of finite numbers; ``str``,
+    int64 integer and never a boolean, ``float`` any number that a float can
+    hold, and ``tuple[X, X]`` a ``[lo, hi]`` pair of finite numbers, whose
+    ``hi + 1`` is an int64 too when they are integers; ``str``,
     ``dict``, ``list[X]`` and ``X | None`` are what they say. A field with a
     default may be absent. A key that names no field is ignored, so that a
     file with a field added later still reads, unless the class sets
@@ -77,7 +87,7 @@ class JsonArtifact:
                 if f.name in required:
                     raise ValueError(f"lacks field {f.name!r}")
             elif not _matches(tp, value):
-                what = _PAIRS.get(tp, f.type)
+                what = _NAMES.get(tp, f.type)
                 raise ValueError(f"field {f.name!r} must be {what}, got {value!r}")
             else:
                 kwargs[f.name] = tuple(value) if typing.get_origin(tp) is tuple else value

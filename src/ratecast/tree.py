@@ -138,10 +138,11 @@ def _best_split(
     """(gain, feature, threshold) of the best cut over ``candidates``, or None.
 
     Candidates are searched in blocks of at most ``_BLOCK_CELLS`` rank cells,
-    one row per candidate: one stable argsort of the block's ranks, then
-    row-wise cumulative sums of the targets in that order. Each row keeps its
-    first maximal gain, and a candidate wins only with a gain strictly above
-    every earlier candidate's and above zero.
+    one row per candidate. Rows constant in the node are dropped; the rest get
+    a stable argsort of their ranks and row-wise cumulative target sums. Only
+    cuts between distinct values are scored, in row-major order, so the first
+    argmax is the first candidate's first best cut. A candidate with a NaN gain
+    is skipped; one wins only with a gain above zero and every earlier one's.
     """
     n = node_rows.size
     # Cut c sends sorted positions 0..c left; each side keeps at least one row
@@ -150,8 +151,6 @@ def _best_split(
     lo, hi = leaf - 1, n - leaf
     if lo >= hi:
         return None
-    left_n = np.arange(lo + 1, hi + 1, dtype=np.float64)
-    right_n = n - left_n
     best: tuple[float, int, float] | None = None
     best_gain = 0.0
     per_block = max(1, _BLOCK_CELLS // n)
@@ -160,39 +159,41 @@ def _best_split(
         block = candidates[start : start + per_block]
         # Flat takes: cheaper than 2-d fancy indexing at every node size.
         block_ranks = ranked.ranks.take(block[:, None] * n_total + node_rows)
+        varies = block_ranks.min(1) != block_ranks.max(1)
+        if not varies.all():
+            block, block_ranks = block[varies], block_ranks[varies]
         order = np.argsort(block_ranks, axis=1, kind="stable")
         sorted_ranks = block_ranks.take(order + np.arange(0, block.size * n, n)[:, None])
         ys_sorted = ys[order]
         csum = np.cumsum(ys_sorted, axis=1)
         csq = np.cumsum(ys_sorted * ys_sorted, axis=1)
-        left_sum = csum[:, lo:hi]
-        left_sq = csq[:, lo:hi]
-        # In place, but the same operations in the same order as
-        # parent - (l2 - l*l/nl) - (r2 - r*r/nr), so gains stay bit-exact.
-        right_sum = csum[:, -1:] - left_sum
-        right_sq = csq[:, -1:] - left_sq
-        sse_left = left_sum * left_sum
-        sse_left /= left_n
-        np.subtract(left_sq, sse_left, out=sse_left)
-        right_sum *= right_sum
-        right_sum /= right_n
-        sse_right = np.subtract(right_sq, right_sum, out=right_sq)
-        gains = np.subtract(parent_sse, sse_left, out=sse_left)
-        gains -= sse_right
-        gains[sorted_ranks[:, lo + 1 : hi + 1] == sorted_ranks[:, lo:hi]] = -np.inf
-        cuts = np.argmax(gains, axis=1)
-        row_gains = gains[np.arange(block.size), cuts]
-        for i, gain in enumerate(row_gains.tolist()):
-            if gain > best_gain:
-                best_gain = gain
-                f = int(block[i])
-                cut = lo + int(cuts[i])
-                low = ranked.values[f, node_rows[order[i, cut]]]
-                high = ranked.values[f, node_rows[order[i, cut + 1]]]
-                threshold = (low + high) / 2.0
-                if threshold >= high:  # midpoint collapsed onto the right value
-                    threshold = low
-                best = (gain, f, float(threshold))
+        edges = np.flatnonzero(sorted_ranks[:, lo + 1 : hi + 1] != sorted_ranks[:, lo:hi])
+        if not edges.size:
+            continue
+        row, cut = np.divmod(edges, hi - lo)
+        cut += lo
+        at = row * n + cut
+        left_sum = csum.take(at)
+        left_sq = csq.take(at)
+        right_sum = csum[:, -1].take(row) - left_sum
+        right_sq = csq[:, -1].take(row) - left_sq
+        left_n = cut + 1.0
+        # Evaluated in this order, so gains stay bit-exact.
+        sse_left = left_sq - left_sum * left_sum / left_n
+        sse_right = right_sq - right_sum * right_sum / (n - left_n)
+        gains = parent_sse - sse_left - sse_right
+        i = int(np.argmax(gains))
+        if np.isnan(gains[i]):  # argmax stops at the first NaN: rule out each row with one
+            gains[np.isin(row, row[np.isnan(gains)])] = -np.inf
+            i = int(np.argmax(gains))
+        if gains[i] > best_gain:
+            best_gain = float(gains[i])
+            f, r, c = int(block[row[i]]), row[i], cut[i]
+            low, high = ranked.values[f, node_rows[order[r, c : c + 2]]]
+            threshold = (low + high) / 2.0
+            if threshold >= high:  # midpoint collapsed onto the right value
+                threshold = low
+            best = (best_gain, f, float(threshold))
     return best
 
 
@@ -231,7 +232,7 @@ def grow_tree(
     right: list[int] = []
     value: list[float] = []
     n_node_samples: list[int] = []
-    gains = np.zeros(n_features)
+    gains = [0.0] * n_features
 
     def new_node() -> int:
         feature.append(-1)
@@ -247,15 +248,13 @@ def grow_tree(
         node_rows, depth, node = stack.pop()
         ys = y[node_rows]
         n = node_rows.size
-        value[node] = float(ys.mean())
+        total = float(ys.sum())
+        value[node] = total / n
         n_node_samples[node] = int(n)
         if depth >= max_depth or n < min_samples_split:
             continue
-        y_min = ys.min()
-        y_max = ys.max()
-        if y_min == y_max:
+        if ys.min() == ys.max():
             continue
-        total = float(ys.sum())
         parent_sse = float(ys @ ys) - total * total / n
         if n_candidate_features >= n_features:
             candidates = np.arange(n_features)
@@ -265,7 +264,7 @@ def grow_tree(
         if found is None:
             continue
         best_gain, best_feature, best_threshold = found
-        goes_left = ranked.values[best_feature, node_rows] <= best_threshold
+        goes_left = ranked.values[best_feature].take(node_rows) <= best_threshold
         rows_left = node_rows[goes_left]
         rows_right = node_rows[~goes_left]
         gains[best_feature] += best_gain
@@ -285,5 +284,5 @@ def grow_tree(
         right=np.asarray(right, dtype=np.int64),
         value=np.asarray(value, dtype=float),
         n_node_samples=np.asarray(n_node_samples, dtype=np.int64),
-        feature_gains=gains,
+        feature_gains=np.asarray(gains, dtype=float),
     )

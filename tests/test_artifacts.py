@@ -59,10 +59,16 @@ def _json(artifact) -> dict:
     return json.loads(json.dumps(artifact.to_dict()))
 
 
-def _wrong_value(tp):
-    """A JSON value that a field of type ``tp`` must reject."""
+def _not_none(tp):
+    """``tp`` without its ``| None``."""
     if typing.get_origin(tp) is types.UnionType:
         (tp,) = [arg for arg in typing.get_args(tp) if arg is not type(None)]
+    return tp
+
+
+def _wrong_value(tp):
+    """A JSON value that a field of type ``tp`` must reject."""
+    tp = _not_none(tp)
     if tp is int:
         return True  # a boolean for an integer
     if tp is float:
@@ -72,11 +78,26 @@ def _wrong_value(tp):
     return [] if tp is dict else 5
 
 
+def _past_int64(tp) -> list:
+    """JSON integers just past what a field of type ``tp`` holds; none if it holds no integer."""
+    tp = _not_none(tp)
+    if tp is int:
+        return [2**63, -(2**63) - 1]
+    if tp == tuple[int, int]:  # a range is drawn below hi + 1, so that must fit too
+        return [[1, 2**63 - 1], [-(2**63) - 1, 1]]
+    return []
+
+
+def _hint(example, field) -> type:
+    return typing.get_type_hints(type(example))[field.name]
+
+
 FIELDS = [
     pytest.param(example, f, id=f"{type(example).__name__}.{f.name}")
     for example in EXAMPLES
     for f in dataclasses.fields(example)
 ]
+INTEGER_FIELDS = [param for param in FIELDS if _past_int64(_hint(*param.values))]
 
 
 def test_examples_cover_every_artifact_class():
@@ -92,9 +113,19 @@ def test_artifact_round_trips_through_json(example):
 def test_wrongly_typed_field_is_rejected_by_name(example, field):
     cls = type(example)
     payload = _json(example)
-    payload[field.name] = _wrong_value(typing.get_type_hints(cls)[field.name])
+    payload[field.name] = _wrong_value(_hint(example, field))
     with pytest.raises(ValueError, match=re.escape(f"field {field.name!r} must be")):
         cls.from_dict(payload)
+
+
+@pytest.mark.parametrize("example, field", INTEGER_FIELDS)
+def test_integer_past_int64_is_rejected_by_name(example, field):
+    cls = type(example)
+    for value in _past_int64(_hint(example, field)):
+        payload = _json(example)
+        payload[field.name] = value
+        with pytest.raises(ValueError, match=re.escape(f"field {field.name!r} must be")):
+            cls.from_dict(payload)
 
 
 @pytest.mark.parametrize("example, field", FIELDS)

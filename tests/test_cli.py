@@ -302,6 +302,7 @@ def _with_bogus_param(model):
         ("train", "--params", lambda model: {"n_estimators": 2.5}, "n_estimators"),
         ("train", "--params", lambda model: {"learning_rate": float("nan")}, "learning_rate"),
         ("train", "--params", lambda model: {"learning_rate": 10**400}, "learning_rate"),
+        ("train", "--params", lambda model: {"n_estimators": 10**400}, "n_estimators"),
         ("train", "--params", lambda model: {"max_features": float("inf")}, "max_features"),
         ("train", "--from-cv", lambda model: {"best_params": {"subsample": float("nan")}},
          "subsample"),
@@ -322,6 +323,7 @@ def _with_bogus_param(model):
         "params-with-fractional-count",
         "params-with-nan-learning-rate",
         "params-with-learning-rate-too-large-for-a-float",
+        "params-with-count-past-int64",
         "params-with-infinite-max-features",
         "cv-with-nan-subsample",
         "model-with-nan-base-prediction",
@@ -615,13 +617,14 @@ def test_non_finite_target_in_a_test_only_row_exits_1(tmp_path, capsys):
         ({"max_depth": [3.5, 5]}, "'max_depth' must be a [lo, hi] pair of integers"),
         ({"max_depth": [2, 3, 4]}, "'max_depth' must be a [lo, hi] pair"),
         ({"max_depth": [2, 10**400]}, "'max_depth' must be a [lo, hi] pair of integers"),
+        ({"n_estimators": [1, 10**30]}, "'n_estimators' must be a [lo, hi] pair of integers"),
         ({"learning_rate": ["a", 0.3]}, "'learning_rate' must be a [lo, hi] pair of finite"),
         ({"learning_rate": [0.1, float("inf")]}, "'learning_rate' must be a [lo, hi] pair"),
         ({"bogus": [1, 2]}, "unknown hyperparameter 'bogus'"),
         ({"max_depth": [5, 3]}, "empty range for max_depth"),
     ],
-    ids=["list", "scalar", "fractional-int", "triple", "too-large-for-a-float", "string",
-         "infinite", "unknown-key", "empty-range"],
+    ids=["list", "scalar", "fractional-int", "triple", "too-large-for-a-float", "past-int64",
+         "string", "infinite", "unknown-key", "empty-range"],
 )
 def test_bad_space_file_exits_1(tmp_path, capsys, space, detail):
     d = str(tmp_path)

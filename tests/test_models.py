@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratecast.models import (
@@ -111,7 +111,9 @@ def test_tree_constant_target_is_single_leaf():
     assert tree.value[0] == 7.5
 
 
-def _column(rng, kind, n):
+def _column(rng, kind, n, earlier):
+    if kind == "duplicate":  # exactly tied gains, which the first candidate must win
+        return earlier[int(rng.integers(len(earlier)))] if earlier else rng.normal(size=n)
     if kind == "continuous":
         return rng.normal(size=n)
     if kind == "low-cardinality":
@@ -123,12 +125,32 @@ def _column(rng, kind, n):
     return np.round(rng.normal(size=n), 1)  # "ties": a few dozen distinct values
 
 
+_BIG = (np.finfo(float).max / 2) ** 0.5
+
+
+def _target(rng, kind, n):
+    if kind == "overflow-edge":
+        # The squares of rows 0 and 1 sum to one ulp below the largest double,
+        # and the others square to just under half that ulp. So a running sum
+        # of squares overflows only when four of the others come before both
+        # big rows: gains are NaN for some candidate orders and finite for others.
+        y = rng.choice([-1.0, 1.0], n) * 0.99**0.5 * 2.0**485
+        y[:2] = _BIG, -_BIG
+        return y
+    # "huge": squares and sums of squares overflow, so gains are +-inf or NaN.
+    lo, hi = {"normal": (-3, 3), "huge": (150, 154)}[kind]
+    return rng.normal(size=n) * 10.0 ** rng.uniform(lo, hi)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 150),
     kinds=st.lists(
-        st.sampled_from(["continuous", "low-cardinality", "constant", "signed-zeros", "ties"]),
+        st.sampled_from(
+            ["continuous", "low-cardinality", "constant", "signed-zeros", "ties", "duplicate"]
+        ),
         min_size=1,
         max_size=6,
     ),
@@ -138,13 +160,25 @@ def _column(rng, kind, n):
     max_depth=st.integers(1, 12),
     candidates=st.integers(1, 6),
     block_cells=st.sampled_from([1, 7, 100, 1 << 17]),
+    target=st.sampled_from(["normal", "huge", "overflow-edge"]),
 )
+# Pinned: a candidate with NaN gains ahead of one that splits, which must not
+# hide it; and a column tied with an earlier one, whose first cut must win.
+@example(seed=1, n=10, kinds=["continuous"] * 4, bootstrap=False, min_samples_split=2,
+         leaf_edge="one", max_depth=3, candidates=6, block_cells=1 << 17,
+         target="overflow-edge")
+@example(seed=0, n=10, kinds=["continuous", "duplicate"], bootstrap=False, min_samples_split=2,
+         leaf_edge="one", max_depth=3, candidates=6, block_cells=1 << 17, target="normal")
 def test_grow_tree_matches_reference_bit_for_bit(
-    seed, n, kinds, bootstrap, min_samples_split, leaf_edge, max_depth, candidates, block_cells
+    seed, n, kinds, bootstrap, min_samples_split, leaf_edge, max_depth, candidates, block_cells,
+    target,
 ):
     rng = np.random.default_rng(seed)
-    X = np.column_stack([_column(rng, kind, n) for kind in kinds])
-    y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+    columns = []
+    for kind in kinds:
+        columns.append(_column(rng, kind, n, columns))
+    X = np.column_stack(columns)
+    y = _target(rng, target, n)
     rows = np.sort(rng.choice(n, size=n, replace=True)) if bootstrap else np.arange(n)
     min_samples_leaf = {
         "one": 1,
