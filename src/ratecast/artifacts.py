@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import reprlib
 import types
 import typing
 from dataclasses import MISSING, asdict, fields
@@ -77,7 +78,7 @@ class JsonArtifact:
         required = [f.name for f in declared if f.default is f.default_factory is MISSING]
         if not isinstance(payload, dict):
             holding = f" with fields {', '.join(map(repr, required))}" if required else ""
-            raise ValueError(f"must be a JSON object{holding}, got {payload!r}")
+            raise ValueError(f"must be a JSON object{holding}, got {reprlib.repr(payload)}")
         if cls.unknown_key and (extra := payload.keys() - {f.name for f in declared}):
             raise ValueError(f"unknown {cls.unknown_key} {min(extra)!r}")
         kwargs = {}
@@ -88,7 +89,8 @@ class JsonArtifact:
                     raise ValueError(f"lacks field {f.name!r}")
             elif not _matches(tp, value):
                 what = _NAMES.get(tp, f.type)
-                raise ValueError(f"field {f.name!r} must be {what}, got {value!r}")
+                # abridged: a model's trees can run to megabytes
+                raise ValueError(f"field {f.name!r} must be {what}, got {reprlib.repr(value)}")
             else:
                 kwargs[f.name] = tuple(value) if typing.get_origin(tp) is tuple else value
         return cls(**kwargs)

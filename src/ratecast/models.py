@@ -20,6 +20,9 @@ from .tree import RegressionTree, grow_tree, rank_columns
 
 MODEL_FORMAT_VERSION = 1
 
+#: The most trees one fit grows: an int64 ``n_estimators`` could fit for ever.
+MAX_ESTIMATORS = 100_000
+
 
 @dataclass(frozen=True)
 class HyperParams(JsonArtifact):
@@ -50,6 +53,8 @@ class HyperParams(JsonArtifact):
         for name in ("n_estimators", "max_depth", "min_samples_split", "min_samples_leaf"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        if self.n_estimators > MAX_ESTIMATORS:
+            raise ValueError(f"n_estimators must be at most {MAX_ESTIMATORS}")
         if self.min_samples_leaf > self.min_samples_split:
             raise ValueError("min_samples_leaf must not exceed min_samples_split")
         if self.max_features <= 0:
@@ -143,7 +148,7 @@ def _grow_options(params: HyperParams, X: np.ndarray, rng: np.random.Generator) 
         min_samples_leaf=params.min_samples_leaf,
         n_candidate_features=params.resolve_max_features(X.shape[1]),
         rng=rng,
-        ranked=rank_columns(X),
+        ranks=rank_columns(X),
     )
 
 
@@ -264,21 +269,41 @@ def feature_importance(model: GbtModel | RfModel) -> list[tuple[str, float]]:
     return pairs
 
 
+@dataclass
+class ModelFile(JsonArtifact):
+    """``model.json``: one fitted ensemble, as :func:`model_to_dict` writes it.
+
+    ``base_prediction`` and ``train_loss`` belong to a boosted model and
+    ``bootstrap`` to a forest; a field that is None is left out of the file.
+    """
+
+    format_version: int
+    family: str
+    params: dict
+    feature_names: list[str]
+    importances: list[float]
+    trees: list[dict]
+    base_prediction: float | None = None
+    train_loss: list[float] | None = None
+    bootstrap: bool | None = None
+
+    def to_dict(self) -> dict:
+        return {f.name: v for f in fields(self) if (v := getattr(self, f.name)) is not None}
+
+
 def model_to_dict(model: GbtModel | RfModel) -> dict:
-    payload = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "family": "gbt" if isinstance(model, GbtModel) else "rf",
-        "params": model.params.to_dict(),
-        "feature_names": model.feature_names,
-        "importances": model.importances.tolist(),
-        "trees": [t.to_dict() for t in model.trees],
-    }
-    if isinstance(model, GbtModel):
-        payload["base_prediction"] = model.base_prediction
-        payload["train_loss"] = model.train_loss
-    else:
-        payload["bootstrap"] = model.bootstrap
-    return payload
+    gbt = isinstance(model, GbtModel)
+    return ModelFile(
+        format_version=MODEL_FORMAT_VERSION,
+        family="gbt" if gbt else "rf",
+        params=model.params.to_dict(),
+        feature_names=model.feature_names,
+        importances=model.importances.tolist(),
+        trees=[t.to_dict() for t in model.trees],
+        base_prediction=model.base_prediction if gbt else None,
+        train_loss=model.train_loss if gbt else None,
+        bootstrap=None if gbt else model.bootstrap,
+    ).to_dict()
 
 
 def model_from_dict(payload: dict) -> GbtModel | RfModel:
@@ -286,65 +311,38 @@ def model_from_dict(payload: dict) -> GbtModel | RfModel:
 
     Raises ValueError naming the missing or malformed field.
     """
-    if not isinstance(payload, dict):
-        raise ValueError("model must be a JSON object")
-    version = payload.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version: {version!r}")
-    family = payload.get("family")
-    if family not in ("gbt", "rf"):
-        raise ValueError(f"unknown model family: {family!r}")
-    required = ["params", "feature_names", "importances", "trees"]
-    if family == "gbt":
-        required.append("base_prediction")
-    for name in required:
-        if name not in payload:
-            raise ValueError(f"model lacks field {name!r}")
-
-    def read(name: str, convert, default=None):
-        try:
-            return convert(payload.get(name, default))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"field {name!r}: {exc}") from None
-
-    def read_finite(name: str, convert):
-        value = read(name, convert)
-        if not np.isfinite(value).all():
+    # A file of another version may lay its fields out differently.
+    if isinstance(payload, dict) and payload.get("format_version") != MODEL_FORMAT_VERSION:
+        raise ValueError(f"unsupported model format version: {payload.get('format_version')!r}")
+    file = ModelFile.from_dict(payload)
+    if file.family not in ("gbt", "rf"):
+        raise ValueError(f"unknown model family: {file.family!r}")
+    if file.family == "gbt" and file.base_prediction is None:
+        raise ValueError("lacks field 'base_prediction'")
+    for name in ("importances", "base_prediction"):
+        value = getattr(file, name)
+        if value is not None and not np.isfinite(value).all():
             raise ValueError(f"field {name!r} holds a non-finite number")
-        return value
-
-    params = read("params", HyperParams.from_dict)
-    feature_names = read("feature_names", list)
-
-    def read_trees(trees: list) -> list[RegressionTree]:
-        out = []
-        for i, tree in enumerate(trees):
-            try:
-                out.append(RegressionTree.from_dict(tree, len(feature_names)))
-            except ValueError as exc:
-                raise ValueError(f"tree {i}: {exc}") from None
-        return out
-
-    trees = read("trees", read_trees)
-    importances = read_finite("importances", lambda v: np.asarray(v, dtype=float))
-    if importances.shape != (len(feature_names),):
-        raise ValueError(f"field 'importances' must be a list of {len(feature_names)} numbers")
-    if family == "gbt":
-        return GbtModel(
-            params=params,
-            feature_names=feature_names,
-            base_prediction=read_finite("base_prediction", float),
-            trees=trees,
-            importances=importances,
-            train_loss=read("train_loss", lambda losses: [float(v) for v in losses], []),
-        )
-    return RfModel(
-        params=params,
-        feature_names=feature_names,
-        trees=trees,
-        importances=importances,
-        bootstrap=bool(payload.get("bootstrap", True)),
-    )
+    n_features = len(file.feature_names)
+    if len(file.importances) != n_features:
+        raise ValueError(f"field 'importances' must be a list of {n_features} numbers")
+    try:
+        params = HyperParams.from_dict(file.params)
+    except ValueError as exc:
+        raise ValueError(f"field 'params': {exc}") from None
+    trees = []
+    for i, tree in enumerate(file.trees):
+        try:
+            trees.append(RegressionTree.from_dict(tree, n_features))
+        except ValueError as exc:
+            raise ValueError(f"tree {i}: {exc}") from None
+    common = dict(params=params, feature_names=file.feature_names, trees=trees,
+                  importances=np.asarray(file.importances, dtype=float))
+    if file.family == "gbt":
+        # JSON integers are numbers too; predict_raw adds float trees onto the base.
+        return GbtModel(**common, base_prediction=float(file.base_prediction),
+                        train_loss=[float(v) for v in file.train_loss or []])
+    return RfModel(**common, bootstrap=True if file.bootstrap is None else file.bootstrap)
 
 
 def save_model(model: GbtModel | RfModel, path: str) -> None:

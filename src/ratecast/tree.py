@@ -11,7 +11,6 @@ small integer ranks rather than floats, for all its candidates at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -99,43 +98,35 @@ class RegressionTree:
 _BLOCK_CELLS = 1 << 17
 
 
-class RankedColumns(NamedTuple):
-    """A training matrix laid out for split search, built once per fit.
+def rank_columns(X: np.ndarray) -> np.ndarray:
+    """Dense column ranks of a finite 2-d ``X``, feature-major: row ``f`` ranks column ``f``.
 
-    ``values`` is a feature-major float64 copy of ``X``. ``ranks`` holds the
-    dense rank of every value within its column: equal values (``-0.0`` and
-    ``0.0`` among them) share a rank, so a stable sort of ranks orders rows
-    exactly as a stable sort of values would. Ranks are ``uint16``, which
-    numpy's stable argsort radix-sorts, unless a column has more than 65,536
-    distinct values; then they are ``uint32``.
+    Equal values (``-0.0`` and ``0.0`` among them) share a rank, so a stable
+    sort of ranks orders rows exactly as a stable sort of values would. Ranks
+    are ``uint16``, which numpy's stable argsort radix-sorts, unless a column
+    has more than 65,536 distinct values; then they are ``uint32``.
     """
-
-    values: np.ndarray
-    ranks: np.ndarray
-
-
-def rank_columns(X: np.ndarray) -> RankedColumns:
-    """Feature-major values and dense column ranks of a finite 2-d ``X``."""
-    values = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
-    ranks = np.empty(values.shape, dtype=np.uint32)
+    X = np.asarray(X, dtype=np.float64)
+    ranks = np.empty(X.shape[::-1], dtype=np.uint32)
     n_distinct = 0
-    for f, column in enumerate(values):
-        distinct, ranks[f] = np.unique(column, return_inverse=True)
+    for f in range(X.shape[1]):
+        distinct, ranks[f] = np.unique(X[:, f], return_inverse=True)
         n_distinct = max(n_distinct, distinct.size)
     if n_distinct <= 1 << 16:
         ranks = ranks.astype(np.uint16)
-    return RankedColumns(values, ranks)
+    return ranks
 
 
 def _best_split(
-    ranked: RankedColumns,
+    X: np.ndarray,
+    ranks: np.ndarray,
     candidates: np.ndarray,
     node_rows: np.ndarray,
     ys: np.ndarray,
     parent_sse: float,
     min_samples_leaf: int,
-) -> tuple[float, int, float] | None:
-    """(gain, feature, threshold) of the best cut over ``candidates``, or None.
+) -> tuple[float, int, float, int] | None:
+    """(gain, feature, threshold, rank) of the best cut over ``candidates``, or None.
 
     Candidates are searched in blocks of at most ``_BLOCK_CELLS`` rank cells,
     one row per candidate. Rows constant in the node are dropped; the rest get
@@ -143,6 +134,8 @@ def _best_split(
     cuts between distinct values are scored, in row-major order, so the first
     argmax is the first candidate's first best cut. A candidate with a NaN gain
     is skipped; one wins only with a gain above zero and every earlier one's.
+    ``rank`` is the rank of the value just below the cut: in the node, a row
+    has a rank at most ``rank`` exactly when its value is at most ``threshold``.
     """
     n = node_rows.size
     # Cut c sends sorted positions 0..c left; each side keeps at least one row
@@ -151,14 +144,14 @@ def _best_split(
     lo, hi = leaf - 1, n - leaf
     if lo >= hi:
         return None
-    best: tuple[float, int, float] | None = None
+    best: tuple[float, int, float, int] | None = None
     best_gain = 0.0
     per_block = max(1, _BLOCK_CELLS // n)
-    n_total = ranked.ranks.shape[1]
+    n_total = ranks.shape[1]
     for start in range(0, candidates.size, per_block):
         block = candidates[start : start + per_block]
         # Flat takes: cheaper than 2-d fancy indexing at every node size.
-        block_ranks = ranked.ranks.take(block[:, None] * n_total + node_rows)
+        block_ranks = ranks.take(block[:, None] * n_total + node_rows)
         varies = block_ranks.min(1) != block_ranks.max(1)
         if not varies.all():
             block, block_ranks = block[varies], block_ranks[varies]
@@ -189,11 +182,11 @@ def _best_split(
         if gains[i] > best_gain:
             best_gain = float(gains[i])
             f, r, c = int(block[row[i]]), row[i], cut[i]
-            low, high = ranked.values[f, node_rows[order[r, c : c + 2]]]
+            low, high = X[node_rows[order[r, c : c + 2]], f]
             threshold = (low + high) / 2.0
             if threshold >= high:  # midpoint collapsed onto the right value
                 threshold = low
-            best = (best_gain, f, float(threshold))
+            best = (best_gain, f, float(threshold), int(sorted_ranks[r, c]))
     return best
 
 
@@ -207,7 +200,7 @@ def grow_tree(
     min_samples_leaf: int,
     n_candidate_features: int,
     rng: np.random.Generator,
-    ranked: RankedColumns | None = None,
+    ranks: np.ndarray | None = None,
 ) -> RegressionTree:
     """Fit one tree on ``X[rows]``/``y[rows]`` (rows may repeat for bootstraps).
 
@@ -219,12 +212,12 @@ def grow_tree(
     rows, is constant in target, or no candidate cut strictly reduces the
     total squared error while leaving ``min_samples_leaf`` rows per side.
 
-    ``ranked`` is ``rank_columns(X)``; a caller that grows several trees on
+    ``ranks`` is ``rank_columns(X)``; a caller that grows several trees on
     one ``X`` passes it so the columns are ranked once per fit. ``X`` must
     be finite.
     """
-    if ranked is None:
-        ranked = rank_columns(X)
+    if ranks is None:
+        ranks = rank_columns(X)
     n_features = X.shape[1]
     feature: list[int] = []
     threshold: list[float] = []
@@ -260,11 +253,11 @@ def grow_tree(
             candidates = np.arange(n_features)
         else:
             candidates = rng.choice(n_features, size=n_candidate_features, replace=False)
-        found = _best_split(ranked, candidates, node_rows, ys, parent_sse, min_samples_leaf)
+        found = _best_split(X, ranks, candidates, node_rows, ys, parent_sse, min_samples_leaf)
         if found is None:
             continue
-        best_gain, best_feature, best_threshold = found
-        goes_left = ranked.values[best_feature].take(node_rows) <= best_threshold
+        best_gain, best_feature, best_threshold, cut_rank = found
+        goes_left = ranks[best_feature].take(node_rows) <= cut_rank
         rows_left = node_rows[goes_left]
         rows_right = node_rows[~goes_left]
         gains[best_feature] += best_gain

@@ -17,7 +17,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .artifacts import JsonArtifact
-from .models import GbtModel, HyperParams, RfModel, fit_gbt, fit_rf, predict
+from .models import MAX_ESTIMATORS, GbtModel, HyperParams, RfModel, fit_gbt, fit_rf, predict
 from .models import _validate_training_input
 
 ModelFamily = Literal["gbt", "rf"]
@@ -90,6 +90,8 @@ class HyperParamSpace(JsonArtifact):
             )
         if self.subsample[1] > 1:
             raise ValueError("subsample range must stay within (0, 1]")
+        if self.n_estimators[1] > MAX_ESTIMATORS:
+            raise ValueError(f"n_estimators range must stay within [1, {MAX_ESTIMATORS}]")
 
 
 def _uniform_int(rng: np.random.Generator, bounds: tuple[int, int]) -> int:

@@ -16,7 +16,7 @@ import pytest
 from ratecast.artifacts import JsonArtifact
 from ratecast.events import CleaningReport
 from ratecast.features import FeaturesMeta
-from ratecast.models import HyperParams
+from ratecast.models import HyperParams, ModelFile
 from ratecast.validation import CvBest, CvConfig, CvReport, EvalReport, HyperParamSpace
 
 _HYPERPARAMS = HyperParams(learning_rate=0.05, n_estimators=7, max_features=0.5, seed=3)
@@ -46,6 +46,19 @@ EXAMPLES = [
     ),
     EvalReport(rmse_mbs=88.5, n_test=100, split=0.9, test_subset=None, seed=6,
                timing={"wall_s": 0.1}),
+    # Every field set: to_dict leaves out the ones that are None.
+    ModelFile(
+        format_version=1,
+        family="gbt",
+        params=_PARAMS,
+        feature_names=["A.file_size"],
+        importances=[1.0],
+        trees=[{"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1],
+                "value": [2.5], "n_node_samples": [4], "feature_gains": [0.0]}],
+        base_prediction=2.5,
+        train_loss=[0.5],
+        bootstrap=True,
+    ),
 ]
 
 

@@ -292,6 +292,11 @@ def _with_bogus_param(model):
     return model
 
 
+def _with_too_many_estimators(model):
+    model["params"]["n_estimators"] = 100_001
+    return model
+
+
 @pytest.mark.parametrize(
     "command, flag, make_payload, field",
     [
@@ -303,6 +308,7 @@ def _with_bogus_param(model):
         ("train", "--params", lambda model: {"learning_rate": float("nan")}, "learning_rate"),
         ("train", "--params", lambda model: {"learning_rate": 10**400}, "learning_rate"),
         ("train", "--params", lambda model: {"n_estimators": 10**400}, "n_estimators"),
+        ("train", "--params", lambda model: {"n_estimators": 100_001}, "n_estimators"),
         ("train", "--params", lambda model: {"max_features": float("inf")}, "max_features"),
         ("train", "--from-cv", lambda model: {"best_params": {"subsample": float("nan")}},
          "subsample"),
@@ -310,6 +316,7 @@ def _with_bogus_param(model):
          "base_prediction"),
         ("eval", "--model", _without_trees, "trees"),
         ("eval", "--model", _with_bogus_param, "bogus"),
+        ("eval", "--model", _with_too_many_estimators, "n_estimators"),
         ("eval", "--model", lambda model: json.dumps(model)[:40], "line 1"),
         ("eval", "--model", lambda model: dict(model, trees=5), "trees"),
         ("eval", "--model", lambda model: dict(model, trees=[[1]]), "trees"),
@@ -324,11 +331,13 @@ def _with_bogus_param(model):
         "params-with-nan-learning-rate",
         "params-with-learning-rate-too-large-for-a-float",
         "params-with-count-past-int64",
+        "params-above-max-estimators",
         "params-with-infinite-max-features",
         "cv-with-nan-subsample",
         "model-with-nan-base-prediction",
         "model-without-trees",
         "model-with-unknown-param",
+        "model-params-above-max-estimators",
         "truncated-model",
         "model-with-number-for-trees",
         "model-with-list-for-tree",
@@ -365,7 +374,10 @@ _FEATURES_META = {"groups": ["A"], "column_meta": []}
         ("--eval", 7, "rmse_mbs"),
         ("--features-meta", [], "groups"),
         ("--cv", [], "best_index"),
-        ("--model", "trees=5", "trees"),
+        ("--model", lambda model: dict(model, trees=5), "trees"),
+        ("--model", lambda model: dict(model, feature_names=[*model["feature_names"][1:], 1]),
+         "feature_names"),
+        ("--model", lambda model: dict(model, family="rf", bootstrap="no"), "bootstrap"),
         ("--eval", {"rmse_mbs": None}, "rmse_mbs"),
         ("--eval", {"rmse_mbs": "1.0"}, "rmse_mbs"),
         ("--eval", {"rmse_mbs": 10**400}, "rmse_mbs"),
@@ -386,6 +398,7 @@ _FEATURES_META = {"groups": ["A"], "column_meta": []}
     ],
     ids=["clean-report-without-counts", "eval-without-rmse", "eval-list", "eval-number",
          "features-meta-list", "cv-list", "model-with-number-for-trees",
+         "model-with-number-in-feature-names", "model-with-string-bootstrap",
          "eval-null-rmse", "eval-string-rmse", "eval-rmse-too-large-for-a-float",
          "eval-number-for-timing",
          "features-meta-number-for-groups", "features-meta-number-in-groups",
@@ -397,8 +410,8 @@ _FEATURES_META = {"groups": ["A"], "column_meta": []}
 )
 def test_report_of_misshapen_artifact_exits_1_without_traceback(tmp_path, capsys, flag, payload,
                                                                 field):
-    if payload == "trees=5":
-        payload = dict(_static_features_and_model(str(tmp_path), 60), trees=5)
+    if callable(payload):
+        payload = payload(_static_features_and_model(str(tmp_path), 60))
     path = tmp_path / "artifact.json"
     path.write_text(json.dumps(payload))
     capsys.readouterr()
@@ -622,9 +635,10 @@ def test_non_finite_target_in_a_test_only_row_exits_1(tmp_path, capsys):
         ({"learning_rate": [0.1, float("inf")]}, "'learning_rate' must be a [lo, hi] pair"),
         ({"bogus": [1, 2]}, "unknown hyperparameter 'bogus'"),
         ({"max_depth": [5, 3]}, "empty range for max_depth"),
+        ({"n_estimators": [10, 100_001]}, "n_estimators range must stay within [1, 100000]"),
     ],
     ids=["list", "scalar", "fractional-int", "triple", "too-large-for-a-float", "past-int64",
-         "string", "infinite", "unknown-key", "empty-range"],
+         "string", "infinite", "unknown-key", "empty-range", "above-max-estimators"],
 )
 def test_bad_space_file_exits_1(tmp_path, capsys, space, detail):
     d = str(tmp_path)

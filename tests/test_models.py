@@ -122,6 +122,10 @@ def _column(rng, kind, n, earlier):
         return np.full(n, 2.5)
     if kind == "signed-zeros":
         return rng.choice([-0.0, 0.0, -1.5, 1.5], n)
+    if kind == "zero-edge":  # thresholds -5e-324 (the midpoint -0.0 is not below 0.0) and 0.0
+        return rng.choice([-5e-324, -0.0, 0.0, 5e-324], n)
+    if kind == "adjacent":  # adjacent doubles: the first midpoint rounds up onto 1 + 2**-51
+        return rng.choice(1.0 + np.arange(1, 4) * 2.0**-52, n)
     return np.round(rng.normal(size=n), 1)  # "ties": a few dozen distinct values
 
 
@@ -149,7 +153,8 @@ def _target(rng, kind, n):
     n=st.integers(2, 150),
     kinds=st.lists(
         st.sampled_from(
-            ["continuous", "low-cardinality", "constant", "signed-zeros", "ties", "duplicate"]
+            ["continuous", "low-cardinality", "constant", "signed-zeros", "zero-edge",
+             "adjacent", "ties", "duplicate"]
         ),
         min_size=1,
         max_size=6,
@@ -163,12 +168,18 @@ def _target(rng, kind, n):
     target=st.sampled_from(["normal", "huge", "overflow-edge"]),
 )
 # Pinned: a candidate with NaN gains ahead of one that splits, which must not
-# hide it; and a column tied with an earlier one, whose first cut must win.
+# hide it; a column tied with an earlier one, whose first cut must win; cuts at
+# 0.0 and below -0.0, where -0.0 and 0.0 rows must go the same way; and a
+# midpoint that collapses onto the higher of two adjacent doubles.
 @example(seed=1, n=10, kinds=["continuous"] * 4, bootstrap=False, min_samples_split=2,
          leaf_edge="one", max_depth=3, candidates=6, block_cells=1 << 17,
          target="overflow-edge")
 @example(seed=0, n=10, kinds=["continuous", "duplicate"], bootstrap=False, min_samples_split=2,
          leaf_edge="one", max_depth=3, candidates=6, block_cells=1 << 17, target="normal")
+@example(seed=2, n=40, kinds=["zero-edge"], bootstrap=False, min_samples_split=2,
+         leaf_edge="one", max_depth=4, candidates=1, block_cells=1 << 17, target="normal")
+@example(seed=3, n=40, kinds=["adjacent"], bootstrap=False, min_samples_split=2,
+         leaf_edge="one", max_depth=4, candidates=1, block_cells=1 << 17, target="normal")
 def test_grow_tree_matches_reference_bit_for_bit(
     seed, n, kinds, bootstrap, min_samples_split, leaf_edge, max_depth, candidates, block_cells,
     target,
@@ -196,7 +207,7 @@ def test_grow_tree_matches_reference_bit_for_bit(
     want_rng = np.random.default_rng(seed)
     # Small budgets split even a node's few candidates over several blocks.
     with mock.patch.object(ratecast.tree, "_BLOCK_CELLS", block_cells):
-        got = grow_tree(X, y, rows, rng=got_rng, ranked=rank_columns(X), **kwargs)
+        got = grow_tree(X, y, rows, rng=got_rng, ranks=rank_columns(X), **kwargs)
     want = reference_grow_tree(X, y, rows, rng=want_rng, **kwargs)
     for name in RegressionTree.__dataclass_fields__:
         a, b = getattr(got, name), getattr(want, name)
@@ -206,15 +217,13 @@ def test_grow_tree_matches_reference_bit_for_bit(
 
 def test_rank_columns_shares_ranks_between_equal_values():
     X = np.array([[0.0, 3.0], [-0.0, 1.0], [2.5, 3.0], [-1.0, 2.0]])
-    ranked = rank_columns(X)
-    assert ranked.values.flags.c_contiguous
-    assert ranked.values.tobytes() == np.ascontiguousarray(X.T).tobytes()
-    assert ranked.ranks.dtype == np.uint16
-    np.testing.assert_array_equal(ranked.ranks, [[1, 1, 2, 0], [2, 0, 2, 1]])
-    assert rank_columns(np.arange(65_536.0)[:, None]).ranks.dtype == np.uint16
+    ranks = rank_columns(X)
+    assert ranks.dtype == np.uint16
+    np.testing.assert_array_equal(ranks, [[1, 1, 2, 0], [2, 0, 2, 1]])
+    assert rank_columns(np.arange(65_536.0)[:, None]).dtype == np.uint16
     many = rank_columns(np.arange(65_537.0)[::-1, None])
-    assert many.ranks.dtype == np.uint32
-    np.testing.assert_array_equal(many.ranks[0], np.arange(65_537)[::-1])
+    assert many.dtype == np.uint32
+    np.testing.assert_array_equal(many[0], np.arange(65_537)[::-1])
 
 
 # ------------------------------------------------------------------------- GBT
@@ -473,6 +482,25 @@ def _two_tree_payload():
     return json.loads(json.dumps(model_to_dict(fit_gbt(X, y, params))))
 
 
+def test_model_load_takes_integers_for_numbers():
+    payload = _two_tree_payload()
+    payload["base_prediction"] = 3
+    payload["train_loss"] = [0, 1]
+    loaded = model_from_dict(payload)
+    assert isinstance(loaded.base_prediction, float) and loaded.base_prediction == 3.0
+    assert [type(v) for v in loaded.train_loss] == [float, float]
+    # trees add float64 outputs onto the base, which an integer base would refuse
+    assert predict_raw(loaded, np.zeros((2, 3))).dtype == np.float64
+
+
+def test_bad_tree_among_many_is_quoted_in_short():
+    payload = _two_tree_payload()
+    payload["trees"] = payload["trees"] * 50 + [[1]]
+    with pytest.raises(ValueError, match=r"field 'trees' must be list\[dict\]") as info:
+        model_from_dict(payload)
+    assert len(str(info.value)) < 2_000  # quoted in full, the trees take 45 kB
+
+
 def _set_tree(index, name, value):
     def mutate(payload):
         payload["trees"][index][name] = value
@@ -525,6 +553,10 @@ def _nan_learning_rate(payload):
     payload["params"]["learning_rate"] = float("nan")
 
 
+def _without_base_prediction(payload):
+    del payload["base_prediction"]
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -545,11 +577,13 @@ def _nan_learning_rate(payload):
         (_nan_base_prediction, "field 'base_prediction' holds a non-finite"),
         (_infinite_importance, "field 'importances' holds a non-finite"),
         (_nan_learning_rate, "field 'params': learning_rate must be finite"),
+        (_without_base_prediction, "lacks field 'base_prediction'"),
     ],
     ids=["short-left", "short-value", "short-gains", "two-dimensional", "empty",
          "feature-past-columns", "feature-below-leaf-mark", "child-loops-back",
          "leaf-with-child", "short-importances", "nan-threshold", "infinite-value",
-         "infinite-gain", "nan-base-prediction", "infinite-importance", "nan-learning-rate"],
+         "infinite-gain", "nan-base-prediction", "infinite-importance", "nan-learning-rate",
+         "gbt-without-base-prediction"],
 )
 def test_model_load_rejects_misshapen_trees(mutate, message):
     payload = _two_tree_payload()
