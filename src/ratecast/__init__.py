@@ -49,11 +49,10 @@ from .validation import (
     CvConfig,
     CvResult,
     FoldSpec,
-    HoldoutResult,
     HyperParamSpace,
     chronological_split,
     fit_family,
-    holdout_eval,
+    holdout_rows,
     make_folds,
     nested_cv,
     rmse,

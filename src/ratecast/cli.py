@@ -43,10 +43,9 @@ from .validation import (
     EvalReport,
     HyperParamSpace,
     fit_family,
-    chronological_split,
+    holdout_rows,
     nested_cv,
     rmse,
-    subset_rows,
 )
 
 
@@ -174,9 +173,7 @@ def _resolve_params(args: argparse.Namespace) -> HyperParams:
 def _cmd_train(args: argparse.Namespace) -> int:
     X, names, _, y = _load_features(args.features)
     params = _resolve_params(args)
-    n_train = chronological_split(X.shape[0], args.split)
-    rng = np.random.default_rng(args.seed)
-    rows = subset_rows(0, n_train, args.train_subset, rng, "train_subset")
+    rows = holdout_rows(X.shape[0], args.split, args.train_subset, None, args.seed)[0]
     model = fit_family(args.family, X[rows], y[rows], params, names)
     save_model(model, args.out)
     print(f"trained {args.family} on {rows.size} rows, saved to {args.out}")
@@ -189,9 +186,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     if names != model.feature_names:
         raise ValueError("feature columns do not match the model's training columns")
-    n_train = chronological_split(X.shape[0], args.split)
-    rng = np.random.default_rng(args.seed)
-    rows = subset_rows(n_train, X.shape[0], args.test_subset, rng, "test_subset")
+    rows = holdout_rows(X.shape[0], args.split, None, args.test_subset, args.seed)[1]
     preds = predict(model, X[rows])
     actual = y[rows]
     score = rmse(preds, actual)

@@ -284,14 +284,22 @@ def subset_rows(
     return np.sort(lo + rng.choice(hi - lo, size=size, replace=False))
 
 
-@dataclass
-class HoldoutResult:
-    rmse_mbs: float
-    n_train: int
-    train_rows: np.ndarray
-    test_rows: np.ndarray
-    predictions: np.ndarray
-    actuals: np.ndarray
+def holdout_rows(
+    n_rows: int, split: float, train_size: int | None, test_size: int | None, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(train rows, test rows) of a chronological holdout of ``n_rows`` rows.
+
+    The first ``split`` of the rows train and the rest test. Each side is
+    either whole or a sorted draw of ``train_size``/``test_size`` of its rows
+    from its own ``default_rng(seed)``, so neither side depends on the other's
+    size: ``eval`` rebuilds the test side of ``train``'s split without knowing
+    its ``--train-subset``.
+    """
+    n_train = chronological_split(n_rows, split)
+    return (
+        subset_rows(0, n_train, train_size, np.random.default_rng(seed), "train_subset"),
+        subset_rows(n_train, n_rows, test_size, np.random.default_rng(seed), "test_subset"),
+    )
 
 
 @dataclass(frozen=True)
@@ -304,38 +312,3 @@ class EvalReport(JsonArtifact):
     test_subset: int | None = None
     seed: int | None = None
     timing: dict | None = None
-
-
-def holdout_eval(
-    X: np.ndarray,
-    y: np.ndarray,
-    params: HyperParams,
-    family: ModelFamily = "gbt",
-    split: float = 0.9,
-    train_subset: int | None = None,
-    test_subset: int | None = None,
-    seed: int = 0,
-) -> HoldoutResult:
-    """Chronological holdout: train on the first ``split`` of rows, test on the rest.
-
-    Optional seeded uniform subsets shrink either side, mirroring protocols
-    that retrain on a slice of history and score on a slice of the future.
-    Both subsets come from one ``default_rng(seed)`` stream, train side first.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = X.shape[0]
-    n_train = chronological_split(n, split)
-    rng = np.random.default_rng(seed)
-    train_rows = subset_rows(0, n_train, train_subset, rng, "train_subset")
-    test_rows = subset_rows(n_train, n, test_subset, rng, "test_subset")
-    model = fit_family(family, X[train_rows], y[train_rows], params)
-    preds = predict(model, X[test_rows])
-    return HoldoutResult(
-        rmse_mbs=rmse(preds, y[test_rows]),
-        n_train=n_train,
-        train_rows=train_rows,
-        test_rows=test_rows,
-        predictions=preds,
-        actuals=y[test_rows],
-    )

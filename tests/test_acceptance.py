@@ -30,7 +30,7 @@ from ratecast.models import (
     predict_raw,
 )
 from ratecast.synth import SynthConfig, generate_workload
-from ratecast.validation import CvConfig, chronological_split, holdout_eval, make_folds
+from ratecast.validation import CvConfig, chronological_split, fit_family, holdout_rows, make_folds
 
 WORKLOAD_SEED = 20250808
 N_EVENTS = 50_000
@@ -231,8 +231,9 @@ def test_criterion_04_clamp_contract():
         model = fit_gbt(X[:500], y[:500], params)
         assert predict_raw(model, X[500:]).min() < 0  # the model does emit negatives
         assert predict(model, X[500:]).min() >= 0.0
-        result = holdout_eval(X, y, params, split=0.9)
-        assert result.predictions.min() >= 0.0
+        train_rows, test_rows = holdout_rows(600, 0.9, None, None, 0)
+        holdout_model = fit_family("gbt", X[train_rows], y[train_rows], params)
+        assert predict(holdout_model, X[test_rows]).min() >= 0.0
 
 
 def test_criterion_05_dynamic_lags_beat_static_features(shared):

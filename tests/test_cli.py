@@ -6,7 +6,8 @@ import pytest
 
 from ratecast.cli import main
 from ratecast.features import read_feature_csv
-from ratecast.models import GbtModel, HyperParams, model_to_dict
+from ratecast.models import GbtModel, HyperParams, model_to_dict, save_model
+from ratecast.validation import fit_family, holdout_rows
 
 
 def _read(path):
@@ -137,6 +138,29 @@ def test_artifacts_are_reloadable_midway(tmp_path):
     assert _strip_timing(_read_json(f"{d}/eval2.json")) == _strip_timing(
         _read_json(f"{d}/eval.json")
     )
+
+
+def test_train_and_eval_use_the_rows_of_holdout_rows(tmp_path):
+    d = str(tmp_path)
+    assert main(["synth", "--out", f"{d}/events.csv", "--n", "800", "--seed", "9"]) == 0
+    assert main(["features", "--in", f"{d}/events.csv", "--out", f"{d}/features.csv",
+                 "--groups", "A,D1"]) == 0
+    params = HyperParams(n_estimators=3, max_depth=3, min_samples_split=10, seed=2)
+    (tmp_path / "params.json").write_text(json.dumps(params.to_dict()))
+    assert main(["train", "--features", f"{d}/features.csv", "--out", f"{d}/model.json",
+                 "--params", f"{d}/params.json", "--holdout", "0.8",
+                 "--train-subset", "300", "--seed", "5"]) == 0
+    assert main(["eval", "--features", f"{d}/features.csv", "--model", f"{d}/model.json",
+                 "--pairs", f"{d}/pairs.csv", "--holdout", "0.8",
+                 "--test-subset", "40", "--seed", "5"]) == 0
+    with open(f"{d}/features.csv") as fh:
+        X, names, event_ids, y = read_feature_csv(fh)
+    train_rows, test_rows = holdout_rows(len(y), 0.8, 300, 40, 5)
+    save_model(fit_family("gbt", X[train_rows], y[train_rows], params, names),
+               f"{d}/direct.json")
+    assert (tmp_path / "model.json").read_bytes() == (tmp_path / "direct.json").read_bytes()
+    listed = [int(line.split(",")[0]) for line in _read(f"{d}/pairs.csv").splitlines()[1:]]
+    assert listed == event_ids[test_rows].tolist()
 
 
 def test_static_only_protocol_runs(tmp_path):

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 import ratecast.validation as validation
-from ratecast.models import HyperParams
+from ratecast.models import HyperParams, predict
 from ratecast.validation import (
     CvConfig,
     HyperParamSpace,
     chronological_split,
-    holdout_eval,
+    fit_family,
+    holdout_rows,
     make_folds,
     nested_cv,
     rmse,
@@ -280,6 +281,12 @@ def test_chronological_split_examples():
             chronological_split(n_rows, 0.9)
 
 
+def _holdout_rmse(X, y, params, rows):
+    train_rows, test_rows = rows
+    model = fit_family("gbt", X[train_rows], y[train_rows], params)
+    return rmse(predict(model, X[test_rows]), y[test_rows])
+
+
 def test_holdout_split_rows():
     X = np.arange(10, dtype=float).reshape(-1, 1)
     y = np.full(10, 5.0)
@@ -287,10 +294,10 @@ def test_holdout_split_rows():
         n_estimators=2, max_depth=2, min_samples_split=2, min_samples_leaf=1,
         max_features=1.0, seed=0,
     )
-    result = holdout_eval(X, y, params)
-    np.testing.assert_array_equal(result.train_rows, np.arange(9))
-    np.testing.assert_array_equal(result.test_rows, np.array([9]))
-    assert result.rmse_mbs == 0.0  # constant target is learned exactly
+    rows = holdout_rows(10, 0.9, None, None, 0)
+    np.testing.assert_array_equal(rows[0], np.arange(9))
+    np.testing.assert_array_equal(rows[1], np.array([9]))
+    assert _holdout_rmse(X, y, params, rows) == 0.0  # constant target is learned exactly
 
 
 def test_holdout_subsets_replay_with_seed():
@@ -301,17 +308,22 @@ def test_holdout_subsets_replay_with_seed():
         n_estimators=10, max_depth=3, min_samples_split=2, min_samples_leaf=1,
         max_features=3.0, seed=1,
     )
-    a = holdout_eval(X, y, params, train_subset=100, test_subset=10, seed=42)
-    b = holdout_eval(X, y, params, train_subset=100, test_subset=10, seed=42)
-    np.testing.assert_array_equal(a.train_rows, b.train_rows)
-    np.testing.assert_array_equal(a.test_rows, b.test_rows)
-    assert a.rmse_mbs == b.rmse_mbs
-    c = holdout_eval(X, y, params, train_subset=100, test_subset=10, seed=43)
-    assert not np.array_equal(a.train_rows, c.train_rows)
-    # One stream, train side first.
-    stream = np.random.default_rng(42)
-    np.testing.assert_array_equal(a.train_rows, subset_rows(0, 180, 100, stream, "train_subset"))
-    np.testing.assert_array_equal(a.test_rows, subset_rows(180, 200, 10, stream, "test_subset"))
+    a = holdout_rows(200, 0.9, 100, 10, 42)
+    b = holdout_rows(200, 0.9, 100, 10, 42)
+    np.testing.assert_array_equal(a[0], b[0])
+    np.testing.assert_array_equal(a[1], b[1])
+    assert _holdout_rmse(X, y, params, a) == _holdout_rmse(X, y, params, b)
+    c = holdout_rows(200, 0.9, 100, 10, 43)
+    assert not np.array_equal(a[0], c[0])
+    # Each side from its own stream, so neither depends on the other's size.
+    np.testing.assert_array_equal(
+        a[0], subset_rows(0, 180, 100, np.random.default_rng(42), "train_subset")
+    )
+    np.testing.assert_array_equal(
+        a[1], subset_rows(180, 200, 10, np.random.default_rng(42), "test_subset")
+    )
+    np.testing.assert_array_equal(holdout_rows(200, 0.9, None, 10, 42)[1], a[1])
+    np.testing.assert_array_equal(holdout_rows(200, 0.9, 100, None, 42)[0], a[0])
 
 
 def test_subset_rows_is_the_whole_side_or_a_sorted_draw():
@@ -327,16 +339,10 @@ def test_subset_rows_is_the_whole_side_or_a_sorted_draw():
 
 
 def test_holdout_rejects_oversized_subsets():
-    X = np.arange(20, dtype=float).reshape(-1, 1)
-    y = np.arange(20, dtype=float)
-    params = HyperParams(
-        n_estimators=2, max_depth=2, min_samples_split=2, min_samples_leaf=1,
-        max_features=1.0, seed=0,
-    )
     with pytest.raises(ValueError, match="train_subset"):
-        holdout_eval(X, y, params, train_subset=19)
+        holdout_rows(20, 0.9, 19, None, 0)
     with pytest.raises(ValueError, match="test_subset"):
-        holdout_eval(X, y, params, test_subset=5)
+        holdout_rows(20, 0.9, None, 5, 0)
 
 
 def test_holdout_scoring_clamps_predictions():
@@ -347,9 +353,10 @@ def test_holdout_scoring_clamps_predictions():
         n_estimators=20, max_depth=3, min_samples_split=2, min_samples_leaf=1,
         max_features=2.0, seed=0,
     )
-    result = holdout_eval(X, y, params, split=0.8)
-    assert result.predictions.min() >= 0.0
+    train_rows, test_rows = holdout_rows(100, 0.8, None, None, 0)
+    model = fit_family("gbt", X[train_rows], y[train_rows], params)
+    predictions = predict(model, X[test_rows])
+    assert predictions.min() >= 0.0
     # clamped-at-zero predictions of all-negative targets score like a zero forecast
-    assert result.rmse_mbs == pytest.approx(
-        float(np.sqrt(np.mean(result.actuals**2)))
-    )
+    actuals = y[test_rows]
+    assert rmse(predictions, actuals) == pytest.approx(float(np.sqrt(np.mean(actuals**2))))
