@@ -49,12 +49,6 @@ from .validation import (
 )
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 @contextmanager
 def _naming(path: str):
     """Re-raise a ValueError from the body, its message prefixed by ``path``."""
@@ -62,6 +56,14 @@ def _naming(path: str):
         yield
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _write_json(path: str, payload: dict) -> None:
+    """Write ``payload`` to ``path``; a NaN or infinity is an error, as JSON has neither."""
+    with _naming(path):
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
 
 
 def _read_json(path: str, read):
@@ -366,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -41,7 +41,7 @@ layout replaced; tests/test_synth.py pins their SHA-256.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from operator import itemgetter
 from typing import Iterator
 
@@ -61,13 +61,20 @@ _RUN_GAP_S = (600, 10800)
 _SIZE_HALF_GB = 5.0  # file size at which g() reaches half the base rate
 _STATE_STEP_S = 600  # one AR step per this much idle time on a resource
 _RATE_FLOOR_MBS = 0.5
+# A log factor is normal with std state_sigma times its weight (at most 1.2):
+# at this cap exp() overflows only on a draw past 59 standard deviations.
+_MAX_STATE_SIGMA = 10.0
 # shared file systems swing harder than individual hosts/nodes
 _STATE_SIGMA_WEIGHTS = {"src": 1.2, "host": 0.95, "node": 0.95}
 
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Workload shape, hidden-state dynamics and corruption injection."""
+    """Workload shape, hidden-state dynamics and corruption injection.
+
+    Every float field must be finite, and ``state_sigma`` at most 10, so that
+    no resource factor overflows; an error names the field.
+    """
 
     n_events: int = 10000
     n_instruments: int = 7
@@ -92,6 +99,12 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        if self.state_sigma > _MAX_STATE_SIGMA:
+            raise ValueError(f"state_sigma must be at most 10, got {self.state_sigma}")
         if self.n_events < 0:
             raise ValueError("n_events must be non-negative")
         if self.n_instruments < 1:

@@ -104,16 +104,17 @@ def rank_columns(X: np.ndarray) -> np.ndarray:
     Equal values (``-0.0`` and ``0.0`` among them) share a rank, so a stable
     sort of ranks orders rows exactly as a stable sort of values would. Ranks
     are ``uint16``, which numpy's stable argsort radix-sorts, unless a column
-    has more than 65,536 distinct values; then they are ``uint32``.
+    has more than 65,536 distinct values; then they are ``uint32``. A rank is
+    below the row count, so up to 65,536 rows rank straight into ``uint16``.
     """
     X = np.asarray(X, dtype=np.float64)
-    ranks = np.empty(X.shape[::-1], dtype=np.uint32)
+    ranks = np.empty(X.shape[::-1], dtype=np.uint16 if X.shape[0] <= 1 << 16 else np.uint32)
     n_distinct = 0
     for f in range(X.shape[1]):
         distinct, ranks[f] = np.unique(X[:, f], return_inverse=True)
         n_distinct = max(n_distinct, distinct.size)
     if n_distinct <= 1 << 16:
-        ranks = ranks.astype(np.uint16)
+        ranks = ranks.astype(np.uint16, copy=False)
     return ranks
 
 

@@ -1,10 +1,11 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
-from ratecast.cli import main
+from ratecast.cli import _write_json, main
 from ratecast.features import read_feature_csv
 from ratecast.models import GbtModel, HyperParams, model_to_dict, save_model
 from ratecast.validation import fit_family, holdout_rows
@@ -510,6 +511,19 @@ def test_features_of_an_empty_log_exits_1(tmp_path, capsys):
     assert not (tmp_path / "f.csv").exists()
 
 
+@pytest.mark.parametrize("flag", ["--in", "--out"])
+def test_features_with_a_directory_for_a_file_exits_1_naming_it(tmp_path, capsys, flag):
+    # Both ended in an IsADirectoryError traceback.
+    d = str(tmp_path)
+    assert main(["synth", "--out", f"{d}/events.csv", "--n", "20", "--seed", "4"]) == 0
+    paths = {"--in": f"{d}/events.csv", "--out": f"{d}/f.csv", flag: d}
+    capsys.readouterr()
+    assert main(["features", "--in", paths["--in"], "--out", paths["--out"]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Is a directory" in err and repr(d) in err
+
+
 def _write_log(path, times):
     """A one-key event log with one row per (start_time, stop_time) pair."""
     header = (
@@ -706,6 +720,29 @@ def test_eval_rejects_mismatched_feature_columns(tmp_path):
     assert main(["train", "--features", f"{d}/fa.csv", "--out", f"{d}/model.json",
                  "--params", f"{d}/params.json"]) == 0
     assert main(["eval", "--features", f"{d}/fb.csv", "--model", f"{d}/model.json"]) == 1
+
+
+@pytest.mark.parametrize("flag, value, detail", [
+    # wrote "noise_mbs": Infinity, which is not JSON, into the sidecar
+    ("--noise", "inf", "noise_mbs must be finite, got inf"),
+    # wrote a log of wrapped stop times that features rejected at row 0
+    ("--state-sigma", "inf", "state_sigma must be finite, got inf"),
+    # ended in an OverflowError traceback from exp()
+    ("--state-sigma", "1e300", "state_sigma must be at most 10, got 1e+300"),
+])
+def test_synth_rejects_a_scale_that_is_not_finite_or_overflows(tmp_path, capsys, flag, value,
+                                                               detail):
+    assert main(["synth", "--out", f"{tmp_path}/events.csv", "--n", "50", flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {detail}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_json_artifacts_refuse_nan_and_infinity(tmp_path):
+    path = tmp_path / "a.json"
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^{path}: Out of range float values"):
+            _write_json(str(path), {"x": bad})
+        assert not path.exists()
 
 
 def test_synth_writes_sidecar_with_config(tmp_path):

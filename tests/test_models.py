@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -224,6 +225,32 @@ def test_rank_columns_shares_ranks_between_equal_values():
     many = rank_columns(np.arange(65_537.0)[::-1, None])
     assert many.dtype == np.uint32
     np.testing.assert_array_equal(many[0], np.arange(65_537)[::-1])
+
+
+
+@pytest.mark.parametrize("n_rows", [65_536, 65_537])
+def test_rank_columns_dtype_at_the_uint16_row_bound(n_rows):
+    # Column 0 is all distinct; column 1 has two values.
+    X = np.stack([np.arange(n_rows, 0.0, -1.0), np.arange(n_rows) % 2.0], axis=1)
+    ranks = rank_columns(X)
+    assert ranks.dtype == (np.uint16 if n_rows <= 65_536 else np.uint32)
+    np.testing.assert_array_equal(ranks[0], np.arange(n_rows)[::-1])
+    np.testing.assert_array_equal(ranks[1], np.arange(n_rows) % 2)
+    # Without column 0, no column needs more than uint16.
+    assert rank_columns(X[:, 1:]).dtype == np.uint16
+
+
+def test_rank_columns_holds_no_wider_staging_copy():
+    X = np.random.default_rng(0).normal(size=(60_000, 60))
+    tracemalloc.start()
+    try:
+        ranks = rank_columns(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ranks.dtype == np.uint16
+    # uint32 staging plus its uint16 copy would peak at three times the ranks.
+    assert peak < 2 * ranks.nbytes
 
 
 # ------------------------------------------------------------------------- GBT

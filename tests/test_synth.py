@@ -115,6 +115,12 @@ def test_config_validation():
         SynthConfig(streams_min=4, streams_max=3)
     with pytest.raises(ValueError, match="probabilities"):
         SynthConfig(delayed_stream_prob=1.5)
+    for name in ("chunk_cap_gb", "noise_mbs", "rate_cap_mbs", "delay_boost"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got nan$"):
+            SynthConfig(**{name: float("nan")})
+    assert SynthConfig(state_sigma=10.0).state_sigma == 10.0
+    with pytest.raises(ValueError, match="^state_sigma must be at most 10, got 10.5$"):
+        SynthConfig(state_sigma=10.5)
 
 
 def test_without_dynamics_rate_is_a_pure_function_of_file_size():
