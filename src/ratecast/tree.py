@@ -249,7 +249,8 @@ def grow_tree(
             continue
         if ys.min() == ys.max():
             continue
-        parent_sse = float(ys @ ys) - total * total / n
+        # numpy's own sum, not a BLAS dot, whose summation order is the CPU's kernel's
+        parent_sse = float(np.add.reduce(ys * ys)) - total * total / n
         if n_candidate_features >= n_features:
             candidates = np.arange(n_features)
         else:

@@ -384,7 +384,7 @@ def reference_grow_tree(
         if y_min == y_max:
             continue
         total = float(ys.sum())
-        parent_sse = float(ys @ ys) - total * total / n
+        parent_sse = float(np.add.reduce(ys * ys)) - total * total / n
         if n_candidate_features >= n_features:
             candidates = np.arange(n_features)
         else:

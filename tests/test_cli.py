@@ -1,10 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ratecast
 from ratecast.cli import _write_json, main
 from ratecast.features import read_feature_csv
 from ratecast.models import GbtModel, HyperParams, model_to_dict, save_model
@@ -223,9 +228,19 @@ GOLDEN_SHA256 = {
     "features.csv": "052609a365dbc565a52b9841fdabbb2f15cf474c912be4864df11a6f00109fdd",
     "features.meta.json": "a5ec5c478de6ed974866baa2b2bbe5dac32d7e49c0808921884e5b8ff6b5d801",
     "cv.json": "dc04d05bd417757c76e63f9292f5fb5211cc7b564c64e6f344095bfd9a1e9e39",
-    "model.json": "68a8b38b018572e22a0826ea3498547d267292ecc902e66ba9af40c6cf1e934c",
+    "model.json": "4460a3780a21c30aff1d8df31b40e7de2e73336a075c6dd92eb04a16d12097d6",
     "eval.json": "5cb489cb66f674aca85bb1984b12c06bb4941333a589feba643fde6e4e8abc7f",
 }
+
+
+def _golden_features(d):
+    """The golden chain's synth, clean and features steps, writing into ``d``."""
+    assert main(["synth", "--out", f"{d}/events.csv", "--n", "3000", "--seed", "7",
+                 "--inject-oversize", "2", "--inject-zero", "3"]) == 0
+    assert main(["clean", "--in", f"{d}/events.csv", "--out", f"{d}/cleaned.csv",
+                 "--report", f"{d}/clean.json"]) == 0
+    assert main(["features", "--in", f"{d}/cleaned.csv", "--out", f"{d}/features.csv",
+                 "--meta", f"{d}/features.meta.json", "--groups", "A,B,C1,C2,D1,D2,D3,E"]) == 0
 
 
 def test_artifact_bytes_are_unchanged(tmp_path):
@@ -237,12 +252,7 @@ def test_artifact_bytes_are_unchanged(tmp_path):
     d = str(tmp_path)
     space = dict(SPACE, n_estimators=[5, 10], max_depth=[2, 4])
     (tmp_path / "space.json").write_text(json.dumps(space))
-    assert main(["synth", "--out", f"{d}/events.csv", "--n", "3000", "--seed", "7",
-                 "--inject-oversize", "2", "--inject-zero", "3"]) == 0
-    assert main(["clean", "--in", f"{d}/events.csv", "--out", f"{d}/cleaned.csv",
-                 "--report", f"{d}/clean.json"]) == 0
-    assert main(["features", "--in", f"{d}/cleaned.csv", "--out", f"{d}/features.csv",
-                 "--meta", f"{d}/features.meta.json", "--groups", "A,B,C1,C2,D1,D2,D3,E"]) == 0
+    _golden_features(d)
     assert main(["cv", "--features", f"{d}/features.csv", "--out", f"{d}/cv.json",
                  "--num-params", "2", "--cv-k", "2", "--train-width", "800",
                  "--test-width", "200", "--train-size", "400", "--test-size", "100",
@@ -260,6 +270,29 @@ def test_artifact_bytes_are_unchanged(tmp_path):
             data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
         got[name] = hashlib.sha256(data).hexdigest()
     assert got == GOLDEN_SHA256
+
+
+def test_model_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    """``train`` under OpenBLAS's Haswell kernel writes the bytes it writes here.
+
+    A fit that went through a BLAS call would sum in the kernel's order, which
+    OpenBLAS picks per CPU; on these inputs a BLAS dot in the split search
+    gives other bytes under Haswell than under the SkylakeX kernel. OpenBLAS
+    builds without DYNAMIC_ARCH ignore OPENBLAS_CORETYPE, so there this test
+    passes without checking anything.
+    """
+    d = str(tmp_path)
+    _golden_features(d)
+    (tmp_path / "params.json").write_text('{"n_estimators": 8, "max_depth": 3}')
+    train = ["train", "--features", f"{d}/features.csv", "--params", f"{d}/params.json",
+             "--train-subset", "1000", "--seed", "4"]
+    assert main([*train, "--out", f"{d}/here.json"]) == 0
+    src = str(Path(ratecast.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "ratecast.cli", *train, "--out", f"{d}/haswell.json"],
+                   env=env, check=True, capture_output=True)
+    assert (tmp_path / "haswell.json").read_bytes() == (tmp_path / "here.json").read_bytes()
 
 
 def test_usage_errors_exit_2_and_data_errors_exit_1(tmp_path):
