@@ -49,6 +49,14 @@ from .validation import (
 )
 
 
+def _write_json(path: str, payload: dict) -> None:
+    """Write ``payload`` to ``path``; a NaN or infinity is an error, as JSON has neither."""
+    with _naming(path):
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+
+
 @contextmanager
 def _naming(path: str):
     """Re-raise a ValueError from the body, its message prefixed by ``path``."""
@@ -56,14 +64,6 @@ def _naming(path: str):
         yield
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def _write_json(path: str, payload: dict) -> None:
-    """Write ``payload`` to ``path``; a NaN or infinity is an error, as JSON has neither."""
-    with _naming(path):
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
 
 
 def _read_json(path: str, read):

@@ -61,9 +61,6 @@ _RUN_GAP_S = (600, 10800)
 _SIZE_HALF_GB = 5.0  # file size at which g() reaches half the base rate
 _STATE_STEP_S = 600  # one AR step per this much idle time on a resource
 _RATE_FLOOR_MBS = 0.5
-# A log factor is normal with std state_sigma times its weight (at most 1.2):
-# at this cap exp() overflows only on a draw past 59 standard deviations.
-_MAX_STATE_SIGMA = 10.0
 # shared file systems swing harder than individual hosts/nodes
 _STATE_SIGMA_WEIGHTS = {"src": 1.2, "host": 0.95, "node": 0.95}
 
@@ -103,7 +100,9 @@ class SynthConfig:
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.state_sigma > _MAX_STATE_SIGMA:
+        # A log factor is normal with std state_sigma times its weight (at most
+        # 1.2), so up to 10 exp() overflows only on a draw past 59 std devs.
+        if self.state_sigma > 10:
             raise ValueError(f"state_sigma must be at most 10, got {self.state_sigma}")
         if self.n_events < 0:
             raise ValueError("n_events must be non-negative")
