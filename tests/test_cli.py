@@ -276,10 +276,10 @@ def test_model_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
     """``train`` under OpenBLAS's Haswell kernel writes the bytes it writes here.
 
     A fit that went through a BLAS call would sum in the kernel's order, which
-    OpenBLAS picks per CPU; on these inputs a BLAS dot in the split search
-    gives other bytes under Haswell than under the SkylakeX kernel. OpenBLAS
-    builds without DYNAMIC_ARCH ignore OPENBLAS_CORETYPE, so there this test
-    passes without checking anything.
+    OpenBLAS picks per CPU; on these inputs a BLAS dot for a node's squared
+    targets gives other bytes under Haswell than under the SkylakeX kernel.
+    OpenBLAS builds without DYNAMIC_ARCH ignore OPENBLAS_CORETYPE, so there
+    this test passes without checking anything.
     """
     d = str(tmp_path)
     _golden_features(d)
