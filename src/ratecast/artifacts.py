@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import math
 import reprlib
 import types
 import typing
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, fields
 
 #: What an ``int`` field holds, since numpy keeps counts and seeds as int64.
@@ -13,6 +15,7 @@ _INT64 = range(-(2**63), 2**63)
 
 #: How an error names these types; every other type is named as annotated.
 _NAMES = {
+    float: "a finite number",
     int: "an integer from -2**63 to 2**63 - 1",
     tuple[int, int]: "a [lo, hi] pair of integers with lo >= -2**63 and hi < 2**63 - 1",
     tuple[float, float]: "a [lo, hi] pair of finite numbers",
@@ -33,7 +36,7 @@ def _matches(tp, value) -> bool:
         return any(_matches(arg, value) for arg in args)
     if origin is tuple:
         pair = isinstance(value, list) and len(value) == 2
-        if not (pair and all(_matches(args[0], v) and _finite(v) for v in value)):
+        if not (pair and all(_matches(args[0], v) for v in value)):
             return False
         # an integer range is drawn below hi + 1, which must be an int64 too
         return args[0] is not int or value[1] + 1 in _INT64
@@ -41,8 +44,8 @@ def _matches(tp, value) -> bool:
         return isinstance(value, list) and all(_matches(args[0], v) for v in value)
     if isinstance(value, bool):  # JSON true and false are not numbers
         return tp is bool
-    if tp is float:  # any float, or an integer that a float can hold
-        return isinstance(value, float) or isinstance(value, int) and _finite(value)
+    if tp is float:  # JSON has no NaN or infinity, and an integer must fit a float
+        return isinstance(value, (int, float)) and _finite(value)
     if tp is int:
         return isinstance(value, int) and value in _INT64
     return isinstance(value, tp)
@@ -52,13 +55,12 @@ class JsonArtifact:
     """Mixin of a dataclass that is one JSON artifact: its fields are the file's.
 
     ``from_dict`` checks each value against its field's type. ``int`` is an
-    int64 integer and never a boolean, ``float`` any number that a float can
-    hold, and ``tuple[X, X]`` a ``[lo, hi]`` pair of finite numbers, whose
-    ``hi + 1`` is an int64 too when they are integers; ``str``,
-    ``dict``, ``list[X]`` and ``X | None`` are what they say. A field with a
-    default may be absent. A key that names no field is ignored, so that a
-    file with a field added later still reads, unless the class sets
-    ``unknown_key``: then it is an error.
+    int64 integer and never a boolean, ``float`` a finite number, and
+    ``tuple[X, X]`` a ``[lo, hi]`` pair of ``X``, whose ``hi + 1`` is an
+    int64 too when they are integers; ``str``, ``dict``, ``list[X]`` and
+    ``X | None`` are what they say. A field with a default may be absent. A
+    key that names no field is ignored, so that a file with a later field
+    still reads, unless the class sets ``unknown_key``: then it is an error.
     """
 
     #: What the error calls a key that names no field; None lets such keys pass.
@@ -94,3 +96,26 @@ class JsonArtifact:
             else:
                 kwargs[f.name] = tuple(value) if typing.get_origin(tp) is tuple else value
         return cls(**kwargs)
+
+
+@contextmanager
+def naming(path: str):
+    """Re-raise a ValueError from the body, its message prefixed by ``path``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def read_json(path: str, read):
+    """``read`` of the JSON value in ``path``, typically an artifact's ``from_dict``."""
+    with open(path, "r", encoding="utf-8") as fh, naming(path):
+        return read(json.load(fh))
+
+
+def write_json(path: str, payload, indent: int | None = 2) -> None:
+    """Write ``payload`` to ``path``; a NaN or infinity, which JSON lacks, writes no file."""
+    with naming(path):
+        text = json.dumps(payload, indent=indent, sort_keys=True, allow_nan=False)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")

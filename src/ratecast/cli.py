@@ -7,12 +7,12 @@ import csv
 import json
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import naming, read_json, write_json
 from .events import (
     CleaningReport,
     Stage,
@@ -37,7 +37,6 @@ from .models import (
 )
 from .synth import SynthConfig, generate_workload
 from .validation import (
-    CvBest,
     CvConfig,
     CvReport,
     EvalReport,
@@ -49,36 +48,13 @@ from .validation import (
 )
 
 
-def _write_json(path: str, payload: dict) -> None:
-    """Write ``payload`` to ``path``; a NaN or infinity is an error, as JSON has neither."""
-    with _naming(path):
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-
-
-@contextmanager
-def _naming(path: str):
-    """Re-raise a ValueError from the body, its message prefixed by ``path``."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def _read_json(path: str, read):
-    """``read`` of the JSON value in ``path``, typically an artifact's ``from_dict``."""
-    with open(path, "r", encoding="utf-8") as fh, _naming(path):
-        return read(json.load(fh))
-
-
 def _load_features(path: str):
-    with open(path, "r", encoding="utf-8", newline="") as fh, _naming(path):
+    with open(path, "r", encoding="utf-8", newline="") as fh, naming(path):
         return read_feature_csv(fh)
 
 
 def _load_log(path: str):
-    with _naming(path):
+    with naming(path):
         return load_events(path)
 
 
@@ -98,7 +74,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     events, _ = generate_workload(config)
     dump_events(events, args.out)
     sidecar = args.sidecar or str(Path(args.out).with_suffix(".meta.json"))
-    _write_json(sidecar, {"config": config.to_dict(), "seed": config.seed})
+    write_json(sidecar, {"config": config.to_dict(), "seed": config.seed})
     print(f"wrote {len(events)} events to {args.out}")
     return 0
 
@@ -107,7 +83,7 @@ def _cmd_clean(args: argparse.Namespace) -> int:
     kept, report = clean_events(_load_log(args.input))
     dump_events(kept, args.out)
     if args.report:
-        _write_json(args.report, report.to_dict())
+        write_json(args.report, report.to_dict())
     print(
         f"cleaned {report.n_input} -> {report.n_output} events "
         f"({report.n_oversize_removed} oversize, {report.n_zero_removed} zero-valued)"
@@ -137,7 +113,7 @@ def _cmd_features(args: argparse.Namespace) -> int:
         tz_offset_hours=args.tz_offset_hours,
         stage=args.stage or "all",
     )
-    _write_json(args.meta or str(Path(args.out).with_suffix(".meta.json")), meta.to_dict())
+    write_json(args.meta or str(Path(args.out).with_suffix(".meta.json")), meta.to_dict())
     print(f"wrote {matrix.values.shape[0]}x{matrix.values.shape[1]} matrix to {args.out}")
     return 0
 
@@ -146,11 +122,11 @@ def _cmd_cv(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     X, _, _, y = _load_features(args.features)
     config = CvConfig(**{f.name: getattr(args, f.name) for f in fields(CvConfig)})
-    space = _read_json(args.space, HyperParamSpace.from_dict) if args.space else HyperParamSpace()
+    space = read_json(args.space, HyperParamSpace.from_dict) if args.space else HyperParamSpace()
     result = nested_cv(X, y, config, space, family=args.family)
     timing = {"wall_s": round(time.monotonic() - t0, 3)}
     report = CvReport(family=args.family, config=vars(config), timing=timing, **result.to_dict())
-    _write_json(args.out, report.to_dict())
+    write_json(args.out, report.to_dict())
     best = result.best_params
     print(
         f"best candidate {result.best_index}: mean RMSE "
@@ -164,10 +140,10 @@ def _resolve_params(args: argparse.Namespace) -> HyperParams:
     if args.params and args.from_cv:
         raise ValueError("pass either --params or --from-cv, not both")
     if args.params:
-        return _read_json(args.params, HyperParams.from_dict)
+        return read_json(args.params, HyperParams.from_dict)
     if args.from_cv:
-        return _read_json(
-            args.from_cv, lambda cv: HyperParams.from_dict(CvBest.from_dict(cv).best_params)
+        return read_json(
+            args.from_cv, lambda cv: HyperParams.from_dict(CvReport.from_dict(cv).best_params)
         )
     return HyperParams()
 
@@ -209,7 +185,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             seed=args.seed,
             timing={"wall_s": round(time.monotonic() - t0, 3)},
         )
-        _write_json(args.out, report.to_dict())
+        write_json(args.out, report.to_dict())
     print(f"holdout RMSE: {score:.4f} MB/s over {rows.size} rows")
     return 0
 
@@ -219,14 +195,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
     timing: dict = {}
     lines = ["run report", "----------"]
     if args.clean_report:
-        c = _read_json(args.clean_report, CleaningReport.from_dict)
+        c = read_json(args.clean_report, CleaningReport.from_dict)
         report["cleaning"] = c.to_dict()
         lines.append(
             f"cleaning: {c.n_input} in, {c.n_output} out "
             f"({c.n_oversize_removed} oversize, {c.n_zero_removed} zero)"
         )
     if args.features_meta:
-        meta = _read_json(args.features_meta, FeaturesMeta.from_dict)
+        meta = read_json(args.features_meta, FeaturesMeta.from_dict)
         report["feature_spec"] = {
             "groups": meta.groups,
             "n_columns": len(meta.column_meta),
@@ -235,7 +211,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         }
         lines.append(f"features: groups={','.join(meta.groups)} columns={len(meta.column_meta)}")
     if args.cv:
-        cv = _read_json(args.cv, CvReport.from_dict)
+        cv = read_json(args.cv, CvReport.from_dict)
         report["cv"] = {
             "best_index": cv.best_index, "best_params": cv.best_params, "mean_rmse": cv.mean_rmse
         }
@@ -246,7 +222,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             f"mean RMSE {cv.mean_rmse[cv.best_index]:.4f} MB/s"
         )
     if args.eval:
-        holdout = _read_json(args.eval, EvalReport.from_dict).to_dict()
+        holdout = read_json(args.eval, EvalReport.from_dict).to_dict()
         if (eval_timing := holdout.pop("timing")) is not None:
             timing["eval_wall_s"] = eval_timing.get("wall_s")
         report["holdout"] = holdout
@@ -257,7 +233,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         ranked = feature_importance(load_model(args.model))[: args.top]
         report["top_importances"] = [{"feature": name, "share": share} for name, share in ranked]
         lines += ["top feature importances:"] + [f"  {s * 100:7.3f}%  {n}" for n, s in ranked]
-    _write_json(args.out, report)
+    write_json(args.out, report)
     print("\n".join(lines))
     return 0
 

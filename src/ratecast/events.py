@@ -285,11 +285,17 @@ def parse_event_csv(source: IO[bytes] | IO[str]) -> EventLog:
     :class:`CsvRowError` naming the first such row rather than being skipped.
     """
     if isinstance(source, io.TextIOBase):
-        text = source
-    elif hasattr(source, "read"):
-        text = io.TextIOWrapper(source, encoding="utf-8", newline="")
-    else:
+        return _parse_text(source)
+    if not hasattr(source, "read"):
         raise TypeError("source must be a readable text or byte stream")
+    text = io.TextIOWrapper(source, encoding="utf-8", newline="")
+    try:
+        return _parse_text(text)
+    finally:
+        text.detach()  # the byte stream stays the caller's, open
+
+
+def _parse_text(text: IO[str]) -> EventLog:
     reader = csv.reader(text)
     try:
         header = next(reader)
@@ -315,7 +321,7 @@ def parse_event_csv(source: IO[bytes] | IO[str]) -> EventLog:
 
 
 def load_events(path: str) -> EventLog:
-    with open(path, "rb") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         return parse_event_csv(fh)
 
 

@@ -9,13 +9,12 @@ meaningless. Importances are per-feature split gains normalized to sum to 1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
-from .artifacts import JsonArtifact
+from .artifacts import JsonArtifact, read_json, write_json
 from .tree import RegressionTree, grow_tree, rank_columns
 
 MODEL_FORMAT_VERSION = 1
@@ -91,7 +90,6 @@ class RfModel:
     feature_names: list[str]
     trees: list[RegressionTree]
     importances: np.ndarray
-    bootstrap: bool = True
 
 
 def _require_finite_features(X: np.ndarray) -> None:
@@ -202,13 +200,8 @@ def fit_rf(
     y: np.ndarray,
     params: HyperParams,
     feature_names: Sequence[str] | None = None,
-    bootstrap: bool = True,
 ) -> RfModel:
-    """Random forest: bagged exact-greedy trees, prediction = mean over trees.
-
-    ``bootstrap=False`` fits every tree on all rows, so a single-tree forest
-    with all features as candidates reproduces a plain tree fit.
-    """
+    """Random forest: bagged exact-greedy trees, prediction = mean over trees."""
     X, y = _validate_training_input(X, y)
     n, n_features = X.shape
     names = _resolve_names(feature_names, n_features)
@@ -218,17 +211,13 @@ def fit_rf(
     trees: list[RegressionTree] = []
     sample_size = max(1, int(round(params.subsample * n)))
     for _ in range(params.n_estimators):
-        if bootstrap:
-            rows = np.sort(rng.choice(n, size=sample_size, replace=True))
-        else:
-            rows = np.arange(n)
+        rows = np.sort(rng.choice(n, size=sample_size, replace=True))
         trees.append(grow_tree(X, y, rows, **grow))
     return RfModel(
         params=params,
         feature_names=names,
         trees=trees,
         importances=_aggregate_importances(trees, n_features),
-        bootstrap=bootstrap,
     )
 
 
@@ -273,8 +262,8 @@ def feature_importance(model: GbtModel | RfModel) -> list[tuple[str, float]]:
 class ModelFile(JsonArtifact):
     """``model.json``: one fitted ensemble, as :func:`model_to_dict` writes it.
 
-    ``base_prediction`` and ``train_loss`` belong to a boosted model and
-    ``bootstrap`` to a forest; a field that is None is left out of the file.
+    ``base_prediction`` and ``train_loss`` belong to a boosted model; a field
+    that is None is left out of the file.
     """
 
     format_version: int
@@ -285,7 +274,6 @@ class ModelFile(JsonArtifact):
     trees: list[dict]
     base_prediction: float | None = None
     train_loss: list[float] | None = None
-    bootstrap: bool | None = None
 
     def to_dict(self) -> dict:
         return {f.name: v for f in fields(self) if (v := getattr(self, f.name)) is not None}
@@ -302,7 +290,6 @@ def model_to_dict(model: GbtModel | RfModel) -> dict:
         trees=[t.to_dict() for t in model.trees],
         base_prediction=model.base_prediction if gbt else None,
         train_loss=model.train_loss if gbt else None,
-        bootstrap=None if gbt else model.bootstrap,
     ).to_dict()
 
 
@@ -319,10 +306,6 @@ def model_from_dict(payload: dict) -> GbtModel | RfModel:
         raise ValueError(f"unknown model family: {file.family!r}")
     if file.family == "gbt" and file.base_prediction is None:
         raise ValueError("lacks field 'base_prediction'")
-    for name in ("importances", "base_prediction"):
-        value = getattr(file, name)
-        if value is not None and not np.isfinite(value).all():
-            raise ValueError(f"field {name!r} holds a non-finite number")
     n_features = len(file.feature_names)
     if len(file.importances) != n_features:
         raise ValueError(f"field 'importances' must be a list of {n_features} numbers")
@@ -342,19 +325,14 @@ def model_from_dict(payload: dict) -> GbtModel | RfModel:
         # JSON integers are numbers too; predict_raw adds float trees onto the base.
         return GbtModel(**common, base_prediction=float(file.base_prediction),
                         train_loss=[float(v) for v in file.train_loss or []])
-    return RfModel(**common, bootstrap=True if file.bootstrap is None else file.bootstrap)
+    return RfModel(**common)
 
 
 def save_model(model: GbtModel | RfModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True)
-        fh.write("\n")
+    """Write ``model.json`` on one line; a non-finite number raises ValueError naming ``path``."""
+    write_json(path, model_to_dict(model), indent=None)
 
 
 def load_model(path: str) -> GbtModel | RfModel:
     """Read a model JSON file; a malformed file raises ValueError naming it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return model_from_dict(json.load(fh))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    return read_json(path, model_from_dict)

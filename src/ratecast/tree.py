@@ -201,7 +201,7 @@ def grow_tree(
     min_samples_leaf: int,
     n_candidate_features: int,
     rng: np.random.Generator,
-    ranks: np.ndarray | None = None,
+    ranks: np.ndarray,
 ) -> RegressionTree:
     """Fit one tree on ``X[rows]``/``y[rows]`` (rows may repeat for bootstraps).
 
@@ -213,12 +213,9 @@ def grow_tree(
     rows, is constant in target, or no candidate cut strictly reduces the
     total squared error while leaving ``min_samples_leaf`` rows per side.
 
-    ``ranks`` is ``rank_columns(X)``; a caller that grows several trees on
-    one ``X`` passes it so the columns are ranked once per fit. ``X`` must
-    be finite.
+    ``ranks`` is ``rank_columns(X)``, so a caller that grows several trees
+    on one ``X`` ranks its columns once per fit. ``X`` must be finite.
     """
-    if ranks is None:
-        ranks = rank_columns(X)
     n_features = X.shape[1]
     feature: list[int] = []
     threshold: list[float] = []

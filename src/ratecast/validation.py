@@ -168,16 +168,13 @@ class CvResult:
 
 
 @dataclass(frozen=True)
-class CvBest(JsonArtifact):
-    """What ``train --from-cv`` reads of ``cv.json``: the winning hyperparameters."""
+class CvReport(JsonArtifact):
+    """``cv.json``: a :class:`CvResult` with the family, config and timing of its run.
+
+    ``train --from-cv`` reads the whole file and fits ``best_params``.
+    """
 
     best_params: dict
-
-
-@dataclass(frozen=True)
-class CvReport(CvBest):
-    """``cv.json``: a :class:`CvResult` with the family, config and timing of its run."""
-
     best_index: int
     mean_rmse: list[float]
     candidates: list[dict] | None = None

@@ -7,6 +7,7 @@ either required by name or optional with its default.
 
 import dataclasses
 import json
+import math
 import re
 import types
 import typing
@@ -17,7 +18,7 @@ from ratecast.artifacts import JsonArtifact
 from ratecast.events import CleaningReport
 from ratecast.features import FeaturesMeta
 from ratecast.models import HyperParams, ModelFile
-from ratecast.validation import CvBest, CvConfig, CvReport, EvalReport, HyperParamSpace
+from ratecast.validation import CvConfig, CvReport, EvalReport, HyperParamSpace
 
 _HYPERPARAMS = HyperParams(learning_rate=0.05, n_estimators=7, max_features=0.5, seed=3)
 _PARAMS = _HYPERPARAMS.to_dict()
@@ -33,7 +34,6 @@ EXAMPLES = [
         tz_offset_hours=-8.0,
         stage="all",
     ),
-    CvBest(best_params=_PARAMS),
     CvReport(
         best_params=_PARAMS,
         best_index=1,
@@ -57,7 +57,6 @@ EXAMPLES = [
                 "value": [2.5], "n_node_samples": [4], "feature_gains": [0.0]}],
         base_prediction=2.5,
         train_loss=[0.5],
-        bootstrap=True,
     ),
 ]
 
@@ -101,6 +100,18 @@ def _past_int64(tp) -> list:
     return []
 
 
+def _non_finite(tp) -> list:
+    """Values with a NaN or an infinity where a field of type ``tp`` holds floats."""
+    tp = _not_none(tp)
+    if tp is float:
+        return [math.nan, math.inf, -math.inf]
+    if typing.get_origin(tp) is list:
+        return [[v] for v in _non_finite(typing.get_args(tp)[0])]
+    if tp == tuple[float, float]:
+        return [pair for v in _non_finite(float) for pair in ([v, 2.5], [0.5, v])]
+    return []
+
+
 def _hint(example, field) -> type:
     return typing.get_type_hints(type(example))[field.name]
 
@@ -111,6 +122,7 @@ FIELDS = [
     for f in dataclasses.fields(example)
 ]
 INTEGER_FIELDS = [param for param in FIELDS if _past_int64(_hint(*param.values))]
+FLOAT_FIELDS = [param for param in FIELDS if _non_finite(_hint(*param.values))]
 
 
 def test_examples_cover_every_artifact_class():
@@ -135,6 +147,16 @@ def test_wrongly_typed_field_is_rejected_by_name(example, field):
 def test_integer_past_int64_is_rejected_by_name(example, field):
     cls = type(example)
     for value in _past_int64(_hint(example, field)):
+        payload = _json(example)
+        payload[field.name] = value
+        with pytest.raises(ValueError, match=re.escape(f"field {field.name!r} must be")):
+            cls.from_dict(payload)
+
+
+@pytest.mark.parametrize("example, field", FLOAT_FIELDS)
+def test_nan_and_infinity_are_rejected_by_name(example, field):
+    cls = type(example)
+    for value in _non_finite(_hint(example, field)):
         payload = _json(example)
         payload[field.name] = value
         with pytest.raises(ValueError, match=re.escape(f"field {field.name!r} must be")):

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import ratecast
-from ratecast.cli import _write_json, main
+from ratecast.artifacts import write_json
+from ratecast.cli import main
 from ratecast.features import read_feature_csv
 from ratecast.models import GbtModel, HyperParams, model_to_dict, save_model
 from ratecast.validation import fit_family, holdout_rows
@@ -355,11 +356,16 @@ def _with_too_many_estimators(model):
     return model
 
 
+_CLEAN_COUNTS = {"n_input": 3, "n_oversize_removed": 0, "n_zero_removed": 0, "n_output": 3}
+_CV_RESULT = {"best_index": 0, "best_params": {}, "mean_rmse": [1.5]}
+_FEATURES_META = {"groups": ["A"], "column_meta": []}
+
+
 @pytest.mark.parametrize(
     "command, flag, make_payload, field",
     [
         ("train", "--from-cv", lambda model: {"best_index": 0}, "best_params"),
-        ("train", "--from-cv", lambda model: {"best_params": {"bogus": 1}}, "bogus"),
+        ("train", "--from-cv", lambda model: dict(_CV_RESULT, best_params={"bogus": 1}), "bogus"),
         ("train", "--params", lambda model: {"bogus": 1}, "bogus"),
         ("train", "--params", lambda model: {"max_depth": "deep"}, "max_depth"),
         ("train", "--params", lambda model: {"n_estimators": 2.5}, "n_estimators"),
@@ -368,8 +374,8 @@ def _with_too_many_estimators(model):
         ("train", "--params", lambda model: {"n_estimators": 10**400}, "n_estimators"),
         ("train", "--params", lambda model: {"n_estimators": 100_001}, "n_estimators"),
         ("train", "--params", lambda model: {"max_features": float("inf")}, "max_features"),
-        ("train", "--from-cv", lambda model: {"best_params": {"subsample": float("nan")}},
-         "subsample"),
+        ("train", "--from-cv",
+         lambda model: dict(_CV_RESULT, best_params={"subsample": float("nan")}), "subsample"),
         ("eval", "--model", lambda model: dict(model, base_prediction=float("nan")),
          "base_prediction"),
         ("eval", "--model", _without_trees, "trees"),
@@ -417,12 +423,6 @@ def test_bad_artifacts_exit_1_without_traceback(tmp_path, capsys, command, flag,
     assert "Traceback" not in err
 
 
-
-_CLEAN_COUNTS = {"n_input": 3, "n_oversize_removed": 0, "n_zero_removed": 0, "n_output": 3}
-_CV_RESULT = {"best_index": 0, "best_params": {}, "mean_rmse": [1.5]}
-_FEATURES_META = {"groups": ["A"], "column_meta": []}
-
-
 @pytest.mark.parametrize(
     "flag, payload, field",
     [
@@ -435,10 +435,11 @@ _FEATURES_META = {"groups": ["A"], "column_meta": []}
         ("--model", lambda model: dict(model, trees=5), "trees"),
         ("--model", lambda model: dict(model, feature_names=[*model["feature_names"][1:], 1]),
          "feature_names"),
-        ("--model", lambda model: dict(model, family="rf", bootstrap="no"), "bootstrap"),
         ("--eval", {"rmse_mbs": None}, "rmse_mbs"),
         ("--eval", {"rmse_mbs": "1.0"}, "rmse_mbs"),
         ("--eval", {"rmse_mbs": 10**400}, "rmse_mbs"),
+        # It blamed the report: "error: <--out>: Out of range float values ...".
+        ("--eval", {"rmse_mbs": float("nan")}, "rmse_mbs"),
         ("--eval", {"rmse_mbs": 1.0, "timing": 5}, "timing"),
         ("--features-meta", dict(_FEATURES_META, groups=5), "groups"),
         ("--features-meta", dict(_FEATURES_META, groups=["A", 1]), "groups"),
@@ -456,8 +457,8 @@ _FEATURES_META = {"groups": ["A"], "column_meta": []}
     ],
     ids=["clean-report-without-counts", "eval-without-rmse", "eval-list", "eval-number",
          "features-meta-list", "cv-list", "model-with-number-for-trees",
-         "model-with-number-in-feature-names", "model-with-string-bootstrap",
-         "eval-null-rmse", "eval-string-rmse", "eval-rmse-too-large-for-a-float",
+         "model-with-number-in-feature-names",
+         "eval-null-rmse", "eval-string-rmse", "eval-rmse-too-large-for-a-float", "eval-nan-rmse",
          "eval-number-for-timing",
          "features-meta-number-for-groups", "features-meta-number-in-groups",
          "features-meta-number-for-column-meta", "features-meta-number-for-stage",
@@ -667,6 +668,23 @@ def test_non_finite_training_data_exits_1(tmp_path, capsys, command, line, cell,
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_train_whose_fit_overflows_exits_1_and_writes_no_model(tmp_path, capsys):
+    # It wrote "base_prediction": Infinity, which load_model then refused.
+    rows = [f"{i},{i % 3},1.7e308" for i in range(10)]
+    (tmp_path / "f.csv").write_text("\n".join(["meta.event_id,A.x,target.transfer_rate_mbs",
+                                               *rows]) + "\n")
+    (tmp_path / "params.json").write_text('{"n_estimators": 2, "max_depth": 2, "max_features": 1}')
+    out = tmp_path / "model.json"
+    assert main(["train", "--features", str(tmp_path / "f.csv"), "--out", str(out),
+                 "--params", str(tmp_path / "params.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: Out of range float values")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_non_finite_feature_at_scoring_exits_1(tmp_path, capsys):
     d = str(tmp_path)
     with open(f"{d}/model.json", "w") as fh:
@@ -774,7 +792,7 @@ def test_json_artifacts_refuse_nan_and_infinity(tmp_path):
     path = tmp_path / "a.json"
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match=f"^{path}: Out of range float values"):
-            _write_json(str(path), {"x": bad})
+            write_json(str(path), {"x": bad})
         assert not path.exists()
 
 

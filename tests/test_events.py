@@ -1,6 +1,8 @@
 import csv
 import dataclasses
+import gc
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from ratecast.events import (
     Stage,
     TransferEvent,
     clean_events,
+    load_events,
     parse_event_csv,
     sort_by_start,
     write_event_csv,
@@ -34,6 +37,23 @@ def _parse(text: str):
 
 def test_parse_header_only_gives_empty_sequence():
     assert list(_parse(HEADER + "\n")) == []
+
+
+def test_load_events_leaves_no_file_open(tmp_path):
+    # Each clean and features run warned: unclosed file <_io.TextIOWrapper name='e.csv'>.
+    path = tmp_path / "e.csv"
+    path.write_text(HEADER + "\n10,20,1.0,50.0,cxi,e1,h,tfs,sfs,n,f,DSS_TO_FFB\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert len(load_events(str(path))) == 1
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_parse_of_a_byte_stream_leaves_it_open():
+    stream = io.BytesIO((HEADER + "\n").encode("utf-8"))
+    parse_event_csv(stream)
+    assert not stream.closed
 
 
 def test_parse_skips_blank_lines_but_counts_them_in_ids():

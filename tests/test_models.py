@@ -53,7 +53,7 @@ def test_hyperparams_validation():
 def test_hyperparams_reject_non_finite_floats(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         HyperParams(**{name: value})
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
+    with pytest.raises(ValueError, match=f"field '{name}' must be a finite number"):
         HyperParams.from_dict({name: value})
 
 
@@ -80,6 +80,7 @@ def test_tree_respects_depth_and_leaf_size():
         min_samples_leaf=5,
         n_candidate_features=3,
         rng=np.random.default_rng(0),
+        ranks=rank_columns(X),
     )
     # depth bound: longest root-to-leaf path has at most 3 edges
     depth = {0: 0}
@@ -107,6 +108,7 @@ def test_tree_constant_target_is_single_leaf():
         min_samples_leaf=1,
         n_candidate_features=2,
         rng=np.random.default_rng(0),
+        ranks=rank_columns(X),
     )
     assert tree.n_nodes == 1
     assert tree.value[0] == 7.5
@@ -305,6 +307,7 @@ def test_gbt_single_tree_equals_cart_on_residuals():
         min_samples_leaf=1,
         n_candidate_features=3,
         rng=np.random.default_rng(params.seed),
+        ranks=rank_columns(X),
     )
     np.testing.assert_allclose(predict_raw(model, X), tree.predict(X) + y.mean())
 
@@ -312,22 +315,24 @@ def test_gbt_single_tree_equals_cart_on_residuals():
 # -------------------------------------------------------------------------- RF
 
 
-def test_rf_single_tree_without_bootstrap_is_plain_cart():
+def test_rf_single_tree_is_cart_on_its_bootstrap_rows():
     X, rng = _data(200, 3, seed=5)
     y = np.sin(X[:, 0]) + rng.normal(0, 0.05, 200)
     params = HyperParams(
         learning_rate=0.1, n_estimators=1, max_depth=50, max_features=3.0, **FAST
     )
-    model = fit_rf(X, y, params, bootstrap=False)
+    model = fit_rf(X, y, params)
+    rng = np.random.default_rng(params.seed)
     tree = grow_tree(
         X,
         y,
-        np.arange(200),
+        np.sort(rng.choice(200, 200, replace=True)),
         max_depth=50,
         min_samples_split=2,
         min_samples_leaf=1,
         n_candidate_features=3,
-        rng=np.random.default_rng(params.seed),
+        rng=rng,
+        ranks=rank_columns(X),
     )
     np.testing.assert_array_equal(predict_raw(model, X), tree.predict(X))
 
@@ -594,9 +599,9 @@ def _without_base_prediction(payload):
         (_set_tree_cell("value", float("inf")), "tree 1: field 'value' holds a non-finite"),
         (_set_tree_cell("feature_gains", float("-inf")),
          "tree 1: field 'feature_gains' holds a non-finite"),
-        (_nan_base_prediction, "field 'base_prediction' holds a non-finite"),
-        (_infinite_importance, "field 'importances' holds a non-finite"),
-        (_nan_learning_rate, "field 'params': learning_rate must be finite"),
+        (_nan_base_prediction, "field 'base_prediction' must be"),
+        (_infinite_importance, "field 'importances' must be"),
+        (_nan_learning_rate, "field 'params': field 'learning_rate' must be a finite number"),
         (_without_base_prediction, "lacks field 'base_prediction'"),
     ],
     ids=["short-left", "short-value", "short-gains", "two-dimensional", "empty",
