@@ -42,6 +42,8 @@ def _matches(tp, value) -> bool:
         return args[0] is not int or value[1] + 1 in _INT64
     if origin is list:
         return isinstance(value, list) and all(_matches(args[0], v) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(_matches(args[1], v) for v in value.values())
     if isinstance(value, bool):  # JSON true and false are not numbers
         return tp is bool
     if tp is float:  # JSON has no NaN or infinity, and an integer must fit a float
@@ -57,10 +59,11 @@ class JsonArtifact:
     ``from_dict`` checks each value against its field's type. ``int`` is an
     int64 integer and never a boolean, ``float`` a finite number, and
     ``tuple[X, X]`` a ``[lo, hi]`` pair of ``X``, whose ``hi + 1`` is an
-    int64 too when they are integers; ``str``, ``dict``, ``list[X]`` and
-    ``X | None`` are what they say. A field with a default may be absent. A
-    key that names no field is ignored, so that a file with a later field
-    still reads, unless the class sets ``unknown_key``: then it is an error.
+    int64 too when they are integers; ``str``, ``dict``, ``dict[str, X]``,
+    ``list[X]`` and ``X | None`` are what they say. A field with a default
+    may be absent. A key that names no field is ignored, so that a file with
+    a later field still reads, unless the class sets ``unknown_key``: then it
+    is an error.
     """
 
     #: What the error calls a key that names no field; None lets such keys pass.

@@ -152,7 +152,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     X, names, _, y = _load_features(args.features)
     params = _resolve_params(args)
     rows = holdout_rows(X.shape[0], args.split, args.train_subset, None, args.seed)[0]
-    model = fit_family(args.family, X[rows], y[rows], params, names)
+    with naming(args.features):  # a fit refuses what the feature CSV holds
+        model = fit_family(args.family, X[rows], y[rows], params, names)
     save_model(model, args.out)
     print(f"trained {args.family} on {rows.size} rows, saved to {args.out}")
     return 0

@@ -33,8 +33,8 @@ OVERSIZE_LIMIT_GB = 1000.0
 #: Timestamps must lie within ±TIME_LIMIT_S unix seconds, which keeps every
 #: derived int64 (a time zone shift, a stop-to-start difference) from overflow.
 TIME_LIMIT_S = 2**61
-#: CSV rows parsed at a time: bounds the cell strs alive at once.
-_PARSE_BLOCK = 4096
+#: Rows parsed or yielded at a time: bounds the cell strs or events alive at once.
+_ROW_BLOCK = 4096
 
 
 class Stage(enum.Enum):
@@ -182,7 +182,8 @@ class EventLog:
         return [*(a[rows].tolist() for a in numbers), *coded, names, stages]
 
     def __iter__(self) -> Iterator[TransferEvent]:
-        yield from _rows(self._fields(slice(None)))
+        for lo in range(0, len(self), _ROW_BLOCK):
+            yield from _rows(self._fields(slice(lo, lo + _ROW_BLOCK)))
 
     def __getitem__(self, key):
         if isinstance(key, slice):
@@ -312,7 +313,7 @@ def _parse_text(text: IO[str]) -> EventLog:
     positions = {field: {None: -1} for field in _CODED_FIELDS}
     blocks = [_parse_block([], [], positions)]
     numbered = ((i, row) for i, row in enumerate(reader) if row)
-    while chunk := list(islice(numbered, _PARSE_BLOCK)):
+    while chunk := list(islice(numbered, _ROW_BLOCK)):
         blocks.append(_parse_block(*map(list, zip(*chunk)), positions))
     *columns, file_names = (np.concatenate(parts) for parts in zip(*blocks))
     categories = {field: [v for v in positions[field] if v is not None] for field in _CODED_FIELDS}

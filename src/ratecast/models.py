@@ -9,6 +9,7 @@ meaningless. Importances are per-feature split gains normalized to sum to 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
@@ -94,9 +95,10 @@ class RfModel:
 
 def _require_finite_features(X: np.ndarray) -> None:
     """Raise naming the first non-finite cell of ``X`` in row-major order."""
-    finite = np.isfinite(X)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
+    # Exact with no n x k mask: NaN propagates through min and max, and the
+    # initial 0.0 hides no infinity while letting an empty X pass.
+    if not (math.isfinite(X.min(initial=0.0)) and math.isfinite(X.max(initial=0.0))):
+        row, col = np.argwhere(~np.isfinite(X))[0]
         raise ValueError(f"non-finite feature value {float(X[row, col])} at row {row}, column {col}")
 
 
@@ -116,6 +118,10 @@ def _validate_training_input(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, 
     if not finite.all():
         row = int(np.argmin(finite))
         raise ValueError(f"non-finite target {float(y[row])} at row {row}")
+    with np.errstate(over="ignore"):  # the error below says it
+        total = y.sum()
+    if not math.isfinite(total):
+        raise ValueError(f"targets sum to {total}, past the float64 range")
     return X, y
 
 

@@ -95,7 +95,7 @@ class RegressionTree:
 
 
 # Rank cells per candidate block: bounds the search's temporaries at big nodes.
-_BLOCK_CELLS = 1 << 17
+_BLOCK_CELLS = 1 << 15
 
 
 def rank_columns(X: np.ndarray) -> np.ndarray:

@@ -181,13 +181,17 @@ class CvReport(JsonArtifact):
     fold_rmse: list[list[float]] | None = None
     family: str | None = None
     config: dict | None = None
-    timing: dict | None = None
+    timing: dict[str, float] | None = None
     format_version: int = 1
 
     def __post_init__(self) -> None:
         best, n = self.best_index, len(self.mean_rmse)
         if not 0 <= best < n:
             raise ValueError(f"field 'best_index' must index 'mean_rmse' of {n}, got {best}")
+        try:
+            HyperParams.from_dict(self.best_params)
+        except ValueError as exc:
+            raise ValueError(f"field 'best_params': {exc}") from None
 
 
 def fit_family(
@@ -308,4 +312,4 @@ class EvalReport(JsonArtifact):
     split: float | None = None
     test_subset: int | None = None
     seed: int | None = None
-    timing: dict | None = None
+    timing: dict[str, float] | None = None

@@ -107,6 +107,8 @@ def _non_finite(tp) -> list:
         return [math.nan, math.inf, -math.inf]
     if typing.get_origin(tp) is list:
         return [[v] for v in _non_finite(typing.get_args(tp)[0])]
+    if typing.get_origin(tp) is dict:
+        return [{"wall_s": v} for v in _non_finite(typing.get_args(tp)[1])]
     if tp == tuple[float, float]:
         return [pair for v in _non_finite(float) for pair in ([v, 2.5], [0.5, v])]
     return []

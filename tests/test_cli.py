@@ -454,6 +454,10 @@ def test_bad_artifacts_exit_1_without_traceback(tmp_path, capsys, command, flag,
         ("--cv", dict(_CV_RESULT, best_index=1), "best_index"),
         ("--cv", dict(_CV_RESULT, best_index=-1), "best_index"),
         ("--cv", dict(_CV_RESULT, mean_rmse=[]), "best_index"),
+        # These three blamed the report too.
+        ("--cv", dict(_CV_RESULT, timing={"wall_s": float("nan")}), "timing"),
+        ("--cv", dict(_CV_RESULT, best_params={"subsample": float("nan")}), "best_params"),
+        ("--eval", {"rmse_mbs": 1.0, "timing": {"wall_s": float("inf")}}, "timing"),
     ],
     ids=["clean-report-without-counts", "eval-without-rmse", "eval-list", "eval-number",
          "features-meta-list", "cv-list", "model-with-number-for-trees",
@@ -465,7 +469,7 @@ def test_bad_artifacts_exit_1_without_traceback(tmp_path, capsys, command, flag,
          "clean-report-string-count", "clean-report-boolean-count",
          "cv-fractional-best-index", "cv-list-for-best-params", "cv-null-rmse",
          "cv-number-for-timing", "cv-best-index-past-rmse", "cv-negative-best-index",
-         "cv-empty-rmse"],
+         "cv-empty-rmse", "cv-nan-timing", "cv-nan-best-params", "eval-infinite-timing"],
 )
 def test_report_of_misshapen_artifact_exits_1_without_traceback(tmp_path, capsys, flag, payload,
                                                                 field):
@@ -668,10 +672,10 @@ def test_non_finite_training_data_exits_1(tmp_path, capsys, command, line, cell,
     assert "Traceback" not in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_whose_fit_overflows_exits_1_and_writes_no_model(tmp_path, capsys):
-    # It wrote "base_prediction": Infinity, which load_model then refused.
+    # It wrote "base_prediction": Infinity, which load_model then refused; then
+    # it fitted through overflow warnings and blamed the model file (--out).
     rows = [f"{i},{i % 3},1.7e308" for i in range(10)]
     (tmp_path / "f.csv").write_text("\n".join(["meta.event_id,A.x,target.transfer_rate_mbs",
                                                *rows]) + "\n")
@@ -680,8 +684,7 @@ def test_train_whose_fit_overflows_exits_1_and_writes_no_model(tmp_path, capsys)
     assert main(["train", "--features", str(tmp_path / "f.csv"), "--out", str(out),
                  "--params", str(tmp_path / "params.json")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {out}: Out of range float values")
-    assert "Traceback" not in err
+    assert err == f"error: {tmp_path / 'f.csv'}: targets sum to inf, past the float64 range\n"
     assert not out.exists()
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mk_event, random_events, random_log, traced_held
+from helpers import mk_event, random_events, random_log, traced_held, traced_peak
 from oracles import reference_clean_events, reference_parse_event_csv, reference_sort_by_start
 from ratecast import SynthConfig, generate_workload
 from ratecast.events import (
@@ -488,3 +488,15 @@ def test_a_bad_row_past_the_first_parse_block_is_named_like_the_row_wise_parse()
     want = _outcome(reference_parse_event_csv, data)[1]
     assert want == (CsvRowError, "row 4507: unknown stage 'SIDEWAYS'", 4507)
     assert _outcome(parse_event_csv, data)[1] == want
+
+
+def test_iterating_a_log_holds_one_block_of_rows():
+    log, _ = generate_workload(SynthConfig(n_events=20_000, seed=1))
+    peak, count = traced_peak(lambda: sum(1 for _ in log))
+    assert count == len(log)
+    # Building every row, and a list per field, before the first was yielded peaked at 7.8 MB.
+    assert peak <= 2.5e6
+    # Rows on each side of a block edge come in order.
+    rows = list(log)
+    for i in (0, 4095, 4096, 8191, 8192, len(log) - 1):
+        assert rows[i] == log[i]

@@ -21,8 +21,10 @@ from ratecast.models import (
     save_model,
 )
 import ratecast.tree
+from ratecast import models
 from ratecast.tree import RegressionTree, grow_tree, rank_columns
 
+from helpers import traced_peak
 from oracles import reference_grow_tree
 
 FAST = dict(min_samples_split=2, min_samples_leaf=1, subsample=1.0, seed=3)
@@ -167,7 +169,7 @@ def _target(rng, kind, n):
     leaf_edge=st.sampled_from(["one", "split", "half", "any"]),
     max_depth=st.integers(1, 12),
     candidates=st.integers(1, 6),
-    block_cells=st.sampled_from([1, 7, 100, 1 << 17]),
+    block_cells=st.sampled_from([1, 7, 100, 1 << 15, 1 << 17]),
     target=st.sampled_from(["normal", "huge", "overflow-edge"]),
 )
 # Pinned: a candidate with NaN gains ahead of one that splits, which must not
@@ -246,6 +248,14 @@ def test_rank_columns_holds_no_wider_staging_copy():
     assert ranks.dtype == np.uint16
     # uint32 staging plus its uint16 copy would peak at three times the ranks.
     assert peak < 2 * ranks.nbytes
+
+
+def test_fit_peak_is_bounded_by_the_block_budget():
+    rng = np.random.default_rng(0)
+    X, y = rng.normal(size=(30_000, 40)), rng.normal(size=30_000)
+    peak, _ = traced_peak(fit_gbt, X, y, HyperParams(n_estimators=2))
+    # Blocks of 2**17 rank cells peaked at 19.5 MB; the ranks alone are 2.4 MB.
+    assert peak <= 10e6
 
 
 # ------------------------------------------------------------------------- GBT
@@ -409,6 +419,21 @@ def test_fit_rejects_non_finite_input_naming_first_bad_cell(fit):
     y[5] = -np.inf
     with pytest.raises(ValueError, match="non-finite target -inf at row 5"):
         fit(np.zeros((6, 3)), y, HyperParams())
+
+
+@pytest.mark.parametrize("fit", [fit_gbt, fit_rf])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_rejects_targets_whose_sum_overflows_before_any_tree_grows(fit):
+    for value, total in ((1.7e308, "inf"), (-1.7e308, "-inf")):
+        with mock.patch("ratecast.models.grow_tree", side_effect=AssertionError), \
+                pytest.raises(ValueError, match=f"targets sum to {total}, past the float64"):
+            fit(np.zeros((10, 2)), np.full(10, value), HyperParams())
+
+
+def test_finite_feature_check_builds_no_cell_mask():
+    X = np.random.default_rng(0).normal(size=(2_000, 500))
+    peak, _ = traced_peak(models._require_finite_features, X)
+    assert peak < X.size // 8  # np.isfinite(X) alone is X.size bytes
 
 
 @pytest.mark.parametrize("fit", [fit_gbt, fit_rf])
