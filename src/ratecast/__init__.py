@@ -32,9 +32,8 @@ from .lags import (
     compute_keyed_lags,
 )
 from .models import (
-    GbtModel,
+    Ensemble,
     HyperParams,
-    RfModel,
     feature_importance,
     fit_gbt,
     fit_rf,

@@ -216,16 +216,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
         report["cv"] = {
             "best_index": cv.best_index, "best_params": cv.best_params, "mean_rmse": cv.mean_rmse
         }
-        if cv.timing is not None:
-            timing["cv_wall_s"] = cv.timing.get("wall_s")
+        if "wall_s" in (cv.timing or {}):
+            timing["cv_wall_s"] = cv.timing["wall_s"]
         lines.append(
             f"cv: best candidate {cv.best_index} {json.dumps(cv.best_params, sort_keys=True)} "
             f"mean RMSE {cv.mean_rmse[cv.best_index]:.4f} MB/s"
         )
     if args.eval:
         holdout = read_json(args.eval, EvalReport.from_dict).to_dict()
-        if (eval_timing := holdout.pop("timing")) is not None:
-            timing["eval_wall_s"] = eval_timing.get("wall_s")
+        if "wall_s" in (eval_timing := holdout.pop("timing") or {}):
+            timing["eval_wall_s"] = eval_timing["wall_s"]
         report["holdout"] = holdout
         lines.append(f"holdout RMSE: {holdout['rmse_mbs']:.4f} MB/s")
     if timing:

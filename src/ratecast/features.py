@@ -287,15 +287,18 @@ def read_feature_csv(
 
     Ids must be integers; blank lines and CRLF line ends are accepted. A body
     error names the line in the file (the header is line 1) when ``source``
-    is seekable, and ``np.loadtxt``'s count within the body otherwise.
+    is seekable, and ``np.loadtxt``'s count within the body otherwise. A
+    seekable ``source`` is first counted for line ends, so that the body is
+    parsed into an array of its size and not grown by ``realloc`` as it is read.
     """
+    max_rows = _row_bound(source) if source.seekable() else None
     header = next(csv.reader(source), [])
     if not header or header[0] != "meta.event_id" or header[-1] != "target.transfer_rate_mbs":
         raise ValueError("not a feature matrix CSV (bad header)")
     names = header[1:-1]
     dtype = [("id", np.int64), ("x", np.float64, (len(names),)), ("y", np.float64)]
     try:
-        body = _load_body(source, dtype)
+        body = _load_body(source, dtype, max_rows)
     except ValueError as exc:
         raise ValueError(_body_error_at_line(source, dtype, len(names) + 2) or str(exc)) from None
     n, k = len(body), len(names)
@@ -309,12 +312,26 @@ def read_feature_csv(
     return X, names, ids, targets
 
 
-def _load_body(source, dtype) -> np.ndarray:
+def _row_bound(source: IO[str]) -> int:
+    """One more than the LFs and CRs from ``source``'s position on, where it is left:
+    every line end counts at least once, so this exceeds the non-blank lines left."""
+    start = source.tell()
+    bound = 1
+    while chunk := source.read(1 << 20):
+        bound += chunk.count("\n") + chunk.count("\r")
+    source.seek(start)
+    return bound
+
+
+def _load_body(source, dtype, max_rows: int | None = None) -> np.ndarray:
     with warnings.catch_warnings():
         # A header-only body is valid. Older numpy reads a "1.5" id via float and only warns.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        # Blank lines are skipped, and with max_rows given numpy says so.
+        warnings.filterwarnings("ignore", "Input line .* contained no data", UserWarning)
         warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
-        return np.loadtxt(source, delimiter=",", comments=None, dtype=dtype, ndmin=1)
+        return np.loadtxt(source, delimiter=",", comments=None, dtype=dtype, ndmin=1,
+                          max_rows=max_rows)
 
 
 def _body_error_at_line(source: IO[str], dtype, width: int) -> str | None:

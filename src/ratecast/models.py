@@ -10,7 +10,7 @@ meaningless. Importances are per-feature split gains normalized to sum to 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -76,21 +76,17 @@ class HyperParams(JsonArtifact):
 
 
 @dataclass
-class GbtModel:
-    params: HyperParams
-    feature_names: list[str]
-    base_prediction: float
-    trees: list[RegressionTree]
-    importances: np.ndarray
-    train_loss: list[float] = field(default_factory=list)
+class Ensemble:
+    """A fitted ensemble whose ``family`` is "gbt" (boosted) or "rf" (forest); a
+    forest's ``base_prediction`` and ``train_loss`` are None."""
 
-
-@dataclass
-class RfModel:
+    family: str
     params: HyperParams
     feature_names: list[str]
     trees: list[RegressionTree]
     importances: np.ndarray
+    base_prediction: float | None = None
+    train_loss: list[float] | None = None
 
 
 def _require_finite_features(X: np.ndarray) -> None:
@@ -161,7 +157,7 @@ def fit_gbt(
     y: np.ndarray,
     params: HyperParams,
     feature_names: Sequence[str] | None = None,
-) -> GbtModel:
+) -> Ensemble:
     """Stagewise least-squares boosting on residuals with shrinkage.
 
     With ``subsample=1`` the recorded training loss is non-increasing in the
@@ -191,14 +187,8 @@ def fit_gbt(
         trees.append(tree)
         train_loss.append(float(np.mean((y - current) ** 2)))
 
-    return GbtModel(
-        params=params,
-        feature_names=names,
-        base_prediction=base,
-        trees=trees,
-        importances=_aggregate_importances(trees, n_features),
-        train_loss=train_loss,
-    )
+    return Ensemble("gbt", params, names, trees, _aggregate_importances(trees, n_features),
+                    base_prediction=base, train_loss=train_loss)
 
 
 def fit_rf(
@@ -206,7 +196,7 @@ def fit_rf(
     y: np.ndarray,
     params: HyperParams,
     feature_names: Sequence[str] | None = None,
-) -> RfModel:
+) -> Ensemble:
     """Random forest: bagged exact-greedy trees, prediction = mean over trees."""
     X, y = _validate_training_input(X, y)
     n, n_features = X.shape
@@ -219,15 +209,10 @@ def fit_rf(
     for _ in range(params.n_estimators):
         rows = np.sort(rng.choice(n, size=sample_size, replace=True))
         trees.append(grow_tree(X, y, rows, **grow))
-    return RfModel(
-        params=params,
-        feature_names=names,
-        trees=trees,
-        importances=_aggregate_importances(trees, n_features),
-    )
+    return Ensemble("rf", params, names, trees, _aggregate_importances(trees, n_features))
 
 
-def predict_raw(model: GbtModel | RfModel, X: np.ndarray) -> np.ndarray:
+def predict_raw(model: Ensemble, X: np.ndarray) -> np.ndarray:
     """Unclamped ensemble output; prefer :func:`predict` for reporting."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -241,7 +226,7 @@ def predict_raw(model: GbtModel | RfModel, X: np.ndarray) -> np.ndarray:
         return np.zeros(0)
     # A tree would send NaN to the right child and score it without a word.
     _require_finite_features(X)
-    if isinstance(model, GbtModel):
+    if model.family == "gbt":
         out = np.full(X.shape[0], model.base_prediction)
         for tree in model.trees:
             out += model.params.learning_rate * tree.predict(X)
@@ -252,12 +237,12 @@ def predict_raw(model: GbtModel | RfModel, X: np.ndarray) -> np.ndarray:
     return out / max(1, len(model.trees))
 
 
-def predict(model: GbtModel | RfModel, X: np.ndarray) -> np.ndarray:
+def predict(model: Ensemble, X: np.ndarray) -> np.ndarray:
     """Predicted transfer rates, clamped at zero."""
     return np.maximum(predict_raw(model, X), 0.0)
 
 
-def feature_importance(model: GbtModel | RfModel) -> list[tuple[str, float]]:
+def feature_importance(model: Ensemble) -> list[tuple[str, float]]:
     """(name, share) pairs sorted by descending gain share."""
     pairs = list(zip(model.feature_names, (float(v) for v in model.importances)))
     pairs.sort(key=lambda p: (-p[1], p[0]))
@@ -285,21 +270,20 @@ class ModelFile(JsonArtifact):
         return {f.name: v for f in fields(self) if (v := getattr(self, f.name)) is not None}
 
 
-def model_to_dict(model: GbtModel | RfModel) -> dict:
-    gbt = isinstance(model, GbtModel)
+def model_to_dict(model: Ensemble) -> dict:
     return ModelFile(
         format_version=MODEL_FORMAT_VERSION,
-        family="gbt" if gbt else "rf",
+        family=model.family,
         params=model.params.to_dict(),
         feature_names=model.feature_names,
         importances=model.importances.tolist(),
         trees=[t.to_dict() for t in model.trees],
-        base_prediction=model.base_prediction if gbt else None,
-        train_loss=model.train_loss if gbt else None,
+        base_prediction=model.base_prediction,
+        train_loss=model.train_loss,
     ).to_dict()
 
 
-def model_from_dict(payload: dict) -> GbtModel | RfModel:
+def model_from_dict(payload: dict) -> Ensemble:
     """Rebuild a model from :func:`model_to_dict` output.
 
     Raises ValueError naming the missing or malformed field.
@@ -310,7 +294,8 @@ def model_from_dict(payload: dict) -> GbtModel | RfModel:
     file = ModelFile.from_dict(payload)
     if file.family not in ("gbt", "rf"):
         raise ValueError(f"unknown model family: {file.family!r}")
-    if file.family == "gbt" and file.base_prediction is None:
+    gbt = file.family == "gbt"
+    if gbt and file.base_prediction is None:
         raise ValueError("lacks field 'base_prediction'")
     n_features = len(file.feature_names)
     if len(file.importances) != n_features:
@@ -325,20 +310,18 @@ def model_from_dict(payload: dict) -> GbtModel | RfModel:
             trees.append(RegressionTree.from_dict(tree, n_features))
         except ValueError as exc:
             raise ValueError(f"tree {i}: {exc}") from None
-    common = dict(params=params, feature_names=file.feature_names, trees=trees,
-                  importances=np.asarray(file.importances, dtype=float))
-    if file.family == "gbt":
-        # JSON integers are numbers too; predict_raw adds float trees onto the base.
-        return GbtModel(**common, base_prediction=float(file.base_prediction),
-                        train_loss=[float(v) for v in file.train_loss or []])
-    return RfModel(**common)
+    # JSON integers are numbers too; predict_raw adds float trees onto the base.
+    return Ensemble(file.family, params, file.feature_names, trees,
+                    np.asarray(file.importances, dtype=float),
+                    base_prediction=float(file.base_prediction) if gbt else None,
+                    train_loss=[float(v) for v in file.train_loss or []] if gbt else None)
 
 
-def save_model(model: GbtModel | RfModel, path: str) -> None:
+def save_model(model: Ensemble, path: str) -> None:
     """Write ``model.json`` on one line; a non-finite number raises ValueError naming ``path``."""
     write_json(path, model_to_dict(model), indent=None)
 
 
-def load_model(path: str) -> GbtModel | RfModel:
+def load_model(path: str) -> Ensemble:
     """Read a model JSON file; a malformed file raises ValueError naming it."""
     return read_json(path, model_from_dict)

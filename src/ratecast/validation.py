@@ -17,7 +17,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .artifacts import JsonArtifact
-from .models import MAX_ESTIMATORS, GbtModel, HyperParams, RfModel, fit_gbt, fit_rf, predict
+from .models import MAX_ESTIMATORS, Ensemble, HyperParams, fit_gbt, fit_rf, predict
 from .models import _validate_training_input
 
 ModelFamily = Literal["gbt", "rf"]
@@ -200,7 +200,7 @@ def fit_family(
     y: np.ndarray,
     params: HyperParams,
     feature_names: Sequence[str] | None = None,
-) -> GbtModel | RfModel:
+) -> Ensemble:
     if family == "gbt":
         return fit_gbt(X, y, params, feature_names)
     if family == "rf":

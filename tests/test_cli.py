@@ -13,7 +13,7 @@ import ratecast
 from ratecast.artifacts import write_json
 from ratecast.cli import main
 from ratecast.features import read_feature_csv
-from ratecast.models import GbtModel, HyperParams, model_to_dict, save_model
+from ratecast.models import Ensemble, HyperParams, model_to_dict, save_model
 from ratecast.validation import fit_family, holdout_rows
 
 
@@ -203,7 +203,8 @@ def test_eval_of_mean_model_scores_like_target_spread(tmp_path):
     with open(f"{d}/features.csv") as fh:
         X, names, _, y = read_feature_csv(fh)
     n_train = int(len(y) * 0.9 + 1e-9)
-    mean_model = GbtModel(
+    mean_model = Ensemble(
+        family="gbt",
         params=HyperParams(n_estimators=1, max_depth=1, min_samples_split=2,
                            min_samples_leaf=1),
         feature_names=names,
@@ -336,8 +337,8 @@ def _static_features_and_model(d, n):
                  "--groups", "A"]) == 0
     with open(f"{d}/features.csv") as fh:
         _, names, _, _ = read_feature_csv(fh)
-    model = GbtModel(params=HyperParams(), feature_names=names, base_prediction=1.0,
-                     trees=[], importances=np.zeros(len(names)))
+    model = Ensemble(family="gbt", params=HyperParams(), feature_names=names,
+                     base_prediction=1.0, trees=[], importances=np.zeros(len(names)))
     return model_to_dict(model)
 
 
@@ -483,6 +484,40 @@ def test_report_of_misshapen_artifact_exits_1_without_traceback(tmp_path, capsys
     assert err.startswith(f"error: {path}: ")
     assert repr(field) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, payload, key",
+    [("--cv", _CV_RESULT, "cv_wall_s"), ("--eval", {"rmse_mbs": 1.0}, "eval_wall_s")],
+    ids=["cv", "eval"],
+)
+def test_report_copies_a_wall_time_only_where_the_input_has_one(tmp_path, flag, payload, key):
+    path, out = tmp_path / "artifact.json", tmp_path / "report.json"
+    for timing, want in (({}, None), ({"other_s": 1.0}, None), ({"wall_s": 2.5}, {key: 2.5})):
+        path.write_text(json.dumps(dict(payload, timing=timing)))
+        assert main(["report", "--out", str(out), flag, str(path)]) == 0
+        assert _read_json(out).get("timing") == want
+
+
+def test_rf_family_runs_from_cv_through_train_to_eval(tmp_path):
+    d = str(tmp_path)
+    _static_features_and_model(d, 400)
+    space = {"n_estimators": [2, 4], "max_depth": [2, 4], "min_samples_split": [4, 20],
+             "min_samples_leaf": [2, 4], "max_features": [1.0, 2.0]}
+    (tmp_path / "space.json").write_text(json.dumps(space))
+    assert main(["cv", "--features", f"{d}/features.csv", "--out", f"{d}/cv.json",
+                 "--family", "rf", "--num-params", "2", "--cv-k", "2", "--train-width", "150",
+                 "--test-width", "40", "--train-size", "100", "--test-size", "30",
+                 "--space", f"{d}/space.json"]) == 0
+    assert main(["train", "--features", f"{d}/features.csv", "--out", f"{d}/model.json",
+                 "--family", "rf", "--from-cv", f"{d}/cv.json"]) == 0
+    assert main(["eval", "--features", f"{d}/features.csv", "--model", f"{d}/model.json",
+                 "--out", f"{d}/eval.json"]) == 0
+    assert _read_json(f"{d}/cv.json")["family"] == "rf"
+    model = _read_json(f"{d}/model.json")
+    assert model["family"] == "rf"
+    assert "base_prediction" not in model and "train_loss" not in model
+    assert math.isfinite(_read_json(f"{d}/eval.json")["rmse_mbs"])
 
 
 def _replace_cell(text, line, cell, value):

@@ -165,9 +165,12 @@ HEADER = "meta.event_id,G.a,G.b,target.transfer_rate_mbs\n"
         (HEADER + "1,2,3,4\n \n", "line 3: expected 4 cells, found 1"),
         ("id,G.a,G.b,target.transfer_rate_mbs\n1,2,3,4\n", "bad header"),
         ("", "bad header"),
+        (HEADER + "1,2,3,4\n2,3,4,5\n3,4\n", "line 4: expected 4 cells, found 2"),
+        (HEADER + "1,2,3,4\r2,3,4,5\r3,4,5,z", "line 4: could not convert string 'z'"),
     ],
     ids=["non-numeric", "ragged", "fractional-id", "id-overflow", "comment",
-         "after-blank-crlf-lines", "whitespace-line", "bad-header", "empty"],
+         "after-blank-crlf-lines", "whitespace-line", "bad-header", "empty",
+         "last-line-ragged", "last-line-unended-after-cr-lines"],
 )
 def test_read_rejects_malformed_input(text, message):
     with pytest.raises(ValueError) as info:
@@ -183,6 +186,43 @@ class _Unseekable(io.StringIO):
 def test_read_error_of_unseekable_source_keeps_loadtxt_count():
     with pytest.raises(ValueError, match="'x' to float64 at row 1, column 2"):
         read_feature_csv(_Unseekable(HEADER + "1,2,3,4\n2,x,3,4\n"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(0, 6),
+    end=st.sampled_from(["\n", "\r\n", "\r"]),
+    final_end=st.booleans(),
+)
+def test_any_line_ends_and_blank_lines_read_alike_with_or_without_seeking(data, n, end,
+                                                                          final_end):
+    values = data.draw(hnp.arrays(np.float64, (n, 2), elements=floats))
+    targets = data.draw(hnp.arrays(np.float64, n, elements=floats))
+    sink = io.StringIO()
+    write_feature_csv(_matrix(values, np.arange(n, dtype=np.int64)), targets, sink)
+    clean = read_feature_csv(io.StringIO(sink.getvalue(), newline=""))
+    lines = []
+    for line in sink.getvalue().splitlines():
+        lines += [line] + [""] * data.draw(st.integers(0, 2))
+    text = end.join(lines) + (end if final_end else "")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns of blank lines when given max_rows
+        _assert_same_read(read_feature_csv(io.StringIO(text, newline="")), clean)
+        _assert_same_read(read_feature_csv(_Unseekable(text, newline="")), clean)
+
+
+@pytest.mark.parametrize("stream", [io.StringIO, _Unseekable])
+def test_a_seekable_read_passes_loadtxt_a_row_bound(stream):
+    text = HEADER + "1,2,3,4\r\n\r\n2,3,4,5\r3,4,5,6"
+    with mock.patch.object(features.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        X, _, _, _ = read_feature_csv(stream(text, newline=""))
+    assert X.shape == (3, 2)
+    max_rows = loadtxt.call_args.kwargs.get("max_rows")
+    if stream is io.StringIO:
+        assert max_rows is not None and max_rows >= len(X) + 1
+    else:
+        assert max_rows is None
 
 
 def _structured_read(text):

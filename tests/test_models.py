@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 from unittest import mock
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratecast.models import (
-    GbtModel,
+    Ensemble,
     HyperParams,
     feature_importance,
     fit_gbt,
@@ -510,7 +511,8 @@ def test_model_load_rejects_unknown_version():
 
 def test_handbuilt_mean_model_round_trips():
     # a trees-free model predicting its base value is valid on disk
-    model = GbtModel(
+    model = Ensemble(
+        family="gbt",
         params=HyperParams(n_estimators=1, max_depth=1, min_samples_split=2,
                            min_samples_leaf=1),
         feature_names=["f0"],
@@ -519,10 +521,31 @@ def test_handbuilt_mean_model_round_trips():
         importances=np.zeros(1),
     )
     payload = model_to_dict(model)
+    assert "train_loss" not in payload  # and a gbt file without one loads with []
     loaded = model_from_dict(json.loads(json.dumps(payload)))
+    assert loaded.family == "gbt" and loaded.train_loss == []
     np.testing.assert_array_equal(
         predict(loaded, np.zeros((4, 1))), np.full(4, 12.5)
     )
+
+
+def test_rf_model_json_bytes_are_pinned(tmp_path):
+    # A small seeded forest: its model.json bytes pin the rf fit and file layout.
+    rng = np.random.default_rng(5)
+    X = rng.uniform(0, 10, size=(150, 3))
+    y = X[:, 0] * 2 + rng.normal(0, 0.5, 150)
+    params = HyperParams(n_estimators=3, max_depth=3, max_features=2.0, min_samples_split=4,
+                         min_samples_leaf=2, subsample=0.8, seed=7)
+    path, again = tmp_path / "rf.json", tmp_path / "rf-again.json"
+    save_model(fit_rf(X, y, params, feature_names=["a", "b", "c"]), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "5a518119a94351fd8e2e13f56a0b57e0ad11e9d5841e0b3c90eb9d2e6b64f1cc"
+    )
+    loaded = load_model(str(path))
+    assert loaded.family == "rf"
+    assert loaded.base_prediction is None and loaded.train_loss is None
+    save_model(loaded, str(again))
+    assert again.read_bytes() == path.read_bytes()
 
 
 def _two_tree_payload():

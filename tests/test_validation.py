@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ratecast.validation as validation
-from ratecast.models import HyperParams, predict
+from ratecast.models import HyperParams, fit_rf, predict
 from ratecast.validation import (
     CvConfig,
     HyperParamSpace,
@@ -243,6 +243,28 @@ def test_cv_result_ties_keep_earliest_candidate():
     result = nested_cv(X, y, config, candidates=[params, params])
     assert result.mean_rmse[0] == result.mean_rmse[1] == 0.0
     assert result.best_index == 0
+
+
+def test_rf_nested_cv_equals_a_hand_loop_over_its_folds():
+    X, y = _xor_data(n=300, seed=8)
+    config = CvConfig(
+        num_params=2, k=2, train_width=100, test_width=30,
+        train_size=80, test_size=25, seed=11,
+    )
+    space = HyperParamSpace(
+        n_estimators=(3, 6), max_depth=(1, 4),
+        min_samples_split=(2, 10), min_samples_leaf=(1, 5), max_features=(1.0, 2.0),
+    )
+    result = nested_cv(X, y, config, space, family="rf")
+    for c, params in enumerate(result.candidates):
+        rng = np.random.default_rng((config.seed, c))
+        assert sample_hyperparams(space, rng) == params
+        scores = []
+        for fold in make_folds(len(y), config, rng):
+            model = fit_rf(X[fold.train_rows], y[fold.train_rows], params)
+            scores.append(rmse(predict(model, X[fold.test_rows]), y[fold.test_rows]))
+        assert result.fold_rmse[c] == scores
+    assert result.best_index == int(np.argmin(result.mean_rmse))
 
 
 def test_nested_cv_rejects_nan_target_in_a_test_only_row():
