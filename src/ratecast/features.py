@@ -23,6 +23,7 @@ columns); trees can split on the indicator directly.
 from __future__ import annotations
 
 import csv
+import mmap
 import re
 import warnings
 from dataclasses import dataclass
@@ -182,7 +183,9 @@ def assemble_features(
     width = 1 + len(encoded_metas) + 2 * len(spec.groups & {"B", "E"})
     width += sum(len(stats) for group, _, stats in _CONCURRENCY_BLOCKS if group in spec.groups)
     width += sum(len(stats) + 1 for *_, stats in lag_blocks)
-    values = np.empty((len(log), width))
+    # Its own mapping: on the malloc heap its place, and peak RSS, hang on the blocks around it.
+    n = len(log) * width
+    values = np.frombuffer(mmap.mmap(-1, 8 * max(1, n)), count=n).reshape(len(log), width)
     metas: list[ColumnMeta] = []
 
     def add(name: str, group: str, origin: str, column, missing=None) -> None:
@@ -315,8 +318,7 @@ def read_feature_csv(
 def _row_bound(source: IO[str]) -> int:
     """One more than the LFs and CRs from ``source``'s position on, where it is left:
     every line end counts at least once, so this exceeds the non-blank lines left."""
-    start = source.tell()
-    bound = 1
+    start, bound = source.tell(), 1
     while chunk := source.read(1 << 20):
         bound += chunk.count("\n") + chunk.count("\r")
     source.seek(start)
@@ -330,8 +332,7 @@ def _load_body(source, dtype, max_rows: int | None = None) -> np.ndarray:
         # Blank lines are skipped, and with max_rows given numpy says so.
         warnings.filterwarnings("ignore", "Input line .* contained no data", UserWarning)
         warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
-        return np.loadtxt(source, delimiter=",", comments=None, dtype=dtype, ndmin=1,
-                          max_rows=max_rows)
+        return np.loadtxt(source, delimiter=",", comments=None, dtype=dtype, ndmin=1, max_rows=max_rows)
 
 
 def _body_error_at_line(source: IO[str], dtype, width: int) -> str | None:
