@@ -35,8 +35,8 @@ from .models import (
     Ensemble,
     HyperParams,
     feature_importance,
+    fit_family,
     fit_gbt,
-    fit_rf,
     load_model,
     predict,
     predict_raw,
@@ -50,7 +50,6 @@ from .validation import (
     FoldSpec,
     HyperParamSpace,
     chronological_split,
-    fit_family,
     holdout_rows,
     make_folds,
     nested_cv,

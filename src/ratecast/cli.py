@@ -29,8 +29,10 @@ from .features import (
     write_feature_csv,
 )
 from .models import (
+    FAMILIES,
     HyperParams,
     feature_importance,
+    fit_family,
     load_model,
     predict,
     save_model,
@@ -41,7 +43,6 @@ from .validation import (
     CvReport,
     EvalReport,
     HyperParamSpace,
-    fit_family,
     holdout_rows,
     nested_cv,
     rmse,
@@ -274,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage", default="DSS_TO_FFB", choices=[s.value for s in Stage])
     p.add_argument("--inject-oversize", type=int, default=0)
     p.add_argument("--inject-zero", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("clean", help="apply the cleaning rules to a log")
@@ -295,26 +296,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cv", help="nested cross-validation hyperparameter search")
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--family", default="gbt", choices=["gbt", "rf"])
+    p.add_argument("--family", default="gbt", choices=FAMILIES)
     p.add_argument("--num-params", type=int, default=10)
     p.add_argument("--cv-k", dest="k", type=int, default=10)
     p.add_argument("--train-width", type=int, default=20000)
     p.add_argument("--test-width", type=int, default=2000)
     p.add_argument("--train-size", type=int, default=5000)
     p.add_argument("--test-size", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--space", default=None, help="JSON file of sampling ranges")
     p.set_defaults(func=_cmd_cv)
 
     p = sub.add_parser("train", help="train a model on the chronological train side")
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--family", default="gbt", choices=["gbt", "rf"])
+    p.add_argument("--family", default="gbt", choices=FAMILIES)
     p.add_argument("--params", default=None, help="hyperparameters JSON file")
     p.add_argument("--from-cv", default=None, help="cv result JSON; use its best_params")
     p.add_argument("--holdout", dest="split", type=float, default=0.9)
-    p.add_argument("--train-subset", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--train-subset", type=_count, default=None)
+    p.add_argument("--seed", type=_count, default=0)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model on the chronological test side")
@@ -323,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="eval result JSON path")
     p.add_argument("--pairs", default=None, help="predicted-vs-actual CSV path")
     p.add_argument("--holdout", dest="split", type=float, default=0.9)
-    p.add_argument("--test-subset", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--test-subset", type=_count, default=None)
+    p.add_argument("--seed", type=_count, default=0)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("report", help="collect artifacts into a run report")

@@ -288,13 +288,18 @@ def read_feature_csv(
 ) -> tuple[np.ndarray, list[str], np.ndarray, np.ndarray]:
     """Load an exported matrix: (X, feature_names, event_ids, targets).
 
-    Ids must be integers; blank lines and CRLF line ends are accepted. A body
-    error names the line in the file (the header is line 1) when ``source``
-    is seekable, and ``np.loadtxt``'s count within the body otherwise. A
-    seekable ``source`` is first counted for line ends, so that the body is
-    parsed into an array of its size and not grown by ``realloc`` as it is read.
+    Ids must be integers; blank lines and CRLF line ends are accepted. The
+    header is read from ``source``'s position. When that position can be
+    told, the rest is first counted for line ends, so that the body is parsed
+    into an array of its size and not grown by ``realloc``, and a body error
+    names its line (the header is line 1); otherwise it gives ``np.loadtxt``'s
+    count within the body.
     """
-    max_rows = _row_bound(source) if source.seekable() else None
+    try:  # a text file that next() has advanced cannot tell its position
+        start = source.tell() if source.seekable() else None
+    except OSError:
+        start = None
+    max_rows = None if start is None else _row_bound(source, start)
     header = next(csv.reader(source), [])
     if not header or header[0] != "meta.event_id" or header[-1] != "target.transfer_rate_mbs":
         raise ValueError("not a feature matrix CSV (bad header)")
@@ -303,7 +308,8 @@ def read_feature_csv(
     try:
         body = _load_body(source, dtype, max_rows)
     except ValueError as exc:
-        raise ValueError(_body_error_at_line(source, dtype, len(names) + 2) or str(exc)) from None
+        detail = _body_error_at_line(source, start, dtype, len(names) + 2)
+        raise ValueError(detail or str(exc)) from None
     n, k = len(body), len(names)
     ids, targets = body["id"].copy(), body["y"].copy()
     # X reuses the body's buffer: each row's cells move forward in place, never
@@ -315,10 +321,10 @@ def read_feature_csv(
     return X, names, ids, targets
 
 
-def _row_bound(source: IO[str]) -> int:
-    """One more than the LFs and CRs from ``source``'s position on, where it is left:
+def _row_bound(source: IO[str], start: int) -> int:
+    """One more than the LFs and CRs from ``start`` on, where ``source`` is left:
     every line end counts at least once, so this exceeds the non-blank lines left."""
-    start, bound = source.tell(), 1
+    bound = 1
     while chunk := source.read(1 << 20):
         bound += chunk.count("\n") + chunk.count("\r")
     source.seek(start)
@@ -335,15 +341,15 @@ def _load_body(source, dtype, max_rows: int | None = None) -> np.ndarray:
         return np.loadtxt(source, delimiter=",", comments=None, dtype=dtype, ndmin=1, max_rows=max_rows)
 
 
-def _body_error_at_line(source: IO[str], dtype, width: int) -> str | None:
-    """Re-read ``source`` from the top and describe its first bad body line.
+def _body_error_at_line(source: IO[str], start: int | None, dtype, width: int) -> str | None:
+    """Re-read ``source`` from its header at ``start``; describe its first bad body line.
 
     As in ``np.loadtxt``, lines end at LF, CRLF or CR and blank lines are
-    skipped. None when ``source`` cannot be re-read.
+    skipped. None when ``start`` is None: ``source`` cannot be re-read.
     """
-    if not source.seekable():
+    if start is None:
         return None
-    source.seek(0)
+    source.seek(start)
     lines = iter(source)
     next(lines, None)
     for number, line in enumerate(lines, start=2):

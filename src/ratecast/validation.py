@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .artifacts import JsonArtifact
-from .models import MAX_ESTIMATORS, Ensemble, HyperParams, fit_gbt, fit_rf, predict
+from .models import MAX_ESTIMATORS, HyperParams, fit_family, predict
 from .models import _validate_training_input
-
-ModelFamily = Literal["gbt", "rf"]
 
 
 def rmse(pred: np.ndarray, actual: np.ndarray) -> float:
@@ -194,26 +192,12 @@ class CvReport(JsonArtifact):
             raise ValueError(f"field 'best_params': {exc}") from None
 
 
-def fit_family(
-    family: ModelFamily,
-    X: np.ndarray,
-    y: np.ndarray,
-    params: HyperParams,
-    feature_names: Sequence[str] | None = None,
-) -> Ensemble:
-    if family == "gbt":
-        return fit_gbt(X, y, params, feature_names)
-    if family == "rf":
-        return fit_rf(X, y, params, feature_names)
-    raise ValueError(f"unknown model family: {family!r}")
-
-
 def nested_cv(
     X: np.ndarray,
     y: np.ndarray,
     config: CvConfig,
     space: HyperParamSpace | None = None,
-    family: ModelFamily = "gbt",
+    family: str = "gbt",
     candidates: Sequence[HyperParams] | None = None,
 ) -> CvResult:
     """Random-search hyperparameters with order-preserving folds.

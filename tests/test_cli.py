@@ -330,6 +330,27 @@ def test_report_with_negative_top_exits_2_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [("synth", "--seed"), ("cv", "--seed"), ("train", "--seed"), ("eval", "--seed"),
+     ("train", "--train-subset"), ("eval", "--test-subset")],
+)
+def test_a_negative_seed_or_subset_exits_2_naming_the_flag(tmp_path, capsys, command, flag):
+    # Each exited 1 with "expected non-negative integer" or "negative dimensions".
+    d = str(tmp_path)
+    args = {
+        "synth": ["--out", f"{d}/events.csv"],
+        "cv": ["--features", f"{d}/features.csv", "--out", f"{d}/cv.json"],
+        "train": ["--features", f"{d}/features.csv", "--out", f"{d}/model.json"],
+        "eval": ["--features", f"{d}/features.csv", "--model", f"{d}/model.json"],
+    }[command]
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *args, flag, "-1"])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: must be at least 0, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _static_features_and_model(d, n):
     """A group-A feature CSV and, for its columns, a tree-less model payload."""
     assert main(["synth", "--out", f"{d}/events.csv", "--n", str(n), "--seed", "3"]) == 0

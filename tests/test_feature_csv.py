@@ -188,6 +188,28 @@ def test_read_error_of_unseekable_source_keeps_loadtxt_count():
         read_feature_csv(_Unseekable(HEADER + "1,2,3,4\n2,x,3,4\n"))
 
 
+def test_a_text_file_advanced_by_next_reads_from_its_position(tmp_path):
+    # A text file cannot tell() after next(): it reads as an unseekable source.
+    path = tmp_path / "features.csv"
+    path.write_text("junk\n" + HEADER + "1,2,3,4\n2,3,4,5\n", newline="")
+    with open(path, newline="") as fh:
+        next(fh)
+        X, names, ids, y = read_feature_csv(fh)
+    assert X.tolist() == [[2.0, 3.0], [3.0, 4.0]] and names == ["G.a", "G.b"]
+    assert ids.tolist() == [1, 2] and y.tolist() == [4.0, 5.0]
+    path.write_text("junk\n" + HEADER + "1,2,3,4\n2,x,3,4\n", newline="")
+    with open(path, newline="") as fh, pytest.raises(ValueError, match="at row 1, column 2"):
+        next(fh)
+        read_feature_csv(fh)
+
+
+def test_a_body_error_counts_lines_from_the_header_where_reading_began():
+    source = io.StringIO("junk\n" + HEADER + "1,2,3,4\n2,x,3,4\n", newline="")
+    next(source)
+    with pytest.raises(ValueError, match="^line 3: could not convert string 'x' to float64"):
+        read_feature_csv(source)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     data=st.data(),

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import tracemalloc
@@ -12,8 +13,8 @@ from ratecast.models import (
     Ensemble,
     HyperParams,
     feature_importance,
+    fit_family,
     fit_gbt,
-    fit_rf,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -332,7 +333,7 @@ def test_rf_single_tree_is_cart_on_its_bootstrap_rows():
     params = HyperParams(
         learning_rate=0.1, n_estimators=1, max_depth=50, max_features=3.0, **FAST
     )
-    model = fit_rf(X, y, params)
+    model = fit_family("rf", X, y, params)
     rng = np.random.default_rng(params.seed)
     tree = grow_tree(
         X,
@@ -351,7 +352,8 @@ def test_rf_single_tree_is_cart_on_its_bootstrap_rows():
 def test_rf_constant_target_predicts_constant():
     X, _ = _data(80, 2)
     y = np.full(80, -3.0)  # raw output is negative, clamp hits it
-    model = fit_rf(X, y, HyperParams(n_estimators=5, max_depth=3, max_features=2.0, **FAST))
+    params = HyperParams(n_estimators=5, max_depth=3, max_features=2.0, **FAST)
+    model = fit_family("rf", X, y, params)
     np.testing.assert_array_equal(predict_raw(model, X), y)
     np.testing.assert_array_equal(predict(model, X), np.zeros(80))
 
@@ -363,8 +365,8 @@ def test_rf_seeded_refit_is_identical():
         n_estimators=12, max_depth=6, max_features=2.0,
         min_samples_split=4, min_samples_leaf=2, subsample=1.0, seed=11,
     )
-    m1 = fit_rf(X, y, params)
-    m2 = fit_rf(X, y, params)
+    m1 = fit_family("rf", X, y, params)
+    m2 = fit_family("rf", X, y, params)
     np.testing.assert_array_equal(predict(m1, X), predict(m2, X))
     assert json.dumps(model_to_dict(m1), sort_keys=True) == json.dumps(
         model_to_dict(m2), sort_keys=True
@@ -409,7 +411,8 @@ def test_fit_rejects_degenerate_input():
         fit_gbt(np.zeros((5, 2)), np.zeros(4), HyperParams())
 
 
-@pytest.mark.parametrize("fit", [fit_gbt, fit_rf])
+@pytest.mark.parametrize("fit", [fit_gbt, functools.partial(fit_family, "rf")],
+                         ids=["fit_gbt", "fit_rf"])
 def test_fit_rejects_non_finite_input_naming_first_bad_cell(fit):
     X = np.zeros((6, 3))
     X[4, 0] = np.inf
@@ -422,7 +425,8 @@ def test_fit_rejects_non_finite_input_naming_first_bad_cell(fit):
         fit(np.zeros((6, 3)), y, HyperParams())
 
 
-@pytest.mark.parametrize("fit", [fit_gbt, fit_rf])
+@pytest.mark.parametrize("fit", [fit_gbt, functools.partial(fit_family, "rf")],
+                         ids=["fit_gbt", "fit_rf"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fit_rejects_targets_whose_sum_overflows_before_any_tree_grows(fit):
     for value, total in ((1.7e308, "inf"), (-1.7e308, "-inf")):
@@ -437,7 +441,8 @@ def test_finite_feature_check_builds_no_cell_mask():
     assert peak < X.size // 8  # np.isfinite(X) alone is X.size bytes
 
 
-@pytest.mark.parametrize("fit", [fit_gbt, fit_rf])
+@pytest.mark.parametrize("fit", [fit_gbt, functools.partial(fit_family, "rf")],
+                         ids=["fit_gbt", "fit_rf"])
 def test_scoring_rejects_non_finite_features_naming_first_bad_cell(fit):
     X, rng = _data(60, 3, seed=2)
     params = HyperParams(n_estimators=3, max_depth=2, max_features=3.0, **FAST)
@@ -493,8 +498,8 @@ def test_model_json_round_trip(tmp_path):
         n_estimators=8, max_depth=5, max_features=2.0,
         min_samples_split=4, min_samples_leaf=2, subsample=0.8, seed=21,
     )
-    for fit, family in ((fit_gbt, "gbt"), (fit_rf, "rf")):
-        model = fit(X, y, params, feature_names=["alpha", "beta", "gamma"])
+    for family in ("gbt", "rf"):
+        model = fit_family(family, X, y, params, feature_names=["alpha", "beta", "gamma"])
         path = tmp_path / f"{family}.json"
         save_model(model, str(path))
         loaded = load_model(str(path))
@@ -502,6 +507,16 @@ def test_model_json_round_trip(tmp_path):
         assert loaded.params == params
         np.testing.assert_array_equal(predict(loaded, X), predict(model, X))
         np.testing.assert_array_equal(loaded.importances, model.importances)
+
+
+def test_fit_and_load_reject_an_unknown_family_by_name():
+    # The fit refuses before it reads X, which here has too few rows to fit.
+    with pytest.raises(ValueError, match="^unknown model family: 'xgb'$"):
+        fit_family("xgb", np.zeros((1, 1)), np.zeros(1), HyperParams())
+    payload = _two_tree_payload()
+    payload["family"] = "xgb"
+    with pytest.raises(ValueError, match="^unknown model family: 'xgb'$"):
+        model_from_dict(payload)
 
 
 def test_model_load_rejects_unknown_version():
@@ -537,7 +552,7 @@ def test_rf_model_json_bytes_are_pinned(tmp_path):
     params = HyperParams(n_estimators=3, max_depth=3, max_features=2.0, min_samples_split=4,
                          min_samples_leaf=2, subsample=0.8, seed=7)
     path, again = tmp_path / "rf.json", tmp_path / "rf-again.json"
-    save_model(fit_rf(X, y, params, feature_names=["a", "b", "c"]), str(path))
+    save_model(fit_family("rf", X, y, params, feature_names=["a", "b", "c"]), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "5a518119a94351fd8e2e13f56a0b57e0ad11e9d5841e0b3c90eb9d2e6b64f1cc"
     )

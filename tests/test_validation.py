@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import ratecast.validation as validation
-from ratecast.models import HyperParams, fit_rf, predict
+import ratecast.models as models
+from ratecast.models import HyperParams, predict
 from ratecast.validation import (
     CvConfig,
     HyperParamSpace,
@@ -261,10 +262,28 @@ def test_rf_nested_cv_equals_a_hand_loop_over_its_folds():
         assert sample_hyperparams(space, rng) == params
         scores = []
         for fold in make_folds(len(y), config, rng):
-            model = fit_rf(X[fold.train_rows], y[fold.train_rows], params)
+            model = fit_family("rf", X[fold.train_rows], y[fold.train_rows], params)
             scores.append(rmse(predict(model, X[fold.test_rows]), y[fold.test_rows]))
         assert result.fold_rmse[c] == scores
     assert result.best_index == int(np.argmin(result.mean_rmse))
+
+
+def test_nested_cv_fits_through_its_module_global_fit_family():
+    # The bench's tracer wraps validation.fit_family to time and count each fit.
+    assert validation.fit_family is models.fit_family
+    X, y = _xor_data(n=300)
+    config = CvConfig(
+        num_params=3, k=2, train_width=100, test_width=30,
+        train_size=80, test_size=25, seed=7,
+    )
+    space = HyperParamSpace(
+        n_estimators=(2, 4), max_depth=(1, 3),
+        min_samples_split=(2, 10), min_samples_leaf=(1, 5), max_features=(1.0, 2.0),
+    )
+    with mock.patch.object(validation, "fit_family", wraps=models.fit_family) as fit:
+        nested_cv(X, y, config, space, family="rf")
+    assert fit.call_count == config.num_params * config.k
+    assert {call.args[0] for call in fit.call_args_list} == {"rf"}
 
 
 def test_nested_cv_rejects_nan_target_in_a_test_only_row():
