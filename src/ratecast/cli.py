@@ -93,6 +93,7 @@ def _cmd_clean(args: argparse.Namespace) -> int:
 
 
 def _cmd_features(args: argparse.Namespace) -> int:
+    spec = FeatureSpec.parse(args.groups)
     events = _load_log(args.input)
     if not events:
         raise ValueError(f"{args.input}: no events")
@@ -103,7 +104,6 @@ def _cmd_features(args: argparse.Namespace) -> int:
         if not events:
             raise ValueError(f"{args.input}: no rows of stage {args.stage}")
     events = sort_by_start(events)
-    spec = FeatureSpec.parse(args.groups)
     matrix = assemble_features(events, spec, tz_offset_hours=args.tz_offset_hours)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         write_feature_csv(matrix, events.rates, fh)
@@ -121,9 +121,9 @@ def _cmd_features(args: argparse.Namespace) -> int:
 
 def _cmd_cv(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
-    X, _, _, y = _load_features(args.features)
     config = CvConfig(**{f.name: getattr(args, f.name) for f in fields(CvConfig)})
     space = read_json(args.space, HyperParamSpace.from_dict) if args.space else HyperParamSpace()
+    X, _, _, y = _load_features(args.features)
     result = nested_cv(X, y, config, space, family=args.family)
     timing = {"wall_s": round(time.monotonic() - t0, 3)}
     report = CvReport(family=args.family, config=vars(config), timing=timing, **result.to_dict())
@@ -150,8 +150,8 @@ def _resolve_params(args: argparse.Namespace) -> HyperParams:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    X, names, _, y = _load_features(args.features)
     params = _resolve_params(args)
+    X, names, _, y = _load_features(args.features)
     rows = holdout_rows(X.shape[0], args.split, args.train_subset, None, args.seed)[0]
     with naming(args.features):  # a fit refuses what the feature CSV holds
         model = fit_family(args.family, X[rows], y[rows], params, names)
@@ -256,6 +256,14 @@ def _tz_offset(text: str) -> float:
     return value
 
 
+def _holdout(text: str) -> float:
+    """argparse type of ``--holdout``: the train side's share, strictly between 0 and 1."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be strictly between 0 and 1, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ratecast",
@@ -313,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="gbt", choices=FAMILIES)
     p.add_argument("--params", default=None, help="hyperparameters JSON file")
     p.add_argument("--from-cv", default=None, help="cv result JSON; use its best_params")
-    p.add_argument("--holdout", dest="split", type=float, default=0.9)
+    p.add_argument("--holdout", dest="split", type=_holdout, default=0.9)
     p.add_argument("--train-subset", type=_count, default=None)
     p.add_argument("--seed", type=_count, default=0)
     p.set_defaults(func=_cmd_train)
@@ -323,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--out", default=None, help="eval result JSON path")
     p.add_argument("--pairs", default=None, help="predicted-vs-actual CSV path")
-    p.add_argument("--holdout", dest="split", type=float, default=0.9)
+    p.add_argument("--holdout", dest="split", type=_holdout, default=0.9)
     p.add_argument("--test-subset", type=_count, default=None)
     p.add_argument("--seed", type=_count, default=0)
     p.set_defaults(func=_cmd_eval)

@@ -63,22 +63,28 @@ class RegressionTree:
         output; raises ValueError naming a missing or malformed field."""
         if not isinstance(payload, dict):
             raise ValueError(f"a tree must be a JSON object, got {payload!r}")
-        arrays = {}
+        columns = []
         for f in fields(cls):
             if f.name not in payload:
                 raise ValueError(f"a tree lacks field {f.name!r}")
-            dtype = np.int64 if f.name in _INT_FIELDS else float
-            arrays[f.name] = np.asarray(payload[f.name], dtype=dtype)
-        n = np.size(arrays["feature"])
-        if arrays["feature"].ndim != 1 or n == 0:
-            raise ValueError("field 'feature' must be a non-empty list")
-        for name, values in arrays.items():
-            size = n_features if name == "feature_gains" else n
-            if values.shape != (size,):
-                raise ValueError(f"field {name!r} must be a list of {size} numbers")
+            raw, kinds = payload[f.name], "i" if f.name in _INT_FIELDS else "iuf"
+            # numpy reads true as 1 and fails on a ragged list, so only a flat list reaches it
+            flat = isinstance(raw, list) and set(map(type, raw)).isdisjoint((bool, list))
+            values = np.asarray(raw) if flat else None
+            if values is None or values.size and values.dtype.kind not in kinds:
+                what = "int64 integers" if kinds == "i" else "numbers"
+                raise ValueError(f"field {f.name!r} must be a list of {what}")
             if not np.isfinite(values).all():
-                raise ValueError(f"field {name!r} holds a non-finite number")
-        tree = cls(**arrays)
+                raise ValueError(f"field {f.name!r} holds a non-finite number")
+            columns.append(values)
+        n = columns[0].size
+        if n == 0:
+            raise ValueError("field 'feature' must be a non-empty list")
+        for f, values in zip(fields(cls), columns):
+            size = n_features if f.name == "feature_gains" else n
+            if values.size != size:
+                raise ValueError(f"field {f.name!r} must be a list of {size} numbers")
+        tree = _tree(*columns)
         if ((tree.feature < -1) | (tree.feature >= n_features)).any():
             raise ValueError(f"field 'feature' holds an index outside [-1, {n_features})")
         # children are numbered after their parent, so no path can loop
@@ -92,6 +98,14 @@ class RegressionTree:
                     "a leaf's must be -1"
                 )
         return tree
+
+
+def _tree(*columns) -> RegressionTree:
+    """The tree of its field columns, in declaration order; ``_INT_FIELDS`` are int64."""
+    return RegressionTree(*(
+        np.asarray(column, dtype=np.int64 if f.name in _INT_FIELDS else np.float64)
+        for f, column in zip(fields(RegressionTree), columns)
+    ))
 
 
 # Rank cells per candidate block: bounds the search's temporaries at big nodes.
@@ -217,31 +231,16 @@ def grow_tree(
     on one ``X`` ranks its columns once per fit. ``X`` must be finite.
     """
     n_features = X.shape[1]
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-    n_node_samples: list[int] = []
+    # One [feature, threshold, left, right, value, n_node_samples] row per node.
+    nodes: list[list] = [[-1, 0.0, -1, -1, 0.0, 0]]
     gains = [0.0] * n_features
-
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        n_node_samples.append(0)
-        return len(feature) - 1
-
-    stack: list[tuple[np.ndarray, int, int]] = [(np.asarray(rows), 0, new_node())]
+    stack: list[tuple[np.ndarray, int, int]] = [(np.asarray(rows), 0, 0)]
     while stack:
         node_rows, depth, node = stack.pop()
         ys = y[node_rows]
         n = node_rows.size
         total = float(ys.sum())
-        value[node] = total / n
-        n_node_samples[node] = int(n)
+        nodes[node][4:] = total / n, int(n)
         if depth >= max_depth or n < min_samples_split:
             continue
         if ys.min() == ys.max():
@@ -257,24 +256,10 @@ def grow_tree(
             continue
         best_gain, best_feature, best_threshold, cut_rank = found
         goes_left = ranks[best_feature].take(node_rows) <= cut_rank
-        rows_left = node_rows[goes_left]
-        rows_right = node_rows[~goes_left]
         gains[best_feature] += best_gain
-        feature[node] = best_feature
-        threshold[node] = best_threshold
-        left_id = new_node()
-        right_id = new_node()
-        left[node] = left_id
-        right[node] = right_id
-        stack.append((rows_right, depth + 1, right_id))
-        stack.append((rows_left, depth + 1, left_id))
-
-    return RegressionTree(
-        feature=np.asarray(feature, dtype=np.int64),
-        threshold=np.asarray(threshold, dtype=float),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
-        value=np.asarray(value, dtype=float),
-        n_node_samples=np.asarray(n_node_samples, dtype=np.int64),
-        feature_gains=np.asarray(gains, dtype=float),
-    )
+        left = len(nodes)
+        nodes[node][:4] = best_feature, best_threshold, left, left + 1
+        nodes += [[-1, 0.0, -1, -1, 0.0, 0], [-1, 0.0, -1, -1, 0.0, 0]]
+        stack.append((node_rows[~goes_left], depth + 1, left + 1))
+        stack.append((node_rows[goes_left], depth + 1, left))
+    return _tree(*zip(*nodes), gains)

@@ -351,6 +351,37 @@ def test_a_negative_seed_or_subset_exits_2_naming_the_flag(tmp_path, capsys, com
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "command, option, code, message",
+    [("cv", ["--num-params", "-1"], 1, "error: num_params must be a positive integer"),
+     ("cv", ["--cv-k", "0"], 1, "error: k must be a positive integer"),
+     ("train", ["--holdout", "2"], 2, "argument --holdout: must be strictly between 0 and 1"),
+     ("eval", ["--holdout", "nan"], 2, "argument --holdout: must be strictly between 0 and 1"),
+     ("features", ["--groups", "A,Z"], 1, "error: unknown feature groups: ['Z']"),
+     ("cv", ["--space", "{d}/space.json"], 1, "space.json'"),
+     ("train", ["--params", "{d}/params.json"], 1, "params.json'")],
+    ids=["cv-num-params", "cv-k", "train-holdout", "eval-holdout", "features-groups",
+         "cv-space", "train-params"],
+)
+def test_a_bad_option_is_reported_before_the_input_is_read(tmp_path, capsys, command, option,
+                                                           code, message):
+    # Each read the whole input first, so a missing input file was reported instead.
+    d = str(tmp_path)
+    args = {
+        "features": ["--in", f"{d}/events.csv", "--out", f"{d}/features.csv"],
+        "cv": ["--features", f"{d}/features.csv", "--out", f"{d}/cv.json"],
+        "train": ["--features", f"{d}/features.csv", "--out", f"{d}/model.json"],
+        "eval": ["--features", f"{d}/features.csv", "--model", f"{d}/model.json"],
+    }[command]
+    try:
+        rc = main([command, *args, *(o.format(d=d) for o in option)])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == code
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _static_features_and_model(d, n):
     """A group-A feature CSV and, for its columns, a tree-less model payload."""
     assert main(["synth", "--out", f"{d}/events.csv", "--n", str(n), "--seed", "3"]) == 0

@@ -666,12 +666,21 @@ def _without_base_prediction(payload):
         (_infinite_importance, "field 'importances' must be"),
         (_nan_learning_rate, "field 'params': field 'learning_rate' must be a finite number"),
         (_without_base_prediction, "lacks field 'base_prediction'"),
+        # numpy's casts truncated 0.7 to 0, read "0.5" and true as numbers and
+        # raised OverflowError on 10**30
+        (_set_tree_cell("feature", 0.7), "tree 1: field 'feature' must be a list of int64"),
+        (_set_tree_cell("threshold", "0.5"), "tree 1: field 'threshold' must be a list of numbers"),
+        (_set_tree_cell("value", True), "tree 1: field 'value' must be a list of numbers"),
+        (_set_tree_cell("feature", 10**30), "tree 1: field 'feature' must be a list of int64"),
+        (_set_tree_cell("n_node_samples", 1.5),
+         "tree 1: field 'n_node_samples' must be a list of int64"),
     ],
     ids=["short-left", "short-value", "short-gains", "two-dimensional", "empty",
          "feature-past-columns", "feature-below-leaf-mark", "child-loops-back",
          "leaf-with-child", "short-importances", "nan-threshold", "infinite-value",
          "infinite-gain", "nan-base-prediction", "infinite-importance", "nan-learning-rate",
-         "gbt-without-base-prediction"],
+         "gbt-without-base-prediction", "fractional-feature", "string-threshold",
+         "boolean-value", "feature-past-int64", "fractional-count"],
 )
 def test_model_load_rejects_misshapen_trees(mutate, message):
     payload = _two_tree_payload()
