@@ -30,6 +30,15 @@ def _finite(value) -> bool:
         return False
 
 
+def require_finite_fields(config) -> None:
+    """Raise ValueError naming the first ``float`` field of the dataclass ``config`` that is
+    not finite, by :func:`_finite`'s rule: an integer too large for a float is not."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type in (float, "float") and not _finite(value):
+            raise ValueError(f"{f.name} must be finite, got {reprlib.repr(value)}")
+
+
 def _matches(tp, value) -> bool:
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import enum
 import json
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from .features import (
     FeatureSpec,
     FeaturesMeta,
     assemble_features,
+    check_tz_offset,
     read_feature_csv,
     write_feature_csv,
 )
@@ -36,6 +38,8 @@ from .models import (
     load_model,
     predict,
     save_model,
+    _require_finite,
+    _validate_training_input,
 )
 from .synth import SynthConfig, generate_workload
 from .validation import (
@@ -59,19 +63,17 @@ def _load_log(path: str):
         return load_events(path)
 
 
+def _holdout_side(args: argparse.Namespace, side: str):
+    """``_load_features`` of the feature CSV's rows on ``side`` ("train" or "test")
+    of the chronological holdout that ``_add_holdout_flags`` set."""
+    X, names, event_ids, y = _load_features(args.features)
+    subsets = (getattr(args, "train_subset", None), getattr(args, "test_subset", None))
+    rows = holdout_rows(X.shape[0], args.split, *subsets, args.seed)[side == "test"]
+    return X[rows], names, event_ids[rows], y[rows]
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
-    config = SynthConfig(
-        n_events=args.n,
-        n_instruments=args.instruments,
-        ar_rho=args.rho,
-        state_sigma=args.state_sigma,
-        noise_mbs=args.noise,
-        delayed_stream_prob=args.delay_prob,
-        stage=Stage(args.stage),
-        inject_oversize=args.inject_oversize,
-        inject_zero=args.inject_zero,
-        seed=args.seed,
-    )
+    config = args.config(args)
     events, _ = generate_workload(config)
     dump_events(events, args.out)
     sidecar = args.sidecar or str(Path(args.out).with_suffix(".meta.json"))
@@ -121,7 +123,7 @@ def _cmd_features(args: argparse.Namespace) -> int:
 
 def _cmd_cv(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
-    config = CvConfig(**{f.name: getattr(args, f.name) for f in fields(CvConfig)})
+    config = args.config(args)
     space = read_json(args.space, HyperParamSpace.from_dict) if args.space else HyperParamSpace()
     X, _, _, y = _load_features(args.features)
     result = nested_cv(X, y, config, space, family=args.family)
@@ -137,58 +139,60 @@ def _cmd_cv(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_params(args: argparse.Namespace) -> HyperParams:
+def _resolve_params(args: argparse.Namespace) -> tuple[HyperParams, str | None]:
+    """train's hyperparameters and the file they come from, None for the defaults."""
     if args.params and args.from_cv:
         raise ValueError("pass either --params or --from-cv, not both")
     if args.params:
-        return read_json(args.params, HyperParams.from_dict)
-    if args.from_cv:
-        return read_json(
-            args.from_cv, lambda cv: HyperParams.from_dict(CvReport.from_dict(cv).best_params)
-        )
-    return HyperParams()
+        return read_json(args.params, HyperParams.from_dict), args.params
+    if args.from_cv:  # CvReport checks that best_params is a HyperParams
+        best = read_json(args.from_cv, CvReport.from_dict).best_params
+        return HyperParams.from_dict(best), args.from_cv
+    return HyperParams(), None
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    params = _resolve_params(args)
-    X, names, _, y = _load_features(args.features)
-    rows = holdout_rows(X.shape[0], args.split, args.train_subset, None, args.seed)[0]
-    with naming(args.features):  # a fit refuses what the feature CSV holds
-        model = fit_family(args.family, X[rows], y[rows], params, names)
+    params, source = _resolve_params(args)
+    X, names, _, y = _holdout_side(args, "train")
+    with naming(args.features):
+        X, y = _validate_training_input(X, y)
+    with naming(source or args.features):  # past the input's checks, a fit refuses its knobs
+        model = fit_family(args.family, X, y, params, names)
     save_model(model, args.out)
-    print(f"trained {args.family} on {rows.size} rows, saved to {args.out}")
+    print(f"trained {args.family} on {len(y)} rows, saved to {args.out}")
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
-    X, names, event_ids, y = _load_features(args.features)
+    X, names, event_ids, actual = _holdout_side(args, "test")
     model = load_model(args.model)
     if names != model.feature_names:
         raise ValueError("feature columns do not match the model's training columns")
-    rows = holdout_rows(X.shape[0], args.split, None, args.test_subset, args.seed)[1]
-    preds = predict(model, X[rows])
-    actual = y[rows]
-    score = rmse(preds, actual)
+    if not actual.size:
+        raise ValueError("rmse of empty arrays is undefined: --test-subset 0 scores no row")
+    _require_finite(X, "feature value")
+    _require_finite(actual, "target")
+    with naming(args.model):  # on finite input, a prediction or error past float64 is the model's
+        preds = predict(model, X)
+        score = rmse(preds, actual)
     if args.pairs:
         with open(args.pairs, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["event_id", "actual_mbs", "predicted_mbs"])
-            for i, row in enumerate(rows):
-                writer.writerow(
-                    [int(event_ids[row]), format(actual[i], ".17g"), format(preds[i], ".17g")]
-                )
+            writer.writerows([int(event_id), format(a, ".17g"), format(p, ".17g")]
+                             for event_id, a, p in zip(event_ids, actual, preds))
     if args.out:
         report = EvalReport(
             rmse_mbs=score,
-            n_test=int(rows.size),
+            n_test=actual.size,
             split=args.split,
             test_subset=args.test_subset,
             seed=args.seed,
             timing={"wall_s": round(time.monotonic() - t0, 3)},
         )
         write_json(args.out, report.to_dict())
-    print(f"holdout RMSE: {score:.4f} MB/s over {rows.size} rows")
+    print(f"holdout RMSE: {score:.4f} MB/s over {actual.size} rows")
     return 0
 
 
@@ -249,10 +253,12 @@ def _count(text: str) -> int:
 
 
 def _tz_offset(text: str) -> float:
-    """argparse type of ``--tz-offset-hours``: a finite number of hours within ±24."""
+    """argparse type of ``--tz-offset-hours``: hours that pass ``check_tz_offset``."""
     value = float(text)
-    if not -24.0 <= value <= 24.0:
-        raise argparse.ArgumentTypeError(f"must be finite and within ±24 hours, got {text}")
+    try:
+        check_tz_offset(value)
+    except ValueError as exc:  # argparse names the flag
+        raise argparse.ArgumentTypeError(str(exc).removeprefix("tz_offset_hours ")) from None
     return value
 
 
@@ -262,6 +268,44 @@ def _holdout(text: str) -> float:
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(f"must be strictly between 0 and 1, got {text}")
     return value
+
+
+#: The flags of synth and cv that set a SynthConfig or CvConfig field, as {flag: field}.
+_SYNTH_FLAGS = {
+    "--n": "n_events", "--instruments": "n_instruments", "--rho": "ar_rho",
+    "--state-sigma": "state_sigma", "--noise": "noise_mbs", "--delay-prob": "delayed_stream_prob",
+    "--stage": "stage", "--inject-oversize": "inject_oversize", "--inject-zero": "inject_zero",
+    "--seed": "seed",
+}
+_CV_FLAGS = {
+    "--num-params": "num_params", "--cv-k": "k", "--train-width": "train_width",
+    "--test-width": "test_width", "--train-size": "train_size", "--test-size": "test_size",
+    "--seed": "seed",
+}
+
+
+def _add_config_flags(p, config_type, flags: dict[str, str], dest_is_field: bool) -> None:
+    """Add ``flags``, each typed and defaulted by its ``config_type`` field's default (an
+    enum's values are its choices, a seed is a count), and set ``args.config(args)`` to
+    build the config from them. A flag's dest is its field, or else argparse's own."""
+    defaults, dests = config_type(), {}
+    for flag, field in flags.items():
+        default = getattr(defaults, field)
+        if isinstance(default, enum.Enum):
+            kind = {"choices": [member.value for member in type(default)], "default": default.value}
+        else:
+            kind = {"type": _count if field == "seed" else type(default), "default": default}
+        dests[field] = p.add_argument(flag, dest=field if dest_is_field else None, **kind).dest
+    p.set_defaults(config=lambda args: config_type(**{
+        field: type(getattr(defaults, field))(getattr(args, dest)) for field, dest in dests.items()
+    }))
+
+
+def _add_holdout_flags(p, side: str) -> None:
+    """The flags that pick ``side`` ("train" or "test") of the holdout; see ``_holdout_side``."""
+    p.add_argument("--holdout", dest="split", type=_holdout, default=0.9)
+    p.add_argument(f"--{side}-subset", type=_count, default=None)
+    p.add_argument("--seed", type=_count, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,16 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic transfer log")
     p.add_argument("--out", required=True)
     p.add_argument("--sidecar", default=None, help="config/seed JSON path")
-    p.add_argument("--n", type=int, default=10000)
-    p.add_argument("--instruments", type=int, default=7)
-    p.add_argument("--rho", type=float, default=0.95)
-    p.add_argument("--state-sigma", type=float, default=0.25)
-    p.add_argument("--noise", type=float, default=4.0)
-    p.add_argument("--delay-prob", type=float, default=0.08)
-    p.add_argument("--stage", default="DSS_TO_FFB", choices=[s.value for s in Stage])
-    p.add_argument("--inject-oversize", type=int, default=0)
-    p.add_argument("--inject-zero", type=int, default=0)
-    p.add_argument("--seed", type=_count, default=0)
+    _add_config_flags(p, SynthConfig, _SYNTH_FLAGS, dest_is_field=False)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("clean", help="apply the cleaning rules to a log")
@@ -305,13 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--family", default="gbt", choices=FAMILIES)
-    p.add_argument("--num-params", type=int, default=10)
-    p.add_argument("--cv-k", dest="k", type=int, default=10)
-    p.add_argument("--train-width", type=int, default=20000)
-    p.add_argument("--test-width", type=int, default=2000)
-    p.add_argument("--train-size", type=int, default=5000)
-    p.add_argument("--test-size", type=int, default=500)
-    p.add_argument("--seed", type=_count, default=0)
+    _add_config_flags(p, CvConfig, _CV_FLAGS, dest_is_field=True)
     p.add_argument("--space", default=None, help="JSON file of sampling ranges")
     p.set_defaults(func=_cmd_cv)
 
@@ -321,9 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="gbt", choices=FAMILIES)
     p.add_argument("--params", default=None, help="hyperparameters JSON file")
     p.add_argument("--from-cv", default=None, help="cv result JSON; use its best_params")
-    p.add_argument("--holdout", dest="split", type=_holdout, default=0.9)
-    p.add_argument("--train-subset", type=_count, default=None)
-    p.add_argument("--seed", type=_count, default=0)
+    _add_holdout_flags(p, "train")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model on the chronological test side")
@@ -331,9 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--out", default=None, help="eval result JSON path")
     p.add_argument("--pairs", default=None, help="predicted-vs-actual CSV path")
-    p.add_argument("--holdout", dest="split", type=_holdout, default=0.9)
-    p.add_argument("--test-subset", type=_count, default=None)
-    p.add_argument("--seed", type=_count, default=0)
+    _add_holdout_flags(p, "test")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("report", help="collect artifacts into a run report")

@@ -133,13 +133,21 @@ class FeatureMatrix:
         return [c.name for c in self.columns]
 
 
+def check_tz_offset(hours: float) -> None:
+    """Raise ValueError unless ``hours`` is a finite UTC offset within ±24 hours."""
+    if not -24.0 <= hours <= 24.0:  # NaN fails it too
+        raise ValueError(f"tz_offset_hours must be finite and within ±24 hours, got {hours}")
+
+
 def compute_time_features(
     log: EventLog, tz_offset_hours: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """(day_of_week, hour_of_day) arrays of the start times; day 0 is Monday.
 
     A fixed UTC offset shifts the clock; no daylight-saving rules are applied.
+    The offset must pass :func:`check_tz_offset`.
     """
+    check_tz_offset(tz_offset_hours)
     shifted = log.starts + int(round(tz_offset_hours * 3600.0))
     days, seconds = np.divmod(shifted, 86400)
     day_of_week = (days + 3) % 7  # 1970-01-01 was a Thursday

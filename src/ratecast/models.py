@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .artifacts import JsonArtifact, read_json, write_json
+from .artifacts import JsonArtifact, read_json, require_finite_fields, write_json
 from .tree import RegressionTree, grow_tree, rank_columns
 
 MODEL_FORMAT_VERSION = 1
@@ -45,10 +45,7 @@ class HyperParams(JsonArtifact):
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not np.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        require_finite_fields(self)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         for name in ("n_estimators", "max_depth", "min_samples_split", "min_samples_leaf"):
@@ -90,13 +87,14 @@ class Ensemble:
     train_loss: list[float] | None = None
 
 
-def _require_finite_features(X: np.ndarray) -> None:
-    """Raise naming the first non-finite cell of ``X`` in row-major order."""
-    # Exact with no n x k mask: NaN propagates through min and max, and the
-    # initial 0.0 hides no infinity while letting an empty X pass.
-    if not (math.isfinite(X.min(initial=0.0)) and math.isfinite(X.max(initial=0.0))):
-        row, col = np.argwhere(~np.isfinite(X))[0]
-        raise ValueError(f"non-finite feature value {float(X[row, col])} at row {row}, column {col}")
+def _require_finite(values: np.ndarray, what: str) -> None:
+    """Raise naming the first non-finite entry, a ``what``, of the 1-d or 2-d ``values``."""
+    # Exact with no cell mask: NaN propagates through min and max, and the
+    # initial 0.0 hides no infinity while letting an empty array pass.
+    if not (math.isfinite(values.min(initial=0.0)) and math.isfinite(values.max(initial=0.0))):
+        at = np.argwhere(~np.isfinite(values))[0]
+        where = ", column ".join(map(str, at))
+        raise ValueError(f"non-finite {what} {float(values[tuple(at)])} at row {where}")
 
 
 def _validate_training_input(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -110,11 +108,8 @@ def _validate_training_input(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, 
         raise ValueError("need at least 2 training rows")
     if X.shape[1] < 1:
         raise ValueError("need at least one feature column")
-    _require_finite_features(X)
-    finite = np.isfinite(y)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        raise ValueError(f"non-finite target {float(y[row])} at row {row}")
+    _require_finite(X, "feature value")
+    _require_finite(y, "target")
     with np.errstate(over="ignore"):  # the error below says it
         total = y.sum()
     if not math.isfinite(total):
@@ -190,9 +185,13 @@ def fit_family(
         else:
             rows = all_rows
         tree = grow_tree(X, residual, rows, **grow)
-        current = current + params.learning_rate * tree.predict(X)
+        with np.errstate(over="ignore", invalid="ignore"):  # the error below says it
+            current = current + params.learning_rate * tree.predict(X)
+            loss = float(np.mean((y - current) ** 2))
+        if not math.isfinite(loss):  # a finite loss means a finite prediction too
+            raise ValueError(f"the fit overflows at tree {len(trees)}: training loss {loss}")
         trees.append(tree)
-        train_loss.append(float(np.mean((y - current) ** 2)))
+        train_loss.append(loss)
     return Ensemble("gbt", params, names, trees, _aggregate_importances(trees, n_features),
                     base_prediction=base, train_loss=train_loss)
 
@@ -212,19 +211,17 @@ def predict_raw(model: Ensemble, X: np.ndarray) -> np.ndarray:
             f"feature count mismatch: model has {len(model.feature_names)}, "
             f"X has {X.shape[1]}"
         )
-    if X.shape[0] == 0:
-        return np.zeros(0)
     # A tree would send NaN to the right child and score it without a word.
-    _require_finite_features(X)
-    if model.family == "gbt":
-        out = np.full(X.shape[0], model.base_prediction)
+    _require_finite(X, "feature value")
+    gbt = model.family == "gbt"
+    out = np.full(X.shape[0], model.base_prediction if gbt else 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # the error below says it
         for tree in model.trees:
-            out += model.params.learning_rate * tree.predict(X)
-        return out
-    out = np.zeros(X.shape[0])
-    for tree in model.trees:
-        out += tree.predict(X)
-    return out / max(1, len(model.trees))
+            out += model.params.learning_rate * tree.predict(X) if gbt else tree.predict(X)
+    if not gbt:
+        out /= max(1, len(model.trees))
+    _require_finite(out, "prediction")
+    return out
 
 
 def predict(model: Ensemble, X: np.ndarray) -> np.ndarray:

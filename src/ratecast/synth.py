@@ -41,12 +41,13 @@ layout replaced; tests/test_synth.py pins their SHA-256.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 from typing import Iterator
 
 import numpy as np
 
+from .artifacts import require_finite_fields
 from .events import KNOWN_INSTRUMENTS, EventLog, Stage
 
 _NEH_INSTRUMENTS = ("amo", "sxr", "xpp")
@@ -96,10 +97,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+        require_finite_fields(self)
         # A log factor is normal with std state_sigma times its weight (at most
         # 1.2), so up to 10 exp() overflows only on a draw past 59 std devs.
         if self.state_sigma > 10:

@@ -29,7 +29,11 @@ def rmse(pred: np.ndarray, actual: np.ndarray) -> float:
     if pred.size == 0:
         raise ValueError("rmse of empty arrays is undefined")
     diff = pred - actual
-    return float(np.sqrt(np.mean(diff * diff)))
+    with np.errstate(over="ignore"):  # the error below says it
+        score = float(np.sqrt(np.mean(diff * diff)))
+    if not math.isfinite(score):
+        raise ValueError(f"RMSE is {score}: a prediction, target or squared error is not finite")
+    return score
 
 
 @dataclass(frozen=True)

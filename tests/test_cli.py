@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,11 +11,14 @@ import numpy as np
 import pytest
 
 import ratecast
+from ratecast import cli
 from ratecast.artifacts import write_json
-from ratecast.cli import main
+from ratecast.cli import build_parser, main
+from ratecast.events import Stage
 from ratecast.features import read_feature_csv
 from ratecast.models import Ensemble, HyperParams, model_to_dict, save_model
-from ratecast.validation import fit_family, holdout_rows
+from ratecast.synth import SynthConfig
+from ratecast.validation import CvConfig, fit_family, holdout_rows
 
 
 def _read(path):
@@ -775,6 +779,90 @@ def test_train_whose_fit_overflows_exits_1_and_writes_no_model(tmp_path, capsys)
     assert not out.exists()
 
 
+_DIVERGING = {"learning_rate": 1e308, "n_estimators": 3, "min_samples_split": 4,
+              "min_samples_leaf": 2}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "flag, payload, detail",
+    [
+        # It fitted NaN trees through RuntimeWarnings, then blamed --out.
+        ("--params", _DIVERGING, "the fit overflows at tree 0: training loss inf"),
+        ("--from-cv", dict(_CV_RESULT, best_params=_DIVERGING), "the fit overflows at tree 0"),
+        # HyperParams ended in numpy's TypeError on an integer past the uint64 range.
+        ("--params", {"max_features": 10**29},
+         "max_features rounds to 100000000000000000000000000000 but only"),
+    ],
+    ids=["params-learning-rate", "cv-learning-rate", "params-huge-max-features"],
+)
+def test_train_names_the_hyperparameter_file_whose_fit_fails(tmp_path, capsys, flag, payload,
+                                                             detail):
+    d = str(tmp_path)
+    _static_features_and_model(d, 60)
+    path = tmp_path / "knobs.json"
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["train", "--features", f"{d}/features.csv", "--out", f"{d}/model.json",
+                 flag, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {detail}") and err.count("\n") == 1
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_train_with_default_hyperparameters_names_the_features_whose_fit_overflows(tmp_path,
+                                                                                   capsys):
+    # Targets sum to a finite number, but their squared errors pass float64.
+    rows = [f"{i},{i % 3},{i % 4},{i % 5},{i % 6},{'-' if i % 2 else ''}1e200" for i in range(10)]
+    header = "meta.event_id,A.a,A.b,A.c,A.d,target.transfer_rate_mbs"
+    (tmp_path / "f.csv").write_text("\n".join([header, *rows]) + "\n")
+    assert main(["train", "--features", str(tmp_path / "f.csv"), "--out",
+                 str(tmp_path / "model.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'f.csv'}: the fit overflows at tree 0: training loss inf\n"
+
+
+def _leaf_tree(n_features, value):
+    return {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1], "value": [value],
+            "n_node_samples": [1], "feature_gains": [0.0] * n_features}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "change, detail",
+    [
+        # It printed "holdout RMSE: inf MB/s" and exited 0.
+        (lambda model: dict(model, base_prediction=1e308), "RMSE is inf: "),
+        (lambda model: dict(model, base_prediction=1.7e308,
+                            trees=[_leaf_tree(len(model["feature_names"]), 1e308)]),
+         "non-finite prediction inf at row 0"),
+    ],
+    ids=["base-prediction", "tree-value"],
+)
+def test_eval_names_the_model_whose_scores_overflow(tmp_path, capsys, change, detail):
+    d = str(tmp_path)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(change(_static_features_and_model(d, 60))))
+    capsys.readouterr()
+    assert main(["eval", "--features", f"{d}/features.csv", "--model", str(path),
+                 "--out", f"{d}/eval.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {detail}") and err.count("\n") == 1
+    assert not (tmp_path / "eval.json").exists()
+
+
+def test_eval_of_a_non_finite_target_exits_1_without_blaming_the_model(tmp_path, capsys):
+    d = str(tmp_path)
+    with open(f"{d}/model.json", "w") as fh:
+        json.dump(_static_features_and_model(d, 60), fh)
+    # Line 58 holds row 57, the fourth of the six rows the default 0.9 split tests on.
+    (tmp_path / "bad.csv").write_text(_replace_cell(_read(f"{d}/features.csv"), 58, -1, "nan"))
+    capsys.readouterr()
+    assert main(["eval", "--features", f"{d}/bad.csv", "--model", f"{d}/model.json"]) == 1
+    assert capsys.readouterr().err == "error: non-finite target nan at row 3\n"
+
+
 def test_non_finite_feature_at_scoring_exits_1(tmp_path, capsys):
     d = str(tmp_path)
     with open(f"{d}/model.json", "w") as fh:
@@ -893,3 +981,59 @@ def test_synth_writes_sidecar_with_config(tmp_path):
     assert sidecar["seed"] == 123
     assert sidecar["config"]["n_events"] == 50
     assert sidecar["config"]["stage"] == "DSS_TO_FFB"
+
+
+# ------------------------------------------------------------ flag tables
+
+
+#: (flag, dest, type) of every flag that sets a config field or picks holdout rows.
+_PINNED_FLAGS = {
+    "synth": [("--n", "n", int), ("--instruments", "instruments", int), ("--rho", "rho", float),
+              ("--state-sigma", "state_sigma", float), ("--noise", "noise", float),
+              ("--delay-prob", "delay_prob", float), ("--stage", "stage", None),
+              ("--inject-oversize", "inject_oversize", int),
+              ("--inject-zero", "inject_zero", int), ("--seed", "seed", cli._count)],
+    "cv": [("--num-params", "num_params", int), ("--cv-k", "k", int),
+           ("--train-width", "train_width", int), ("--test-width", "test_width", int),
+           ("--train-size", "train_size", int), ("--test-size", "test_size", int),
+           ("--seed", "seed", cli._count)],
+    "train": [("--holdout", "split", cli._holdout), ("--train-subset", "train_subset", cli._count),
+              ("--seed", "seed", cli._count)],
+    "eval": [("--holdout", "split", cli._holdout), ("--test-subset", "test_subset", cli._count),
+             ("--seed", "seed", cli._count)],
+}
+
+
+@pytest.mark.parametrize("command", list(_PINNED_FLAGS))
+def test_table_flags_keep_their_names_dests_and_types(command):
+    parser = build_parser()._subparsers._group_actions[0].choices[command]
+    actions = {a.option_strings[0]: a for a in parser._actions if a.option_strings}
+    assert [(f, actions[f].dest, actions[f].type) for f, _, _ in _PINNED_FLAGS[command]] == (
+        _PINNED_FLAGS[command]
+    )
+    table = {"synth": cli._SYNTH_FLAGS, "cv": cli._CV_FLAGS}.get(command)
+    if table is not None:
+        assert list(table) == [flag for flag, _, _ in _PINNED_FLAGS[command]]
+    if command == "synth":
+        assert actions["--stage"].choices == ["DSS_TO_FFB", "FFB_TO_ANA"]
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["synth", "--out", "e.csv"], SynthConfig()),
+        (["cv", "--features", "f.csv", "--out", "cv.json"], CvConfig()),
+        (["synth", "--out", "e.csv", "--n", "5", "--rho", "0.5", "--stage", "FFB_TO_ANA",
+          "--inject-zero", "2", "--seed", "7"],
+         SynthConfig(n_events=5, ar_rho=0.5, stage=Stage.FFB_TO_ANA, inject_zero=2, seed=7)),
+        (["cv", "--features", "f.csv", "--out", "cv.json", "--cv-k", "3", "--test-size", "9"],
+         CvConfig(k=3, test_size=9)),
+    ],
+    ids=["synth-defaults", "cv-defaults", "synth-set", "cv-set"],
+)
+def test_table_flags_build_their_config_field_for_field(argv, config):
+    args = build_parser().parse_args(argv)
+    built = args.config(args)
+    for f in dataclasses.fields(config):
+        want = getattr(config, f.name)
+        assert (getattr(built, f.name), type(getattr(built, f.name))) == (want, type(want)), f.name

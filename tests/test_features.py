@@ -77,6 +77,23 @@ def test_time_features_known_timestamp_with_offset():
     assert (dow, hour) == (moment.weekday(), moment.hour)
 
 
+@pytest.mark.parametrize("offset", [float("inf"), float("-inf"), float("nan"), 1e300, 10**400,
+                                    24.5, -25.0],
+                         ids=["inf", "-inf", "nan", "1e300", "10**400", "24.5", "-25"])
+def test_time_features_refuse_a_tz_offset_that_is_not_finite_or_past_a_day(offset):
+    # inf and 1e300 raised OverflowError, and NaN "cannot convert float NaN to integer".
+    log = EventLog.from_events([mk_event(start=1500000000)])
+    with pytest.raises(ValueError, match="^tz_offset_hours must be finite and within ±24 hours"):
+        compute_time_features(log, offset)
+    with pytest.raises(ValueError, match="^tz_offset_hours must be finite"):
+        assemble_features(log, FeatureSpec.parse("A,B"), tz_offset_hours=offset)
+
+
+def test_time_features_take_a_tz_offset_of_a_whole_day():
+    assert _time_features(0, tz_offset_hours=24.0) == (4, 0)
+    assert _time_features(0, tz_offset_hours=-24.0) == (2, 0)
+
+
 # ---------------------------------------------------------------------- lags
 
 

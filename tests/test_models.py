@@ -61,6 +61,26 @@ def test_hyperparams_reject_non_finite_floats(name, value):
         HyperParams.from_dict({name: value})
 
 
+@pytest.mark.parametrize("name", ["learning_rate", "max_features", "subsample"])
+@pytest.mark.parametrize("value", [2**64, 10**30, 10**400, -(10**400)],
+                         ids=["2**64", "10**30", "10**400", "-10**400"])
+def test_hyperparams_refuse_an_integer_past_float64_by_name(name, value):
+    # np.isfinite raised TypeError on an integer past the uint64 range.
+    try:
+        HyperParams(**{name: value})
+    except ValueError as exc:
+        assert str(exc).startswith(name)
+    if abs(value) > 2**1024:
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got [-]?1000"):
+            HyperParams(**{name: value})
+
+
+def test_hyperparams_take_an_integer_max_features_past_uint64_and_refuse_it_at_fit():
+    params = HyperParams(max_features=2**64)
+    with pytest.raises(ValueError, match="max_features rounds to 18446744073709551616"):
+        params.resolve_max_features(10)
+
+
 def test_max_features_rounding_and_fraction():
     assert HyperParams(max_features=4.12).resolve_max_features(10) == 4
     assert HyperParams(max_features=0.5).resolve_max_features(10) == 5
@@ -435,9 +455,35 @@ def test_fit_rejects_targets_whose_sum_overflows_before_any_tree_grows(fit):
             fit(np.zeros((10, 2)), np.full(10, value), HyperParams())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_boosting_refuses_a_running_prediction_that_overflows():
+    # NaN reached the split search with RuntimeWarnings; save_model then blamed its path.
+    X, rng = _data(60, 3, seed=4)
+    params = HyperParams(learning_rate=1e308, n_estimators=3, max_depth=2, max_features=3.0,
+                         **FAST)
+    with mock.patch("ratecast.models.grow_tree", wraps=models.grow_tree) as grow, \
+            pytest.raises(ValueError, match="^the fit overflows at tree 0: training loss inf$"):
+        fit_gbt(X, rng.uniform(0, 100, 60), params)
+    assert grow.call_count == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("family", ["gbt", "rf"])
+def test_scoring_refuses_a_prediction_that_overflows(family):
+    X, rng = _data(40, 3, seed=5)
+    model = fit_family(family, X, rng.uniform(0, 100, 40),
+                       HyperParams(n_estimators=2, max_depth=2, max_features=3.0, **FAST))
+    for tree in model.trees:
+        tree.value[:] = 1.7e308
+    if family == "gbt":
+        model.base_prediction = 1.7e308
+    with pytest.raises(ValueError, match="^non-finite prediction inf at row 0$"):
+        predict_raw(model, X[:5])
+
+
 def test_finite_feature_check_builds_no_cell_mask():
     X = np.random.default_rng(0).normal(size=(2_000, 500))
-    peak, _ = traced_peak(models._require_finite_features, X)
+    peak, _ = traced_peak(models._require_finite, X, "feature value")
     assert peak < X.size // 8  # np.isfinite(X) alone is X.size bytes
 
 

@@ -118,6 +118,9 @@ def test_config_validation():
     for name in ("chunk_cap_gb", "noise_mbs", "rate_cap_mbs", "delay_boost"):
         with pytest.raises(ValueError, match=f"^{name} must be finite, got nan$"):
             SynthConfig(**{name: float("nan")})
+    for value in (10**400, -(10**400)):  # math.isfinite raised OverflowError
+        with pytest.raises(ValueError, match="^noise_mbs must be finite, got [-]?1000"):
+            SynthConfig(noise_mbs=value)
     assert SynthConfig(state_sigma=10.0).state_sigma == 10.0
     with pytest.raises(ValueError, match="^state_sigma must be at most 10, got 10.5$"):
         SynthConfig(state_sigma=10.5)

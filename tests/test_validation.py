@@ -49,6 +49,14 @@ def test_rmse_rejects_bad_shapes():
         rmse(np.zeros(0), np.zeros(0))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rmse_refuses_errors_whose_squares_overflow():
+    # A model.json base_prediction of 1e308 scored "holdout RMSE: inf MB/s" with exit 0.
+    with pytest.raises(ValueError, match="^RMSE is inf: "):
+        rmse(np.array([1e308, 1.0]), np.array([100.0, 1.0]))
+    assert rmse(np.array([1e154]), np.array([0.0])) == 1e154
+
+
 # --------------------------------------------------------------------- sampler
 
 
