@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import enum
 import json
 import sys
@@ -18,6 +17,7 @@ from .events import (
     CleaningReport,
     Stage,
     clean_events,
+    csv_line,
     dump_events,
     load_events,
     sort_by_start,
@@ -126,7 +126,10 @@ def _cmd_cv(args: argparse.Namespace) -> int:
     config = args.config(args)
     space = read_json(args.space, HyperParamSpace.from_dict) if args.space else HyperParamSpace()
     X, _, _, y = _load_features(args.features)
-    result = nested_cv(X, y, config, space, family=args.family)
+    with naming(args.features):
+        X, y = _validate_training_input(X, y)
+    with naming(args.space or args.features):  # past the input's checks, a fit refuses its knobs
+        result = nested_cv(X, y, config, space, family=args.family)
     timing = {"wall_s": round(time.monotonic() - t0, 3)}
     report = CvReport(family=args.family, config=vars(config), timing=timing, **result.to_dict())
     write_json(args.out, report.to_dict())
@@ -178,19 +181,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         score = rmse(preds, actual)
     if args.pairs:
         with open(args.pairs, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["event_id", "actual_mbs", "predicted_mbs"])
-            writer.writerows([int(event_id), format(a, ".17g"), format(p, ".17g")]
-                             for event_id, a, p in zip(event_ids, actual, preds))
+            fh.write(csv_line(["event_id", "actual_mbs", "predicted_mbs"]))
+            fh.writelines(csv_line([str(int(event_id)), format(a, ".17g"), format(p, ".17g")])
+                          for event_id, a, p in zip(event_ids, actual, preds))
     if args.out:
-        report = EvalReport(
-            rmse_mbs=score,
-            n_test=actual.size,
-            split=args.split,
-            test_subset=args.test_subset,
-            seed=args.seed,
-            timing={"wall_s": round(time.monotonic() - t0, 3)},
-        )
+        timing = {"wall_s": round(time.monotonic() - t0, 3)}
+        report = EvalReport(rmse_mbs=score, n_test=actual.size, split=args.split,
+                            test_subset=args.test_subset, seed=args.seed, timing=timing)
         write_json(args.out, report.to_dict())
     print(f"holdout RMSE: {score:.4f} MB/s over {actual.size} rows")
     return 0

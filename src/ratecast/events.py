@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import csv
 import enum
-import io
 import math
+import re
 from collections import deque
 from dataclasses import dataclass, fields
 from itertools import islice, repeat
@@ -276,38 +276,25 @@ def _parse_block(row_index: list[int], rows: list[list[str]], positions: dict) -
     ]
 
 
-def parse_event_csv(source: IO[bytes] | IO[str]) -> EventLog:
-    """Parse a transfer-event CSV stream into an :class:`EventLog`.
+def parse_event_csv(source: IO[str]) -> EventLog:
+    """Parse a transfer-event CSV text stream into an :class:`EventLog`.
 
     The header must match :data:`CSV_COLUMNS` exactly. Event ids are assigned
     as the 0-based data-row index in order of appearance; blank lines are
     skipped but counted. Unparseable rows, including NaN or infinite sizes
     and rates and timestamps outside ±:data:`TIME_LIMIT_S`, raise
     :class:`CsvRowError` naming the first such row rather than being skipped.
+    Open a file with ``newline=""``, so that quoted fields keep their line ends.
     """
-    if isinstance(source, io.TextIOBase):
-        return _parse_text(source)
-    if not hasattr(source, "read"):
-        raise TypeError("source must be a readable text or byte stream")
-    text = io.TextIOWrapper(source, encoding="utf-8", newline="")
-    try:
-        return _parse_text(text)
-    finally:
-        text.detach()  # the byte stream stays the caller's, open
-
-
-def _parse_text(text: IO[str]) -> EventLog:
-    reader = csv.reader(text)
+    reader = csv.reader(source)
     try:
         header = next(reader)
     except StopIteration:
         raise CsvSchemaError("empty input: missing header") from None
     if tuple(header) != CSV_COLUMNS:
-        missing = [c for c in CSV_COLUMNS if c not in header]
-        extra = [c for c in header if c not in CSV_COLUMNS]
-        if missing:
+        if missing := [c for c in CSV_COLUMNS if c not in header]:
             raise CsvSchemaError(f"missing column {missing[0]!r}")
-        if extra:
+        if extra := [c for c in header if c not in CSV_COLUMNS]:
             raise CsvSchemaError(f"unknown column {extra[0]!r}")
         raise CsvSchemaError(f"columns out of order: got {header!r}")
     positions = {field: {None: -1} for field in _CODED_FIELDS}
@@ -326,16 +313,36 @@ def load_events(path: str) -> EventLog:
         return parse_event_csv(fh)
 
 
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+# 17 significant digits guarantee bit-exact float round-trips.
+_EVENT_LINE = "{},{},{:.17g},{:.17g},{},{},{},{},{},{},{},{}\n".format
+
+
+def csv_field(text: str) -> str:
+    """``text`` as one CSV field: quoted, its quotes doubled, exactly when it holds
+    a comma, a quote, a CR or a LF (the ``csv`` module's writer, set to LF line
+    ends, leaves a CR bare, which a reader takes for a line end)."""
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
+
+
+def csv_line(texts: Iterable[str]) -> str:
+    return ",".join(map(csv_field, texts)) + "\n"
+
+
 def write_event_csv(log: EventLog, sink: IO[str]) -> None:
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    # 17 significant digits guarantee bit-exact float round-trips.
-    fmt = "%.17g".__mod__
-    _, starts, stops, sizes, rates, *names, stages = log._fields(slice(None))
-    writer.writerows(zip(
-        map(str, starts), map(str, stops), map(fmt, sizes), map(fmt, rates),
-        *names, (stage.value for stage in stages),
-    ))
+    """Write ``log`` as CSV, ``_ROW_BLOCK`` rows at a time; each category's
+    field text is made once per distinct value and picked by code."""
+    sink.write(csv_line(CSV_COLUMNS))
+    texts = {f: list(map(csv_field, log.categories[f])) for f in _CATEGORICAL_FIELDS}
+    texts["stage"] = [csv_field(stage.value) for stage in log.categories["stage"]]
+    for lo in range(0, len(log), _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        numbers = (a[rows].tolist() for a in (log.starts, log.stops, log.sizes, log.rates))
+        *coded, stages = (
+            map(texts[f].__getitem__, log.codes[f][rows].tolist()) for f in _CODED_FIELDS
+        )
+        names = map(csv_field, log.file_names[rows].tolist())
+        sink.write("".join(map(_EVENT_LINE, *numbers, *coded, names, stages)))
 
 
 def dump_events(log: EventLog, path: str) -> None:

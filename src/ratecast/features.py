@@ -32,7 +32,7 @@ from typing import IO
 import numpy as np
 
 from .artifacts import JsonArtifact
-from .events import EventLog
+from .events import EventLog, csv_line
 from .lags import LagKeyKind, compute_chunk_time_offset, compute_concurrency, compute_keyed_lags
 from .lags import _ranks
 
@@ -251,7 +251,8 @@ def write_feature_csv(matrix: FeatureMatrix, targets: np.ndarray, sink: IO[str])
     """Export the matrix as CSV; :class:`FeaturesMeta` is its sidecar.
 
     Layout: ``meta.event_id``, one column per feature (named ``group.feature``),
-    then ``target.transfer_rate_mbs``; cells are ``%d``/``%.17g``, LF line ends.
+    then ``target.transfer_rate_mbs``; header fields follow :func:`events.csv_field`,
+    cells are ``%d``/``%.17g``, LF line ends.
     Rows are written in blocks of ``_CSV_BLOCK_ROWS``, and each distinct float
     bit pattern of a block's features is formatted once.
     """
@@ -259,8 +260,7 @@ def write_feature_csv(matrix: FeatureMatrix, targets: np.ndarray, sink: IO[str])
     targets = np.asarray(targets, dtype=np.float64)
     if len(targets) != n:
         raise ValueError("targets length does not match matrix rows")
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["meta.event_id", *matrix.column_names, "target.transfer_rate_mbs"])
+    sink.write(csv_line(["meta.event_id", *matrix.column_names, "target.transfer_rate_mbs"]))
     for lo in range(0, n, _CSV_BLOCK_ROWS):
         block = slice(lo, lo + _CSV_BLOCK_ROWS)
         cells = _block_cells(matrix.event_ids[block], matrix.values[block], targets[block])
@@ -358,9 +358,9 @@ def _body_error_at_line(source: IO[str], start: int | None, dtype, width: int) -
     if start is None:
         return None
     source.seek(start)
-    lines = iter(source)
-    next(lines, None)
-    for number, line in enumerate(lines, start=2):
+    header = csv.reader(lines := iter(source))
+    next(header, None)  # a quoted name may hold line ends, so the header may span lines
+    for number, line in enumerate(lines, start=header.line_num + 1):
         line = line.rstrip("\r\n")
         if not line:
             continue

@@ -24,6 +24,11 @@ MODEL_FORMAT_VERSION = 1
 #: The most trees one fit grows: an int64 ``n_estimators`` could fit for ever.
 MAX_ESTIMATORS = 100_000
 
+#: A fit of n rows takes targets, and each boosting round residuals, within
+#: ±TARGET_BOUND / n: then (n * max|y|)**2 <= 1e300, so every square, sum and
+#: gain of the split search, and the importances of MAX_ESTIMATORS trees, stay finite.
+TARGET_BOUND = 1e150
+
 
 @dataclass(frozen=True)
 class HyperParams(JsonArtifact):
@@ -97,6 +102,15 @@ def _require_finite(values: np.ndarray, what: str) -> None:
         raise ValueError(f"non-finite {what} {float(values[tuple(at)])} at row {where}")
 
 
+def _require_bounded(values: np.ndarray, what: str) -> None:
+    """Raise naming the first of the n ``values`` past ±TARGET_BOUND / n, after ``what``."""
+    limit = TARGET_BOUND / values.size
+    if (past := np.abs(values) > limit).any():
+        i = int(np.argmax(past))
+        raise ValueError(f"{what} {float(values[i])} at row {i} is past ±{limit:.6g}, "
+                         f"the bound on {values.size} rows")
+
+
 def _validate_training_input(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -110,10 +124,7 @@ def _validate_training_input(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, 
         raise ValueError("need at least one feature column")
     _require_finite(X, "feature value")
     _require_finite(y, "target")
-    with np.errstate(over="ignore"):  # the error below says it
-        total = y.sum()
-    if not math.isfinite(total):
-        raise ValueError(f"targets sum to {total}, past the float64 range")
+    _require_bounded(y, "target")
     return X, y
 
 
@@ -127,9 +138,7 @@ def _resolve_names(feature_names: Sequence[str] | None, n_features: int) -> list
 
 
 def _aggregate_importances(trees: Sequence[RegressionTree], n_features: int) -> np.ndarray:
-    total = np.zeros(n_features)
-    for tree in trees:
-        total += tree.feature_gains
+    total = sum((tree.feature_gains for tree in trees), np.zeros(n_features))
     gain_sum = total.sum()
     if gain_sum <= 0:
         return np.zeros(n_features)  # no splits anywhere (constant target)
@@ -159,12 +168,10 @@ def fit_family(
     rng = np.random.default_rng(params.seed)
     # grow_tree's keywords for every tree of the fit; X's columns are ranked once.
     grow = dict(
-        max_depth=params.max_depth,
-        min_samples_split=params.min_samples_split,
+        max_depth=params.max_depth, min_samples_split=params.min_samples_split,
         min_samples_leaf=params.min_samples_leaf,
         n_candidate_features=params.resolve_max_features(n_features),
-        rng=rng,
-        ranks=rank_columns(X),
+        rng=rng, ranks=rank_columns(X),
     )
     sample_size = max(1, int(round(params.subsample * n)))
     trees: list[RegressionTree] = []
@@ -180,6 +187,7 @@ def fit_family(
     all_rows = np.arange(n)
     for _ in range(params.n_estimators):
         residual = y - current
+        _require_bounded(residual, f"the fit overflows at tree {len(trees)}: residual")
         if params.subsample < 1.0:
             rows = np.sort(rng.choice(n, size=sample_size, replace=False))
         else:

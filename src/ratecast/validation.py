@@ -114,14 +114,9 @@ def sample_hyperparams(space: HyperParamSpace, rng: np.random.Generator) -> Hype
     subsample = float(rng.uniform(*space.subsample))
     seed = int(rng.integers(0, 2**31))
     return HyperParams(
-        learning_rate=learning_rate,
-        n_estimators=n_estimators,
-        max_depth=max_depth,
-        min_samples_split=min_samples_split,
-        min_samples_leaf=min_samples_leaf,
-        max_features=max_features,
-        subsample=subsample,
-        seed=seed,
+        learning_rate=learning_rate, n_estimators=n_estimators, max_depth=max_depth,
+        min_samples_split=min_samples_split, min_samples_leaf=min_samples_leaf,
+        max_features=max_features, subsample=subsample, seed=seed,
     )
 
 
@@ -227,10 +222,7 @@ def nested_cv(
     best_index = 0
     for c in range(n_candidates):
         rng = np.random.default_rng((config.seed, c))
-        if candidates is not None:
-            params = candidates[c]
-        else:
-            params = sample_hyperparams(space, rng)
+        params = candidates[c] if candidates is not None else sample_hyperparams(space, rng)
         scores = []
         for fold in make_folds(X.shape[0], config, rng):
             model = fit_family(family, X[fold.train_rows], y[fold.train_rows], params)
@@ -241,12 +233,7 @@ def nested_cv(
         mean_rmse.append(float(np.mean(scores)))
         if mean_rmse[c] < mean_rmse[best_index]:
             best_index = c
-    return CvResult(
-        candidates=sampled,
-        fold_rmse=fold_rmse,
-        mean_rmse=mean_rmse,
-        best_index=best_index,
-    )
+    return CvResult(sampled, fold_rmse, mean_rmse, best_index)
 
 
 def chronological_split(n_rows: int, split: float) -> int:

@@ -13,7 +13,6 @@ tree oracle sorts each candidate feature's float values at every node.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from typing import IO, Hashable, Iterable, NamedTuple, Sequence
 
@@ -69,14 +68,14 @@ def _reference_row(row_index: int, row: Sequence[str]) -> TransferEvent:
         raise CsvRowError(row_index, str(exc)) from exc
 
 
-def reference_parse_event_csv(source: IO[bytes]) -> list[TransferEvent]:
+def reference_parse_event_csv(source: IO[str]) -> list[TransferEvent]:
     """Transfer events parsed one ``csv.reader`` row at a time.
 
     This is ``ratecast.events.parse_event_csv`` as it was before the log
     became columnar: ids are the 0-based data-row index, blank lines are
     skipped but counted, and the first bad row raises ``CsvRowError``.
     """
-    reader = csv.reader(io.TextIOWrapper(source, encoding="utf-8", newline=""))
+    reader = csv.reader(source)
     header = next(reader, None)
     if header is None:
         raise CsvSchemaError("empty input: missing header")

@@ -711,6 +711,48 @@ def test_clean_of_a_bad_log_exits_1_naming_the_file(tmp_path, capsys, text, deta
     assert not (tmp_path / "out.csv").exists()
 
 
+def _write_log_with_a_bare_cr(path):
+    """A 40-row event log, written as ratecast writes one, whose quoted
+    instruments hold a bare CR, and a comma and a quote."""
+    header = (
+        "start_time,stop_time,file_size_gb,transfer_rate_mbs,instrument,experiment,"
+        "target_host,target_fs,source_fs,node,file_name,stage"
+    )
+    instruments = ['"cx\ri"', '"x,""y"', "xpp"]
+    rows = [
+        f"{10 * i},{10 * i + 5},1.5,{50 + i}.25,{instruments[i % 3]},e{i % 3},h1,ffb,dss,n1,"
+        f"e1-r1-s{i}-c0.xtc,DSS_TO_FFB"
+        for i in range(40)
+    ]
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8", newline="")
+
+
+def test_clean_then_features_of_a_category_holding_a_bare_cr(tmp_path):
+    # clean wrote the CR bare, and features read it as a line end:
+    # "error: c.csv: row 0: expected 12 fields, got 5".
+    e, c, f = (str(tmp_path / name) for name in ("e.csv", "c.csv", "f.csv"))
+    _write_log_with_a_bare_cr(tmp_path / "e.csv")
+    assert main(["clean", "--in", e, "--out", c]) == 0
+    assert Path(c).read_bytes() == Path(e).read_bytes()
+    assert main(["features", "--in", c, "--out", f]) == 0
+    with open(f, encoding="utf-8", newline="") as fh:
+        names = read_feature_csv(fh)[1]
+    assert [n for n in names if n.startswith("A.instrument.")] == [
+        "A.instrument.cx\ri", 'A.instrument.x,"y', "A.instrument.xpp"
+    ]
+
+
+def test_features_then_train_of_a_category_holding_a_bare_cr(tmp_path):
+    # features wrote the CR bare into its header, which train then refused:
+    # "not a feature matrix CSV (bad header)".
+    e, f, m = (str(tmp_path / name) for name in ("e.csv", "f.csv", "m.json"))
+    _write_log_with_a_bare_cr(tmp_path / "e.csv")
+    assert main(["features", "--in", e, "--out", f, "--groups", "A,B,D1"]) == 0
+    assert main(["train", "--features", f, "--out", m]) == 0
+    assert main(["eval", "--features", f, "--model", m]) == 0
+    assert "A.instrument.cx\ri" in _read_json(m)["feature_names"]
+
+
 def test_features_at_the_timestamp_bounds_match_exact_arithmetic(tmp_path):
     limit = 2**61
     _write_log(tmp_path / "e.csv", [(-limit, -limit), (limit, limit)])
@@ -775,7 +817,8 @@ def test_train_whose_fit_overflows_exits_1_and_writes_no_model(tmp_path, capsys)
     assert main(["train", "--features", str(tmp_path / "f.csv"), "--out", str(out),
                  "--params", str(tmp_path / "params.json")]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: {tmp_path / 'f.csv'}: targets sum to inf, past the float64 range\n"
+    assert err == (f"error: {tmp_path / 'f.csv'}: target 1.7e+308 at row 0 is past "
+                   "±1.11111e+149, the bound on 9 rows\n")
     assert not out.exists()
 
 
@@ -814,13 +857,61 @@ def test_train_names_the_hyperparameter_file_whose_fit_fails(tmp_path, capsys, f
 def test_train_with_default_hyperparameters_names_the_features_whose_fit_overflows(tmp_path,
                                                                                    capsys):
     # Targets sum to a finite number, but their squared errors pass float64.
-    rows = [f"{i},{i % 3},{i % 4},{i % 5},{i % 6},{'-' if i % 2 else ''}1e200" for i in range(10)]
-    header = "meta.event_id,A.a,A.b,A.c,A.d,target.transfer_rate_mbs"
-    (tmp_path / "f.csv").write_text("\n".join([header, *rows]) + "\n")
+    _write_huge_targets(tmp_path / "f.csv")
     assert main(["train", "--features", str(tmp_path / "f.csv"), "--out",
                  str(tmp_path / "model.json")]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: {tmp_path / 'f.csv'}: the fit overflows at tree 0: training loss inf\n"
+    assert err == f"error: {tmp_path / 'f.csv'}: {_HUGE_TARGETS_ON_9_ROWS}\n"
+
+
+_HUGE_TARGETS_ON_9_ROWS = "target 1e+200 at row 0 is past ±1.11111e+149, the bound on 9 rows"
+
+
+def _write_huge_targets(path):
+    """A 10-row feature CSV of four columns whose targets are ±1e200."""
+    rows = [f"{i},{i % 3},{i % 4},{i % 5},{i % 6},{'-' if i % 2 else ''}1e200" for i in range(10)]
+    header = "meta.event_id,A.a,A.b,A.c,A.d,target.transfer_rate_mbs"
+    path.write_text("\n".join([header, *rows]) + "\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("family", ["gbt", "rf"])
+def test_train_refuses_targets_whose_squares_overflow_naming_the_features(tmp_path, capsys,
+                                                                         family):
+    # With splits allowed, the split search warned of overflow; rf then saved
+    # a constant model with exit 0, and gbt failed only at tree 0.
+    _write_huge_targets(tmp_path / "f.csv")
+    (tmp_path / "params.json").write_text(
+        '{"n_estimators": 2, "max_depth": 3, "min_samples_split": 2, "min_samples_leaf": 1}')
+    out = tmp_path / "model.json"
+    assert main(["train", "--features", str(tmp_path / "f.csv"), "--out", str(out),
+                 "--family", family, "--params", str(tmp_path / "params.json")]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'f.csv'}: {_HUGE_TARGETS_ON_9_ROWS}\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cv_names_the_file_behind_a_failed_fit(tmp_path, capsys):
+    # It printed "error: the fit overflows at tree 0: training loss inf", naming no file.
+    d = str(tmp_path)
+    _static_features_and_model(d, 60)
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"learning_rate": [1e300, 1e308], "min_samples_split": [2, 4],
+                                 "min_samples_leaf": [1, 2]}))
+    capsys.readouterr()
+    assert main(["cv", "--features", f"{d}/features.csv", "--out", f"{d}/cv.json",
+                 "--space", str(space), "--num-params", "2", "--cv-k", "1", "--train-width", "40",
+                 "--test-width", "10", "--train-size", "40", "--test-size", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {space}: the fit overflows at tree 0: ") and err.count("\n") == 1
+    # The input is checked under the feature CSV's name before any fit.
+    _write_huge_targets(tmp_path / "f.csv")
+    assert main(["cv", "--features", str(tmp_path / "f.csv"), "--out", f"{d}/cv.json",
+                 "--num-params", "1", "--cv-k", "1", "--train-width", "6", "--test-width", "2",
+                 "--train-size", "6", "--test-size", "2"]) == 1
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'f.csv'}: target 1e+200 at row 0 is "
+                                       "past ±1e+149, the bound on 10 rows\n")
+    assert not (tmp_path / "cv.json").exists()
 
 
 def _leaf_tree(n_features, value):
@@ -885,7 +976,8 @@ def test_non_finite_target_in_a_test_only_row_exits_1(tmp_path, capsys):
     assert main(["cv", "--features", f"{d}/bad.csv", "--out", f"{d}/cv.json", "--num-params",
                  "2", "--cv-k", "1", "--train-width", "40", "--test-width", "10",
                  "--train-size", "40", "--test-size", "10"]) == 1
-    assert capsys.readouterr().err == "error: non-finite target nan at row 59\n"
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'bad.csv'}: non-finite target nan at row 59\n"
     assert not (tmp_path / "cv.json").exists()
 
 

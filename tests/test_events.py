@@ -22,17 +22,19 @@ from ratecast.events import (
     Stage,
     TransferEvent,
     clean_events,
+    csv_line,
     load_events,
     parse_event_csv,
     sort_by_start,
     write_event_csv,
 )
+from ratecast.features import ColumnMeta, FeatureMatrix, read_feature_csv, write_feature_csv
 
 HEADER = ",".join(CSV_COLUMNS)
 
 
 def _parse(text: str):
-    return parse_event_csv(io.BytesIO(text.encode("utf-8")))
+    return parse_event_csv(io.StringIO(text, newline=""))
 
 
 def test_parse_header_only_gives_empty_sequence():
@@ -48,12 +50,6 @@ def test_load_events_leaves_no_file_open(tmp_path):
         assert len(load_events(str(path))) == 1
         gc.collect()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
-
-
-def test_parse_of_a_byte_stream_leaves_it_open():
-    stream = io.BytesIO((HEADER + "\n").encode("utf-8"))
-    parse_event_csv(stream)
-    assert not stream.closed
 
 
 def test_parse_skips_blank_lines_but_counts_them_in_ids():
@@ -272,8 +268,48 @@ def test_csv_round_trip_is_bit_exact(size, rate, start, duration):
     event = mk_event(id=0, start=start, stop=start + duration, size=size, rate=rate)
     sink = io.StringIO()
     write_event_csv(EventLog.from_events([event]), sink)
-    parsed = parse_event_csv(io.BytesIO(sink.getvalue().encode("utf-8")))
+    parsed = parse_event_csv(io.StringIO(sink.getvalue(), newline=""))
     assert list(parsed) == [event]
+
+
+# ------------------------------------------------------- the CSV field rule
+
+
+_FIELD_TEXT = st.lists(st.sampled_from([",", '"', "\r", "\n", "\r\n", "é", "日", "a", " "]),
+                       max_size=5).map("".join)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_FIELD_TEXT, _FIELD_TEXT), min_size=1, max_size=12))
+def test_written_fields_round_trip_through_both_readers(texts):
+    events = [
+        mk_event(id=i, start=i, instrument=a, experiment=b, target_host=a + b, target_fs=b + a,
+                 source_fs=a, node=b, file_name=f"{a}|{b}")
+        for i, (a, b) in enumerate(texts)
+    ]
+    log = EventLog.from_events(events)
+    sink = io.StringIO()
+    write_event_csv(log, sink)
+    parsed = parse_event_csv(io.StringIO(sink.getvalue(), newline=""))
+    assert parsed.categories == log.categories
+    for field, codes in log.codes.items():
+        assert parsed.codes[field].tolist() == codes.tolist(), field
+    assert parsed.file_names.tolist() == log.file_names.tolist()
+    for name in ("ids", "starts", "stops", "sizes", "rates"):
+        assert getattr(parsed, name).tolist() == getattr(log, name).tolist(), name
+
+    names = [f"A.{a}" for a, _ in texts]
+    matrix = FeatureMatrix(np.zeros((2, len(names))), [ColumnMeta(n, "A", "test") for n in names],
+                           np.arange(2))
+    sink = io.StringIO()
+    write_feature_csv(matrix, np.zeros(2), sink)
+    assert read_feature_csv(io.StringIO(sink.getvalue(), newline=""))[1] == names
+
+    # Where a field holds no CR, the line is what the csv module's writer makes.
+    cells = [a + b for a, b in texts if "\r" not in a + b]
+    standard = io.StringIO()
+    csv.writer(standard, lineterminator="\n").writerow(["x", *cells])
+    assert csv_line(["x", *cells]) == standard.getvalue()
 
 
 # ------------------------------------------------------------------ the log
@@ -364,8 +400,7 @@ def test_logs_hold_under_200_bytes_per_event():
 
     sink = io.StringIO()
     write_event_csv(log, sink)
-    data = sink.getvalue().encode("utf-8")
-    held, parsed = traced_held(parse_event_csv, io.BytesIO(data))
+    held, parsed = traced_held(parse_event_csv, io.StringIO(sink.getvalue(), newline=""))
     assert list(parsed) == list(log)
     assert held <= 200 * len(parsed)
 
@@ -433,7 +468,7 @@ def _event_rows(draw):
 
 
 @st.composite
-def _event_csvs(draw) -> bytes:
+def _event_csvs(draw) -> str:
     eol = draw(st.sampled_from(["\n", "\r\n"]))
     sink = io.StringIO()
     writer = csv.writer(sink, lineterminator=eol)
@@ -443,12 +478,12 @@ def _event_csvs(draw) -> bytes:
             sink.write(eol)
         else:
             writer.writerow(row)
-    return sink.getvalue().encode("utf-8")
+    return sink.getvalue()
 
 
-def _outcome(parse, data: bytes):
+def _outcome(parse, data: str):
     try:
-        return list(parse(io.BytesIO(data))), None
+        return list(parse(io.StringIO(data, newline=""))), None
     except Exception as exc:
         return None, (type(exc), str(exc), getattr(exc, "row_index", None))
 
@@ -462,7 +497,7 @@ def test_columnar_ingest_matches_the_row_wise_reference(data):
     if want_error is not None:
         return
     assert got_rows == want_rows
-    log = parse_event_csv(io.BytesIO(data))
+    log = parse_event_csv(io.StringIO(data, newline=""))
     _assert_codes_follow_first_appearance(log)
 
     kept, report = clean_events(log)
@@ -484,7 +519,7 @@ def test_a_bad_row_past_the_first_parse_block_is_named_like_the_row_wise_parse()
     rows[4500] = "4500,4400,1.0,50.0,cxi,e1,h,tfs,sfs,n,f,SIDEWAYS"
     rows[4600] = "4600,4605,1.0"
     lines = (row if i % 700 else "\n" + row for i, row in enumerate(rows))
-    data = (HEADER + "\n" + "\n".join(lines) + "\n").encode("utf-8")
+    data = HEADER + "\n" + "\n".join(lines) + "\n"
     want = _outcome(reference_parse_event_csv, data)[1]
     assert want == (CsvRowError, "row 4507: unknown stage 'SIDEWAYS'", 4507)
     assert _outcome(parse_event_csv, data)[1] == want

@@ -210,6 +210,18 @@ def test_a_body_error_counts_lines_from_the_header_where_reading_began():
         read_feature_csv(source)
 
 
+@pytest.mark.parametrize("body, message", [
+    ("1,2,3,4\n2,x,3,4\n", "^line 5: could not convert string 'x' to float64 at column 2"),
+    ("1,2,3,4\n2,3,4\n", "^line 5: expected 4 cells, found 3$"),
+], ids=["non-numeric", "ragged"])
+def test_a_body_error_counts_the_lines_of_a_quoted_header(body, message):
+    # Names holding a LF and a CR put the header on three lines; the re-read
+    # skipped one of them and blamed the header's second line.
+    text = 'meta.event_id,"G.a\nb","G.c\r",target.transfer_rate_mbs\n' + body
+    with pytest.raises(ValueError, match=message):
+        read_feature_csv(io.StringIO(text, newline=""))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     data=st.data(),

@@ -1,7 +1,9 @@
 import functools
 import hashlib
 import json
+import re
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -449,10 +451,44 @@ def test_fit_rejects_non_finite_input_naming_first_bad_cell(fit):
                          ids=["fit_gbt", "fit_rf"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fit_rejects_targets_whose_sum_overflows_before_any_tree_grows(fit):
-    for value, total in ((1.7e308, "inf"), (-1.7e308, "-inf")):
+    for value in (1.7e308, -1.7e308):
+        message = re.escape(f"target {value} at row 0 is past ±1e+149, the bound on 10 rows")
         with mock.patch("ratecast.models.grow_tree", side_effect=AssertionError), \
-                pytest.raises(ValueError, match=f"targets sum to {total}, past the float64"):
+                pytest.raises(ValueError, match=message):
             fit(np.zeros((10, 2)), np.full(10, value), HyperParams())
+
+
+@pytest.mark.parametrize("family", ["gbt", "rf"])
+def test_fit_rejects_targets_whose_squares_overflow_before_any_tree_grows(family):
+    # The targets sum to 0, but their squares pass float64: the split search
+    # warned, then rf returned a constant model and gbt failed at tree 0.
+    X = np.arange(20.0).reshape(10, 2)
+    y = np.where(np.arange(10) % 2, -1e200, 1e200)
+    params = HyperParams(n_estimators=3, max_depth=3, max_features=2.0, **FAST)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with mock.patch("ratecast.models.grow_tree", side_effect=AssertionError), \
+                pytest.raises(ValueError) as err:
+            fit_family(family, X, y, params)
+        assert str(err.value) == "target 1e+200 at row 0 is past ±1e+149, the bound on 10 rows"
+        y[:] = y / 1e200 * 0.5e149  # inside the bound, every square and sum is finite
+        model = fit_family(family, X, y, params)
+    assert model.importances.sum() == pytest.approx(1.0)
+
+
+def test_boosting_refuses_residuals_past_the_target_bound():
+    # Tree 0's prediction times the learning rate leaves residuals near 3.5e153:
+    # the split search of tree 1 warned of overflow, then the loss was inf.
+    X = np.arange(10.0)[:, None]
+    params = HyperParams(learning_rate=1.4e152, n_estimators=2, max_depth=1,
+                         max_features=1.0, **FAST)
+    message = "the fit overflows at tree 1: residual 3.5e+153 at row 0 is past ±1e+149, the bound"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with mock.patch("ratecast.models.grow_tree", wraps=models.grow_tree) as grow, \
+                pytest.raises(ValueError, match=re.escape(message) + " on 10 rows$"):
+            fit_gbt(X, np.arange(10.0) * 10, params)
+    assert grow.call_count == 1
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
