@@ -54,8 +54,12 @@ from .validation import (
 
 
 def _load_features(path: str):
+    """``read_feature_csv`` of ``path``; a non-finite cell is named by its data row in the file."""
     with open(path, "r", encoding="utf-8", newline="") as fh, naming(path):
-        return read_feature_csv(fh)
+        X, names, event_ids, y = read_feature_csv(fh)
+        _require_finite(X, "feature value")
+        _require_finite(y, "target")
+        return X, names, event_ids, y
 
 
 def _load_log(path: str):
@@ -174,8 +178,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError("feature columns do not match the model's training columns")
     if not actual.size:
         raise ValueError("rmse of empty arrays is undefined: --test-subset 0 scores no row")
-    _require_finite(X, "feature value")
-    _require_finite(actual, "target")
     with naming(args.model):  # on finite input, a prediction or error past float64 is the model's
         preds = predict(model, X)
         score = rmse(preds, actual)

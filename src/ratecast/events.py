@@ -8,7 +8,7 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass, fields
-from itertools import islice, repeat
+from itertools import count, islice, repeat
 from operator import attrgetter, index
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
@@ -283,7 +283,8 @@ def parse_event_csv(source: IO[str]) -> EventLog:
     as the 0-based data-row index in order of appearance; blank lines are
     skipped but counted. Unparseable rows, including NaN or infinite sizes
     and rates and timestamps outside ±:data:`TIME_LIMIT_S`, raise
-    :class:`CsvRowError` naming the first such row rather than being skipped.
+    :class:`CsvRowError` naming the first such row rather than being skipped;
+    a row that ``csv`` cannot split (a quote that never closes) raises one too.
     Open a file with ``newline=""``, so that quoted fields keep their line ends.
     """
     reader = csv.reader(source)
@@ -291,6 +292,8 @@ def parse_event_csv(source: IO[str]) -> EventLog:
         header = next(reader)
     except StopIteration:
         raise CsvSchemaError("empty input: missing header") from None
+    except csv.Error as exc:  # e.g. a quote that never closes
+        raise CsvSchemaError(f"header: {exc}") from None
     if tuple(header) != CSV_COLUMNS:
         if missing := [c for c in CSV_COLUMNS if c not in header]:
             raise CsvSchemaError(f"missing column {missing[0]!r}")
@@ -299,9 +302,13 @@ def parse_event_csv(source: IO[str]) -> EventLog:
         raise CsvSchemaError(f"columns out of order: got {header!r}")
     positions = {field: {None: -1} for field in _CODED_FIELDS}
     blocks = [_parse_block([], [], positions)]
-    numbered = ((i, row) for i, row in enumerate(reader) if row)
-    while chunk := list(islice(numbered, _ROW_BLOCK)):
-        blocks.append(_parse_block(*map(list, zip(*chunk)), positions))
+    read = count()  # rows the reader returned, blank ones too: zip asks the reader first
+    numbered = ((i, row) for row, i in zip(reader, read) if row)
+    try:
+        while chunk := list(islice(numbered, _ROW_BLOCK)):
+            blocks.append(_parse_block(*map(list, zip(*chunk)), positions))
+    except csv.Error as exc:  # a quote that never closes outgrows csv's field limit
+        raise CsvRowError(next(read), str(exc)) from None
     *columns, file_names = (np.concatenate(parts) for parts in zip(*blocks))
     categories = {field: [v for v in positions[field] if v is not None] for field in _CODED_FIELDS}
     categories["stage"] = list(map(_STAGES.__getitem__, categories["stage"]))

@@ -297,18 +297,19 @@ def read_feature_csv(
     """Load an exported matrix: (X, feature_names, event_ids, targets).
 
     Ids must be integers; blank lines and CRLF line ends are accepted. The
-    header is read from ``source``'s position. When that position can be
-    told, the rest is first counted for line ends, so that the body is parsed
-    into an array of its size and not grown by ``realloc``, and a body error
-    names its line (the header is line 1); otherwise it gives ``np.loadtxt``'s
-    count within the body.
+    header is read from ``source``'s position, which must be told and sought:
+    a pipe, or a text file advanced by ``next()``, raises its own ``OSError``.
+    The rest is first counted for line ends, so that the body is parsed into
+    an array of its size and not grown by ``realloc``, and a body error names
+    its line (the header is line 1).
     """
-    try:  # a text file that next() has advanced cannot tell its position
-        start = source.tell() if source.seekable() else None
-    except OSError:
-        start = None
-    max_rows = None if start is None else _row_bound(source, start)
-    header = next(csv.reader(source), [])
+    start = source.tell()
+    max_rows = _row_bound(source, start)
+    reader = csv.reader(source)
+    try:
+        header = next(reader, [])
+    except csv.Error as exc:  # e.g. a quote that never closes
+        raise ValueError(f"line 1: {exc}") from None
     if not header or header[0] != "meta.event_id" or header[-1] != "target.transfer_rate_mbs":
         raise ValueError("not a feature matrix CSV (bad header)")
     names = header[1:-1]
@@ -316,7 +317,7 @@ def read_feature_csv(
     try:
         body = _load_body(source, dtype, max_rows)
     except ValueError as exc:
-        detail = _body_error_at_line(source, start, dtype, len(names) + 2)
+        detail = _body_error_at_line(source, start, reader.line_num, dtype, len(names) + 2)
         raise ValueError(detail or str(exc)) from None
     n, k = len(body), len(names)
     ids, targets = body["id"].copy(), body["y"].copy()
@@ -349,20 +350,16 @@ def _load_body(source, dtype, max_rows: int | None = None) -> np.ndarray:
         return np.loadtxt(source, delimiter=",", comments=None, dtype=dtype, ndmin=1, max_rows=max_rows)
 
 
-def _body_error_at_line(source: IO[str], start: int | None, dtype, width: int) -> str | None:
-    """Re-read ``source`` from its header at ``start``; describe its first bad body line.
+def _body_error_at_line(source: IO[str], start: int, header_lines: int, dtype, width: int):
+    """Re-read ``source`` from ``start``, past the ``header_lines`` lines of its header;
+    describe its first bad body line, if any.
 
-    As in ``np.loadtxt``, lines end at LF, CRLF or CR and blank lines are
-    skipped. None when ``start`` is None: ``source`` cannot be re-read.
+    As in ``np.loadtxt``, lines end at LF, CRLF or CR and blank lines are skipped.
     """
-    if start is None:
-        return None
     source.seek(start)
-    header = csv.reader(lines := iter(source))
-    next(header, None)  # a quoted name may hold line ends, so the header may span lines
-    for number, line in enumerate(lines, start=header.line_num + 1):
+    for number, line in enumerate(source, start=1):
         line = line.rstrip("\r\n")
-        if not line:
+        if number <= header_lines or not line:  # a quoted name may hold line ends
             continue
         cells = line.count(",") + 1
         if cells != width:

@@ -951,7 +951,9 @@ def test_eval_of_a_non_finite_target_exits_1_without_blaming_the_model(tmp_path,
     (tmp_path / "bad.csv").write_text(_replace_cell(_read(f"{d}/features.csv"), 58, -1, "nan"))
     capsys.readouterr()
     assert main(["eval", "--features", f"{d}/bad.csv", "--model", f"{d}/model.json"]) == 1
-    assert capsys.readouterr().err == "error: non-finite target nan at row 3\n"
+    # It named neither the file nor the file's row: "non-finite target nan at row 3".
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'bad.csv'}: non-finite target nan at row 57\n"
 
 
 def test_non_finite_feature_at_scoring_exits_1(tmp_path, capsys):
@@ -963,7 +965,22 @@ def test_non_finite_feature_at_scoring_exits_1(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--features", f"{d}/bad.csv", "--model", f"{d}/model.json"]) == 1
     err = capsys.readouterr().err
-    assert err == "error: non-finite feature value nan at row 3, column 1\n"
+    bad = tmp_path / "bad.csv"
+    assert err == f"error: {bad}: non-finite feature value nan at row 57, column 1\n"
+
+
+def test_train_on_a_subset_names_the_file_row_of_a_non_finite_cell(tmp_path, capsys):
+    d = str(tmp_path)
+    _static_features_and_model(d, 800)
+    # Line 701 holds row 700, which the 715-row draw from the 720-row train side keeps;
+    # the message counted rows within the draw.
+    (tmp_path / "bad.csv").write_text(_replace_cell(_read(f"{d}/features.csv"), 701, -1, "nan"))
+    capsys.readouterr()
+    assert main(["train", "--features", f"{d}/bad.csv", "--out", f"{d}/model.json",
+                 "--train-subset", "715"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'bad.csv'}: non-finite target nan at row 700\n"
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_non_finite_target_in_a_test_only_row_exits_1(tmp_path, capsys):

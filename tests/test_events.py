@@ -101,6 +101,18 @@ def test_parse_rejects_non_finite_numbers(size, rate):
     assert err.value.row_index == 1
 
 
+def test_parse_names_the_row_whose_quote_never_closes():
+    # The quoted field swallowed the rest of the file, and csv's field-size
+    # error escaped as a traceback instead of a CsvRowError.
+    good = "10,20,1.0,50.0,cxi,e1,h,tfs,sfs,n,f,DSS_TO_FFB"
+    rest = "\n".join([good] * 20000) + "\n"
+    with pytest.raises(CsvRowError, match=r"^row 2: field larger than field limit") as err:
+        _parse(HEADER + "\n" + good + "\n\n" + good.replace("cxi", '"cxi') + "\n" + rest)
+    assert err.value.row_index == 2
+    with pytest.raises(CsvSchemaError, match="^header: field larger than field limit"):
+        _parse('"' + HEADER + "\n" + rest)
+
+
 def test_parse_missing_column_is_schema_error():
     bad_header = ",".join(c for c in CSV_COLUMNS if c != "node")
     with pytest.raises(CsvSchemaError, match="node"):
