@@ -47,8 +47,8 @@ from .tree import RegressionTree, grow_tree
 from .validation import (
     CvConfig,
     CvResult,
-    FoldSpec,
     HyperParamSpace,
+    RowSplit,
     chronological_split,
     holdout_rows,
     make_folds,

@@ -72,7 +72,7 @@ def _holdout_side(args: argparse.Namespace, side: str):
     of the chronological holdout that ``_add_holdout_flags`` set."""
     X, names, event_ids, y = _load_features(args.features)
     subsets = (getattr(args, "train_subset", None), getattr(args, "test_subset", None))
-    rows = holdout_rows(X.shape[0], args.split, *subsets, args.seed)[side == "test"]
+    rows = getattr(holdout_rows(X.shape[0], args.split, *subsets, args.seed), f"{side}_rows")
     return X[rows], names, event_ids[rows], y[rows]
 
 
@@ -132,6 +132,7 @@ def _cmd_cv(args: argparse.Namespace) -> int:
     X, _, _, y = _load_features(args.features)
     with naming(args.features):
         X, y = _validate_training_input(X, y)
+        config.check_rows(len(y))
     with naming(args.space or args.features):  # past the input's checks, a fit refuses its knobs
         result = nested_cv(X, y, config, space, family=args.family)
     timing = {"wall_s": round(time.monotonic() - t0, 3)}

@@ -98,6 +98,8 @@ def _times_error(start: int, stop: int) -> str | None:
 
 
 _FIELD_NAMES = tuple(f.name for f in fields(TransferEvent))
+#: The classes that ``EventLog.from_events`` requires of the text fields and the stage.
+_FIELD_TYPES = {**dict.fromkeys((*_CATEGORICAL_FIELDS, "file_name"), str), "stage": Stage}
 _SLOT_SETTERS = tuple(getattr(TransferEvent, name).__set__ for name in _FIELD_NAMES)
 
 
@@ -164,9 +166,15 @@ class EventLog:
 
     @classmethod
     def from_events(cls, events: Iterable[TransferEvent]) -> "EventLog":
-        """The log of ``events``, in their order."""
-        columns = list(zip(*map(attrgetter(*_FIELD_NAMES), events)))
-        return cls._from_columns(*(columns or [()] * len(_FIELD_NAMES)))
+        """The log of ``events``, in their order. A row whose text field is not a
+        str, or whose stage is not a Stage, raises TypeError naming it."""
+        columns = list(zip(*map(attrgetter(*_FIELD_NAMES), events))) or [()] * len(_FIELD_NAMES)
+        typed = zip(*(columns[_FIELD_NAMES.index(field)] for field in _FIELD_TYPES))
+        for row, values in enumerate(typed):
+            for (field, kind), value in zip(_FIELD_TYPES.items(), values):
+                if not isinstance(value, kind):
+                    raise TypeError(f"row {row}: {field} must be a {kind.__name__}, got {value!r}")
+        return cls._from_columns(*columns)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -284,7 +292,8 @@ def parse_event_csv(source: IO[str]) -> EventLog:
     skipped but counted. Unparseable rows, including NaN or infinite sizes
     and rates and timestamps outside ±:data:`TIME_LIMIT_S`, raise
     :class:`CsvRowError` naming the first such row rather than being skipped;
-    a row that ``csv`` cannot split (a quote that never closes) raises one too.
+    a row that ``csv`` cannot split (a quote that never closes) raises one too,
+    after the rows ahead of it are checked.
     Open a file with ``newline=""``, so that quoted fields keep their line ends.
     """
     reader = csv.reader(source)
@@ -304,11 +313,18 @@ def parse_event_csv(source: IO[str]) -> EventLog:
     blocks = [_parse_block([], [], positions)]
     read = count()  # rows the reader returned, blank ones too: zip asks the reader first
     numbered = ((i, row) for row, i in zip(reader, read) if row)
-    try:
-        while chunk := list(islice(numbered, _ROW_BLOCK)):
-            blocks.append(_parse_block(*map(list, zip(*chunk)), positions))
-    except csv.Error as exc:  # a quote that never closes outgrows csv's field limit
-        raise CsvRowError(next(read), str(exc)) from None
+    failure = None
+    while failure is None:
+        chunk: list = []
+        try:
+            chunk.extend(islice(numbered, _ROW_BLOCK))  # an error keeps the rows read before it
+        except csv.Error as exc:  # a quote that never closes outgrows csv's field limit
+            failure = CsvRowError(next(read), str(exc))
+        if not chunk:
+            break
+        blocks.append(_parse_block(*map(list, zip(*chunk)), positions))  # rows ahead raise first
+    if failure is not None:
+        raise failure
     *columns, file_names = (np.concatenate(parts) for parts in zip(*blocks))
     categories = {field: [v for v in positions[field] if v is not None] for field in _CODED_FIELDS}
     categories["stage"] = list(map(_STAGES.__getitem__, categories["stage"]))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +58,11 @@ class CvConfig:
             raise ValueError("test_size must not exceed test_width")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+
+    def check_rows(self, n_rows: int) -> None:
+        """Raise unless ``n_rows`` rows hold one fold's train and test regions."""
+        if (width := self.train_width + self.test_width) > n_rows:
+            raise ValueError(f"train_width + test_width = {width} exceeds {n_rows} rows")
 
 
 @dataclass(frozen=True)
@@ -120,32 +125,29 @@ def sample_hyperparams(space: HyperParamSpace, rng: np.random.Generator) -> Hype
     )
 
 
-@dataclass(frozen=True)
-class FoldSpec:
-    """One fold: contiguous regions plus the row subsets actually used."""
+class RowSplit(NamedTuple):
+    """A time-ordered split of the rows of a matrix: each sorted, and every
+    train row precedes every test row. A fold of :func:`make_folds` and the
+    holdout of :func:`holdout_rows` are both one."""
 
-    train_region: tuple[int, int]
-    test_region: tuple[int, int]
     train_rows: np.ndarray
     test_rows: np.ndarray
 
 
-def make_folds(n_rows: int, config: CvConfig, rng: np.random.Generator) -> list[FoldSpec]:
+def make_folds(n_rows: int, config: CvConfig, rng: np.random.Generator) -> list[RowSplit]:
     """Sample ``config.k`` folds; every train row index precedes every test row index.
 
     The training region start is uniform over all placements that leave room
     for the adjacent test region; regions of different folds may overlap.
     """
+    config.check_rows(n_rows)
     width = config.train_width + config.test_width
-    if width > n_rows:
-        raise ValueError(f"train_width + test_width = {width} exceeds {n_rows} rows")
     folds = []
     for _ in range(config.k):
         a = int(rng.integers(0, n_rows - width + 1))
-        train, test = (a, a + config.train_width), (a + config.train_width, a + width)
-        train_rows = subset_rows(*train, config.train_size, rng, "train_size")
-        test_rows = subset_rows(*test, config.test_size, rng, "test_size")
-        folds.append(FoldSpec(train, test, train_rows, test_rows))
+        b = a + config.train_width
+        folds.append(RowSplit(subset_rows(a, b, config.train_size, rng, "train_size"),
+                              subset_rows(b, a + width, config.test_size, rng, "test_size")))
     return folds
 
 
@@ -195,34 +197,29 @@ def nested_cv(
     X: np.ndarray,
     y: np.ndarray,
     config: CvConfig,
-    space: HyperParamSpace | None = None,
+    space: HyperParamSpace,
     family: str = "gbt",
-    candidates: Sequence[HyperParams] | None = None,
 ) -> CvResult:
-    """Random-search hyperparameters with order-preserving folds.
+    """Random-search ``config.num_params`` candidates of ``space`` with order-preserving folds.
 
-    Rows of ``X`` must already be in chronological order. Each candidate owns
-    an RNG stream derived from (config.seed, candidate index), so scores do
+    Rows of ``X`` must already be in chronological order. Candidate ``c`` owns
+    the RNG stream ``default_rng((config.seed, c))``: it samples its
+    hyperparameters and then draws its ``config.k`` folds from it, so scores do
     not depend on evaluation order. The candidate with the lowest mean fold
-    RMSE wins; on ties the earliest-sampled candidate is kept. Passing
-    explicit ``candidates`` skips sampling (folds are still drawn per
-    candidate from its stream).
+    RMSE wins; on ties the earliest-sampled candidate is kept. Pin a knob with a
+    degenerate range of ``space`` to score chosen values.
 
     All of ``X`` and ``y`` is checked before any fit: folds score rows that
     no fit sees, and a NaN fold score must not win the search.
     """
     X, y = _validate_training_input(X, y)
-    if space is None:
-        space = HyperParamSpace()
-    n_candidates = len(candidates) if candidates is not None else config.num_params
-
     sampled: list[HyperParams] = []
     fold_rmse: list[list[float]] = []
     mean_rmse: list[float] = []
     best_index = 0
-    for c in range(n_candidates):
+    for c in range(config.num_params):
         rng = np.random.default_rng((config.seed, c))
-        params = candidates[c] if candidates is not None else sample_hyperparams(space, rng)
+        params = sample_hyperparams(space, rng)
         scores = []
         for fold in make_folds(X.shape[0], config, rng):
             model = fit_family(family, X[fold.train_rows], y[fold.train_rows], params)
@@ -262,8 +259,8 @@ def subset_rows(
 
 def holdout_rows(
     n_rows: int, split: float, train_size: int | None, test_size: int | None, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(train rows, test rows) of a chronological holdout of ``n_rows`` rows.
+) -> RowSplit:
+    """The chronological holdout split of ``n_rows`` rows.
 
     The first ``split`` of the rows train and the rest test. Each side is
     either whole or a sorted draw of ``train_size``/``test_size`` of its rows
@@ -272,7 +269,7 @@ def holdout_rows(
     its ``--train-subset``.
     """
     n_train = chronological_split(n_rows, split)
-    return (
+    return RowSplit(
         subset_rows(0, n_train, train_size, np.random.default_rng(seed), "train_subset"),
         subset_rows(n_train, n_rows, test_size, np.random.default_rng(seed), "test_subset"),
     )

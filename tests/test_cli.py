@@ -998,6 +998,21 @@ def test_non_finite_target_in_a_test_only_row_exits_1(tmp_path, capsys):
     assert not (tmp_path / "cv.json").exists()
 
 
+@pytest.mark.parametrize("with_space", [False, True])
+def test_cv_names_the_feature_csv_too_short_for_one_fold(tmp_path, capsys, with_space):
+    # With --space it blamed the space file: the width check ran inside the search.
+    d = str(tmp_path)
+    _static_features_and_model(d, 60)
+    (tmp_path / "space.json").write_text(json.dumps(SPACE))
+    space = ["--space", f"{d}/space.json"] if with_space else []
+    capsys.readouterr()
+    assert main(["cv", "--features", f"{d}/features.csv", "--out", f"{d}/cv.json",
+                 "--num-params", "1", "--cv-k", "1", *space]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {d}/features.csv: train_width + test_width = 22000 exceeds 60 rows\n"
+    assert not (tmp_path / "cv.json").exists()
+
+
 @pytest.mark.parametrize(
     "space, detail",
     [

@@ -113,6 +113,17 @@ def test_parse_names_the_row_whose_quote_never_closes():
         _parse('"' + HEADER + "\n" + rest)
 
 
+@pytest.mark.parametrize("ahead, between", [(0, 0), (0, 5000), (4100, 0)])
+def test_a_bad_row_ahead_of_a_quote_that_never_closes_is_named_first(ahead, between):
+    # The csv error aborted the block's read before its rows were checked, so
+    # with nothing between them the later row 1 was named instead of row 0.
+    good = "10,20,1.0,50.0,cxi,e1,h,tfs,sfs,n,f,DSS_TO_FFB\n"
+    text = (HEADER + "\n" + good * ahead + "10,20,1.0\n" + good * between
+            + good.replace("cxi", '"cxi') + good * 20000)
+    with pytest.raises(CsvRowError, match=f"^row {ahead}: expected 12 fields, got 3$"):
+        _parse(text)
+
+
 def test_parse_missing_column_is_schema_error():
     bad_header = ",".join(c for c in CSV_COLUMNS if c != "node")
     with pytest.raises(CsvSchemaError, match="node"):
@@ -349,6 +360,25 @@ def test_log_rows_round_trip_through_from_events():
         log[60]
     assert log.starts.dtype == np.int64 and log.sizes.dtype == np.float64
     _assert_codes_follow_first_appearance(log)
+
+
+@pytest.mark.parametrize(
+    "field, value, detail",
+    [
+        ("instrument", None, "instrument must be a str, got None"),
+        ("node", 7, "node must be a str, got 7"),
+        ("file_name", None, "file_name must be a str, got None"),
+        ("stage", "DSS_TO_FFB", "stage must be a Stage, got 'DSS_TO_FFB'"),
+    ],
+    ids=["instrument", "node", "file_name", "stage"],
+)
+def test_from_events_refuses_a_row_whose_text_field_or_stage_has_another_type(field, value,
+                                                                              detail):
+    # A None instrument was coded -1 and read back as the last category; the
+    # others entered the log and failed later, in write_event_csv.
+    events = [mk_event(instrument="cxi"), mk_event(id=1, start=1, **{field: value})]
+    with pytest.raises(TypeError, match=f"^row 1: {detail}$"):
+        EventLog.from_events(events)
 
 
 def test_log_slices_and_takes_are_logs_with_their_own_codes():

@@ -3,6 +3,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ratecast.validation as validation
 import ratecast.models as models
@@ -10,6 +12,7 @@ from ratecast.models import HyperParams, predict
 from ratecast.validation import (
     CvConfig,
     HyperParamSpace,
+    RowSplit,
     chronological_split,
     fit_family,
     holdout_rows,
@@ -127,16 +130,17 @@ def test_fold_placement_forced_when_widths_fill_rows():
     config = CvConfig(k=5, train_width=80, test_width=20, train_size=40, test_size=10)
     folds = make_folds(100, config, np.random.default_rng(0))
     for fold in folds:
-        assert fold.train_region == (0, 80)
-        assert fold.test_region == (80, 100)
+        assert 0 <= fold.train_rows.min() and fold.train_rows.max() < 80
+        assert 80 <= fold.test_rows.min() and fold.test_rows.max() < 100
 
 
 def test_full_width_subset_is_whole_region():
     config = CvConfig(k=3, train_width=50, test_width=10, train_size=50, test_size=10)
     folds = make_folds(200, config, np.random.default_rng(1))
     for fold in folds:
-        lo, hi = fold.train_region
-        np.testing.assert_array_equal(fold.train_rows, np.arange(lo, hi))
+        lo = fold.train_rows[0]
+        np.testing.assert_array_equal(fold.train_rows, np.arange(lo, lo + 50))
+        np.testing.assert_array_equal(fold.test_rows, np.arange(lo + 50, lo + 60))
 
 
 def test_fold_widths_must_fit():
@@ -163,6 +167,32 @@ def test_every_train_row_precedes_every_test_row_over_random_configs():
             assert fold.train_rows.max() < fold.test_rows.min()
             assert len(set(fold.train_rows.tolist())) == config.train_size
             assert len(set(fold.test_rows.tolist())) == config.test_size
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_folds_and_the_holdout_are_one_split_type_with_train_rows_first(data):
+    n_rows = data.draw(st.integers(2, 300), label="n_rows")
+    split = data.draw(st.floats(0.01, 0.99), label="split")
+    n_train = chronological_split(n_rows, split)
+    subsets = (data.draw(st.none() | st.integers(1, n_train), label="train_subset"),
+               data.draw(st.none() | st.integers(1, n_rows - n_train), label="test_subset"))
+    train_width = data.draw(st.integers(1, n_rows - 1), label="train_width")
+    test_width = data.draw(st.integers(1, n_rows - train_width), label="test_width")
+    config = CvConfig(
+        k=data.draw(st.integers(1, 4), label="k"),
+        train_width=train_width, test_width=test_width,
+        train_size=data.draw(st.integers(1, train_width), label="train_size"),
+        test_size=data.draw(st.integers(1, test_width), label="test_size"),
+    )
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    holdout = holdout_rows(n_rows, split, *subsets, seed)
+    folds = make_folds(n_rows, config, np.random.default_rng(seed))
+    assert {type(s) for s in [holdout, *folds]} == {RowSplit}
+    for train_rows, test_rows in [holdout, *folds]:
+        assert 0 <= train_rows.min() and train_rows.max() < test_rows.min()
+        assert test_rows.max() < n_rows
+        assert np.all(np.diff(train_rows) > 0) and np.all(np.diff(test_rows) > 0)
 
 
 def test_cv_config_validation():
@@ -202,21 +232,20 @@ def test_single_candidate_is_returned_regardless_of_score():
 def test_nested_cv_recovers_planted_model():
     # the XOR-style target needs interaction depth; stumps cannot express it
     X, y = _xor_data()
-    shallow = HyperParams(
-        learning_rate=1.0, n_estimators=40, max_depth=1,
-        min_samples_split=2, min_samples_leaf=1, max_features=2.0, seed=0,
-    )
-    deep = HyperParams(
-        learning_rate=1.0, n_estimators=40, max_depth=3,
-        min_samples_split=2, min_samples_leaf=1, max_features=2.0, seed=0,
+    space = HyperParamSpace(
+        learning_rate=(1.0, 1.0), n_estimators=(40, 40), max_depth=(1, 3),
+        min_samples_split=(2, 2), min_samples_leaf=(1, 1), max_features=(2.0, 2.0),
     )
     config = CvConfig(
-        num_params=2, k=3, train_width=150, test_width=50,
+        num_params=4, k=3, train_width=150, test_width=50,
         train_size=120, test_size=40, seed=5,
     )
-    result = nested_cv(X, y, config, candidates=[shallow, deep])
-    assert result.best_params == deep
-    assert result.mean_rmse[1] < result.mean_rmse[0]
+    result = nested_cv(X, y, config, space)
+    depths = [params.max_depth for params in result.candidates]
+    assert depths == [1, 3, 3, 1]
+    assert result.best_index == 2 and result.best_params.max_depth == 3
+    deep = [m for d, m in zip(depths, result.mean_rmse) if d == 3]
+    assert max(deep) < min(m for d, m in zip(depths, result.mean_rmse) if d == 1)
 
 
 def test_nested_cv_is_deterministic_and_order_independent():
@@ -241,16 +270,16 @@ def test_cv_result_ties_keep_earliest_candidate():
     rng = np.random.default_rng(7)
     X = rng.uniform(0, 10, size=(300, 2))
     y = np.full(300, 25.0)
-    params = HyperParams(
-        learning_rate=0.5, n_estimators=5, max_depth=2,
-        min_samples_split=2, min_samples_leaf=1, max_features=2.0, seed=0,
+    space = HyperParamSpace(
+        learning_rate=(0.5, 0.5), n_estimators=(5, 5), max_depth=(2, 2),
+        min_samples_split=(2, 2), min_samples_leaf=(1, 1), max_features=(2.0, 2.0),
     )
     config = CvConfig(
         num_params=2, k=2, train_width=100, test_width=30,
         train_size=80, test_size=25, seed=3,
     )
-    result = nested_cv(X, y, config, candidates=[params, params])
-    assert result.mean_rmse[0] == result.mean_rmse[1] == 0.0
+    result = nested_cv(X, y, config, space)
+    assert result.mean_rmse == [0.0, 0.0]
     assert result.best_index == 0
 
 
