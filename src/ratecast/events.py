@@ -6,9 +6,11 @@ import csv
 import enum
 import math
 import re
+import sys
 from collections import deque
 from dataclasses import dataclass, fields
-from itertools import count, islice, repeat
+from itertools import chain, count, islice, repeat
+from numbers import Integral, Real
 from operator import attrgetter, index
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
@@ -98,8 +100,14 @@ def _times_error(start: int, stop: int) -> str | None:
 
 
 _FIELD_NAMES = tuple(f.name for f in fields(TransferEvent))
-#: The classes that ``EventLog.from_events`` requires of the text fields and the stage.
-_FIELD_TYPES = {**dict.fromkeys((*_CATEGORICAL_FIELDS, "file_name"), str), "stage": Stage}
+#: What ``EventLog.from_events`` requires of each field: a class and its name.
+#: A bool is refused in the numeric fields, although it is an int.
+_FIELD_KINDS = {
+    **dict.fromkeys(_FIELD_NAMES[:3], (Integral, "an int")),
+    **dict.fromkeys(_FIELD_NAMES[3:5], (Real, "a real number")),
+    **dict.fromkeys((*_CATEGORICAL_FIELDS, "file_name"), (str, "a str")),
+    "stage": (Stage, "a Stage"),
+}
 _SLOT_SETTERS = tuple(getattr(TransferEvent, name).__set__ for name in _FIELD_NAMES)
 
 
@@ -112,11 +120,10 @@ def _rows(fields: list[Iterable]) -> list[TransferEvent]:
     return rows
 
 
-def _factorise(values: Sequence, position: dict | None = None) -> tuple[np.ndarray, list]:
+def _factorise(values: Sequence) -> tuple[np.ndarray, list]:
     """(codes, keys): int64 codes in order of first appearance and the distinct
-    values in code order; None becomes -1 and is not a key. ``position`` (value
-    to code, updated in place) continues the coding of earlier calls."""
-    position = {None: -1} if position is None else position
+    values in code order; None becomes -1 and is not a key."""
+    position = {None: -1}
     for value in dict.fromkeys(values):
         position.setdefault(value, len(position) - 1)
     codes = np.fromiter(map(position.__getitem__, values), np.int64, len(values))
@@ -126,13 +133,17 @@ def _factorise(values: Sequence, position: dict | None = None) -> tuple[np.ndarr
 class EventLog:
     """An immutable transfer-event log held as columns.
 
+    ``EventLog(ids, starts, stops, sizes, rates, *texts)`` is its one
+    constructor: checked columns in TransferEvent field order, ``texts`` being
+    the six categorical fields, the file names and the stages (Stage members).
+    It codes each categorical field and the stage as ``codes[field]``, int64
+    codes in order of first appearance, and ``categories[field]``, the distinct
+    values in code order. Synth, parse, ``from_events`` and ``take`` all build
+    a log through it, so a log codes exactly the values it holds; a parse
+    interns each block's category cells, so that the block's own strs die with it.
+
     ``ids``, ``starts`` and ``stops`` are int64 arrays, ``sizes`` and ``rates``
     float64 arrays and ``file_names`` an object array of str, all read-only.
-    Each categorical field and the stage is held as ``codes[field]``, int64
-    codes in order of first appearance in this log, and ``categories[field]``,
-    the distinct values in code order (Stage members for the stage). A log
-    made from another one (cleaned, sorted, sliced) recodes its categories,
-    so a log codes exactly the values it holds.
 
     Iterating a log, or indexing it with an int, yields :class:`TransferEvent`
     rows; a slice gives a log, and ``from_events`` makes a log of rows. Arrays
@@ -140,50 +151,46 @@ class EventLog:
     through :meth:`derived`.
     """
 
-    def __init__(self, ids, starts, stops, sizes, rates, codes, categories, file_names):
+    def __init__(self, ids, starts, stops, sizes, rates, *texts):
+        *categorical, file_names, stages = texts
+        codes, categories = zip(*map(_factorise, (*categorical, stages)))
         # The int64 columns are the rows of one array and the float64 ones of another.
         # With one buffer per column, a 50k-event feature pass peaked about 20 MB
         # higher: the log's buffers split the freed heap that later large ones reuse.
-        ints = np.array([ids, starts, stops, *(codes[f] for f in _CODED_FIELDS)], dtype=np.int64)
+        ints = np.array([ids, starts, stops, *codes], dtype=np.int64)
         floats = np.array([sizes, rates], dtype=np.float64)
+        file_names = np.array(file_names, dtype=object)
         for array in (ints, floats, file_names):
             array.flags.writeable = False
-        (self.ids, self.starts, self.stops, *coded), (self.sizes, self.rates) = ints, floats
-        self.codes = dict(zip(_CODED_FIELDS, coded))
+        (self.ids, self.starts, self.stops, *codes), (self.sizes, self.rates) = ints, floats
+        self.codes = dict(zip(_CODED_FIELDS, codes))
         self.file_names = file_names
-        self.categories = {field: list(categories[field]) for field in _CODED_FIELDS}
+        self.categories = dict(zip(_CODED_FIELDS, categories))
         self._derived: dict = {}
 
     @classmethod
-    def _from_columns(cls, ids, starts, stops, sizes, rates, *coded) -> "EventLog":
-        """The log of checked value sequences in TransferEvent field order."""
-        *coded, file_names, stages = coded
-        codes, categories = zip(*map(_factorise, (*coded, stages)))
-        return cls(
-            ids, starts, stops, sizes, rates, dict(zip(_CODED_FIELDS, codes)),
-            dict(zip(_CODED_FIELDS, categories)), np.array(file_names, dtype=object).reshape(-1),
-        )
-
-    @classmethod
     def from_events(cls, events: Iterable[TransferEvent]) -> "EventLog":
-        """The log of ``events``, in their order. A row whose text field is not a
-        str, or whose stage is not a Stage, raises TypeError naming it."""
-        columns = list(zip(*map(attrgetter(*_FIELD_NAMES), events))) or [()] * len(_FIELD_NAMES)
-        typed = zip(*(columns[_FIELD_NAMES.index(field)] for field in _FIELD_TYPES))
-        for row, values in enumerate(typed):
-            for (field, kind), value in zip(_FIELD_TYPES.items(), values):
-                if not isinstance(value, kind):
-                    raise TypeError(f"row {row}: {field} must be a {kind.__name__}, got {value!r}")
-        return cls._from_columns(*columns)
+        """The log of ``events``, in their order. Before it builds a column, it
+        refuses a row whose id or time is not an int, whose size or rate is not
+        a real number, whose text field is not a str or whose stage is not a
+        Stage (TypeError), and a row whose size or rate is not finite (ValueError)."""
+        rows = list(map(attrgetter(*_FIELD_NAMES), events))
+        for row, values in enumerate(rows):
+            for (field, (kind, name)), value in zip(_FIELD_KINDS.items(), values):
+                if not isinstance(value, kind) or isinstance(value, bool):
+                    raise TypeError(f"row {row}: {field} must be {name}, got {value!r}")
+                if kind is Real and not math.isfinite(value):
+                    raise ValueError(f"row {row}: non-finite {field} {value}")
+        return cls(*(list(zip(*rows)) or [()] * len(_FIELD_NAMES)))
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def _fields(self, rows: slice) -> list[Iterable]:
-        """The values of ``rows``, one iterable per field in TransferEvent order."""
+    def _fields(self, rows) -> list[list]:
+        """The values of ``rows``, one list per field in TransferEvent order."""
         numbers = (self.ids, self.starts, self.stops, self.sizes, self.rates)
         *coded, stages = (
-            map(self.categories[field].__getitem__, self.codes[field][rows].tolist())
+            list(map(self.categories[field].__getitem__, self.codes[field][rows].tolist()))
             for field in _CODED_FIELDS
         )
         names = self.file_names[rows].tolist()
@@ -201,14 +208,7 @@ class EventLog:
 
     def take(self, rows) -> "EventLog":
         """The log of ``rows``: a slice, a boolean mask or an array of row indices."""
-        codes, categories = {}, {}
-        for field in _CODED_FIELDS:
-            codes[field], held = _factorise(self.codes[field][rows].tolist())
-            categories[field] = [self.categories[field][code] for code in held]
-        return EventLog(
-            self.ids[rows], self.starts[rows], self.stops[rows], self.sizes[rows],
-            self.rates[rows], codes, categories, self.file_names[rows],
-        )
+        return EventLog(*self._fields(rows))
 
     def derived(self, key, compute: Callable):
         """``compute()``, computed on the first call per ``key``: a log never changes."""
@@ -256,11 +256,11 @@ def _row_error(row: list[str]) -> str | None:
     return _times_error(start, stop)
 
 
-def _parse_block(row_index: list[int], rows: list[list[str]], positions: dict) -> list:
-    """Ids, starts, stops, sizes, rates, the codes of ``_CODED_FIELDS`` (continuing
-    ``positions``) and the file names of non-blank CSV rows. Whole columns are
-    converted and checked at once; only a block that fails is walked row by row,
-    to raise the first bad row's CsvRowError."""
+def _parse_block(row_index: list[int], rows: list[list[str]]) -> list:
+    """The columns of non-blank CSV rows in TransferEvent field order, ids being
+    ``row_index``. Category cells are interned, so that the block's own strs die
+    with it. Whole columns are converted and checked at once; only a block that
+    fails is walked row by row, to raise the first bad row's CsvRowError."""
     n = len(rows)
     cells = dict(zip(CSV_COLUMNS, list(zip(*rows)) or [()] * len(CSV_COLUMNS)))
     try:
@@ -268,19 +268,19 @@ def _parse_block(row_index: list[int], rows: list[list[str]], positions: dict) -
             raise ValueError("a row has the wrong number of fields")
         starts, stops = (np.fromiter(map(int, cells[c]), np.int64, n) for c in CSV_COLUMNS[:2])
         sizes, rates = (np.fromiter(map(float, cells[c]), np.float64, n) for c in CSV_COLUMNS[2:4])
-        stages, names = _factorise(cells["stage"], positions["stage"])
+        stages = list(map(_STAGES.__getitem__, cells["stage"]))
         valid = (
-            np.isfinite(sizes).all() and np.isfinite(rates).all() and set(names) <= _STAGES.keys()
+            np.isfinite(sizes).all() and np.isfinite(rates).all()
             and ((-TIME_LIMIT_S <= starts) & (starts <= stops) & (stops <= TIME_LIMIT_S)).all()
         )
-    except (ValueError, OverflowError):  # a cell that int or float rejects, or beyond int64
+    except (ValueError, OverflowError, KeyError):  # int, float or the stages reject a cell
         valid = False
     if not valid:
         raise next(CsvRowError(i, m) for i, row in zip(row_index, rows) if (m := _row_error(row)))
     return [
         np.array(row_index, dtype=np.int64), starts, stops, sizes, rates,
-        *(_factorise(cells[field], positions[field])[0] for field in _CATEGORICAL_FIELDS),
-        stages, np.array(cells["file_name"], dtype=object).reshape(-1),
+        *(list(map(sys.intern, cells[field])) for field in _CATEGORICAL_FIELDS),
+        cells["file_name"], stages,
     ]
 
 
@@ -309,8 +309,7 @@ def parse_event_csv(source: IO[str]) -> EventLog:
         if extra := [c for c in header if c not in CSV_COLUMNS]:
             raise CsvSchemaError(f"unknown column {extra[0]!r}")
         raise CsvSchemaError(f"columns out of order: got {header!r}")
-    positions = {field: {None: -1} for field in _CODED_FIELDS}
-    blocks = [_parse_block([], [], positions)]
+    blocks = [_parse_block([], [])]
     read = count()  # rows the reader returned, blank ones too: zip asks the reader first
     numbered = ((i, row) for row, i in zip(reader, read) if row)
     failure = None
@@ -322,13 +321,13 @@ def parse_event_csv(source: IO[str]) -> EventLog:
             failure = CsvRowError(next(read), str(exc))
         if not chunk:
             break
-        blocks.append(_parse_block(*map(list, zip(*chunk)), positions))  # rows ahead raise first
+        blocks.append(_parse_block(*map(list, zip(*chunk))))  # rows ahead raise first
     if failure is not None:
         raise failure
-    *columns, file_names = (np.concatenate(parts) for parts in zip(*blocks))
-    categories = {field: [v for v in positions[field] if v is not None] for field in _CODED_FIELDS}
-    categories["stage"] = list(map(_STAGES.__getitem__, categories["stage"]))
-    return EventLog(*columns[:5], dict(zip(_CODED_FIELDS, columns[5:])), categories, file_names)
+    columns = list(zip(*blocks))
+    return EventLog(
+        *map(np.concatenate, columns[:5]), *(list(chain.from_iterable(c)) for c in columns[5:])
+    )
 
 
 def load_events(path: str) -> EventLog:

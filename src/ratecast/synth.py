@@ -321,7 +321,7 @@ def generate_workload(
     records = [field[order] for field in records]
 
     n = len(order)
-    events = EventLog._from_columns(np.arange(n), *records[:11], [config.stage] * n)
+    events = EventLog(np.arange(n), *records[:11], [config.stage] * n)
     hidden = dict(zip(("source_fs", "target_host", "node"), records[11:]))
     return events, hidden
 

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import gc
 import io
+import re
 import warnings
 
 import numpy as np
@@ -381,6 +382,31 @@ def test_from_events_refuses_a_row_whose_text_field_or_stage_has_another_type(fi
         EventLog.from_events(events)
 
 
+@pytest.mark.parametrize(
+    "field, error, detail",
+    [
+        (dict(size=None), TypeError, "file_size_gb must be a real number, got None"),
+        (dict(rate=float("nan")), ValueError, "non-finite transfer_rate_mbs nan"),
+        (dict(size="2"), TypeError, "file_size_gb must be a real number, got '2'"),
+        (dict(start=1.5), TypeError, "start_time must be an int, got 1.5"),
+        (dict(id=True), TypeError, "id must be an int, got True"),
+    ],
+    ids=["none-size", "nan-rate", "str-size", "float-start", "bool-id"],
+)
+def test_from_events_refuses_a_row_whose_number_has_another_type_or_is_not_finite(field, error,
+                                                                                  detail):
+    # A None size or NaN rate entered the log as nan, and its own CSV then failed to
+    # parse; "2" became 2.0 and a start of 1.5 became 1.
+    events = [mk_event(), mk_event(**{"id": 1, "start": 1, **field})]
+    with pytest.raises(error, match=f"^row 1: {re.escape(detail)}$"):
+        EventLog.from_events(events)
+
+
+def test_from_events_takes_numpy_numbers():
+    event = mk_event(id=np.int64(3), start=np.int32(5), size=np.float32(1.5), rate=np.float64(2))
+    assert list(EventLog.from_events([event])) == [mk_event(id=3, start=5, size=1.5, rate=2.0)]
+
+
 def test_log_slices_and_takes_are_logs_with_their_own_codes():
     events = random_events(np.random.default_rng(4), 80)
     log = EventLog.from_events(events)
@@ -445,6 +471,18 @@ def test_logs_hold_under_200_bytes_per_event():
     held, parsed = traced_held(parse_event_csv, io.StringIO(sink.getvalue(), newline=""))
     assert list(parsed) == list(log)
     assert held <= 200 * len(parsed)
+
+
+def test_parse_peak_memory_stays_near_the_log_size():
+    log, _ = generate_workload(SynthConfig(n_events=20_000, seed=20250808))
+    sink = io.StringIO()
+    write_event_csv(log, sink)
+    peak, parsed = traced_peak(parse_event_csv, io.StringIO(sink.getvalue(), newline=""))
+    assert len(parsed) == len(log)
+    # Coded once for the whole file, the category cells of every block are held
+    # until the log is built: interned, the parse peaked at 453 bytes per event,
+    # and at 785 with one str per cell.
+    assert peak <= 600 * len(parsed)
 
 
 # ------------------------------------------------------- timestamp range
@@ -565,6 +603,44 @@ def test_a_bad_row_past_the_first_parse_block_is_named_like_the_row_wise_parse()
     want = _outcome(reference_parse_event_csv, data)[1]
     assert want == (CsvRowError, "row 4507: unknown stage 'SIDEWAYS'", 4507)
     assert _outcome(parse_event_csv, data)[1] == want
+
+
+def _assert_same_log(a: EventLog, b: EventLog) -> None:
+    assert a.codes.keys() == b.codes.keys()
+    for field in a.codes:
+        assert a.codes[field].tolist() == b.codes[field].tolist(), field
+    assert a.categories == b.categories
+    for column in ("ids", "starts", "stops", "sizes", "rates", "file_names"):
+        assert getattr(a, column).tolist() == getattr(b, column).tolist(), column
+
+
+def test_a_parse_codes_the_whole_file_and_not_each_block():
+    # Rows are parsed 4,096 non-blank rows at a time. Instruments, experiments and
+    # nodes first seen in the second and third blocks are coded after the first
+    # block's, whose values keep coming back.
+    lines, want = [], {"instrument": [], "experiment": [], "node": []}
+    for i in range(9000):
+        block = i // 4096
+        instrument = ("cxi", "xpp", "mec", "xcs")[i % (2 + block)]
+        experiment = f"{instrument}{i % (3 + block):05d}"
+        node = f"node{(i // 7) % (2 + 2 * block)}"
+        for field, value in zip(want, (instrument, experiment, node)):
+            want[field].append(value)
+        lines.append(f"{i},{i + 3},1.5,{50 + i % 9}.25,{instrument},{experiment},h,tfs,sfs,"
+                     f"{node},e1-r1-s0-c{i}.xtc,DSS_TO_FFB")
+        if i % 500 == 499:
+            lines.append("")
+    log = _parse(HEADER + "\n" + "\n".join(lines) + "\n")
+    assert len(log) == 9000 and log.ids[-1] == 8999 + 17
+    for field in want:
+        values = [log.categories[field][code] for code in log.codes[field].tolist()]
+        assert values == want[field], field
+        blocks = [set(values[lo:lo + 4096]) for lo in (0, 4096, 8192)]
+        assert blocks[1] - blocks[0] and blocks[2] - blocks[0] - blocks[1], field
+        assert blocks[0] <= blocks[1] and blocks[0] <= blocks[2], field
+    _assert_codes_follow_first_appearance(log)
+    _assert_same_log(EventLog.from_events(list(log)), log)
+    _assert_same_log(log.take(np.arange(len(log))), log)
 
 
 def test_iterating_a_log_holds_one_block_of_rows():
