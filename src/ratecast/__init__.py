@@ -20,7 +20,6 @@ from .features import (
     FeatureSpec,
     assemble_features,
     compute_time_features,
-    encode_categoricals,
     read_feature_csv,
     write_feature_csv,
 )

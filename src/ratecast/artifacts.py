@@ -122,7 +122,11 @@ def naming(path: str):
 def read_json(path: str, read):
     """``read`` of the JSON value in ``path``, typically an artifact's ``from_dict``."""
     with open(path, "r", encoding="utf-8") as fh, naming(path):
-        return read(json.load(fh))
+        try:
+            value = json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply to read") from None
+        return read(value)
 
 
 def write_json(path: str, payload, indent: int | None = 2) -> None:

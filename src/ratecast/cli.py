@@ -72,7 +72,8 @@ def _holdout_side(args: argparse.Namespace, side: str):
     of the chronological holdout that ``_add_holdout_flags`` set."""
     X, names, event_ids, y = _load_features(args.features)
     subsets = (getattr(args, "train_subset", None), getattr(args, "test_subset", None))
-    rows = getattr(holdout_rows(X.shape[0], args.split, *subsets, args.seed), f"{side}_rows")
+    with naming(args.features):
+        rows = getattr(holdout_rows(X.shape[0], args.split, *subsets, args.seed), f"{side}_rows")
     return X[rows], names, event_ids[rows], y[rows]
 
 
@@ -176,7 +177,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     X, names, event_ids, actual = _holdout_side(args, "test")
     model = load_model(args.model)
     if names != model.feature_names:
-        raise ValueError("feature columns do not match the model's training columns")
+        raise ValueError(f"{args.features}: feature columns do not match those of {args.model}: "
+                         + _first_difference(names, model.feature_names))
     if not actual.size:
         raise ValueError("rmse of empty arrays is undefined: --test-subset 0 scores no row")
     with naming(args.model):  # on finite input, a prediction or error past float64 is the model's
@@ -194,6 +196,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         write_json(args.out, report.to_dict())
     print(f"holdout RMSE: {score:.4f} MB/s over {actual.size} rows")
     return 0
+
+
+def _first_difference(names: list[str], trained: list[str]) -> str:
+    """Where the columns ``names`` first differ from a model's ``trained`` ones."""
+    for i, (name, want) in enumerate(zip(names, trained)):
+        if name != want:
+            return f"feature column {i + 1} is {name!r}, the model's is {want!r}"
+    return f"{len(names)} feature columns, the model has {len(trained)}"
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

@@ -45,6 +45,10 @@ class Stage(enum.Enum):
     DSS_TO_FFB = "DSS_TO_FFB"
     FFB_TO_ANA = "FFB_TO_ANA"
 
+    # Members are singletons, so identity hashing agrees with ==; Enum's own
+    # __hash__ is Python code, run once per event when a log codes its stages.
+    __hash__ = object.__hash__
+
 
 class CsvSchemaError(ValueError):
     """Header does not match the transfer-event CSV schema."""

@@ -154,21 +154,6 @@ def compute_time_features(
     return day_of_week, seconds // 3600
 
 
-def encode_categoricals(log: EventLog) -> tuple[np.ndarray, list[ColumnMeta]]:
-    """Group A's encoded blocks and their column metadata, from the log's codes.
-
-    Categories take codes in order of first appearance. The first column is
-    the experiment code, then ``codes == category`` for each one-hot field.
-    """
-    blocks: list[np.ndarray] = [log.codes["experiment"][:, None]]
-    metas = [ColumnMeta("A.experiment_code", "A", "category_code:experiment")]
-    for name in _ONE_HOT_FIELDS:
-        values = log.categories[name]
-        blocks.append(log.codes[name][:, None] == np.arange(len(values)))
-        metas += (ColumnMeta(f"A.{name}.{v}", "A", f"one_hot:{name}={v}") for v in values)
-    return np.hstack(blocks, dtype=float), metas
-
-
 def assemble_features(
     log: EventLog, spec: FeatureSpec, tz_offset_hours: float = 0.0
 ) -> FeatureMatrix:
@@ -183,12 +168,11 @@ def assemble_features(
     # Every lookup below shares the log's times, ranks and key codes, so the
     # chunk file names are parsed once.
     _ranks(log)  # checks the order up front, even when no lookup runs
-    starts, stops, sizes, rates = log.starts, log.stops, log.sizes, log.rates
-    encoded, encoded_metas = encode_categoricals(log)
     lag_blocks = [block for block in _LAG_BLOCKS if block[0] in spec.groups]
-    # File size, the encoded block, then B, C, D and E: the matrix is filled in
-    # place, column by column, and never exists twice.
-    width = 1 + len(encoded_metas) + 2 * len(spec.groups & {"B", "E"})
+    # Group A, then B, C, D and E: the matrix is filled in place, column by
+    # column, and never exists twice.
+    width = 2 + sum(len(log.categories[name]) for name in _ONE_HOT_FIELDS)
+    width += 2 * len(spec.groups & {"B", "E"})
     width += sum(len(stats) for group, _, stats in _CONCURRENCY_BLOCKS if group in spec.groups)
     width += sum(len(stats) + 1 for *_, stats in lag_blocks)
     # Its own mapping: on the malloc heap its place, and peak RSS, hang on the blocks around it.
@@ -201,10 +185,12 @@ def assemble_features(
         values[:, len(metas)] = filled
         metas.append(ColumnMeta(name, group, origin))
 
-    add("A.file_size", "A", "numeric:file_size_gb", sizes)
-    values[:, 1 : 1 + len(encoded_metas)] = encoded
-    metas.extend(encoded_metas)
-    del encoded  # not held through the lag lookups, where assembly peaks
+    add("A.file_size", "A", "numeric:file_size_gb", log.sizes)
+    # Categories take codes in order of first appearance.
+    add("A.experiment_code", "A", "category_code:experiment", log.codes["experiment"])
+    for name in _ONE_HOT_FIELDS:
+        for code, v in enumerate(log.categories[name]):
+            add(f"A.{name}.{v}", "A", f"one_hot:{name}={v}", log.codes[name] == code)
 
     if "B" in spec.groups:
         dows, hours = compute_time_features(log, tz_offset_hours)
@@ -222,19 +208,15 @@ def assemble_features(
     for _, kind, order, _ in lag_blocks:
         orders.setdefault(kind, set()).add(order)
     lag_rows = {kind: compute_keyed_lags(log, kind, o) for kind, o in orders.items()}
+    sources = {"rate": log.rates, "file_size": log.sizes}
     for group, kind, order, stats in lag_blocks:
         rows = lag_rows[kind][order]
         missing = rows < 0
-        # Absent lags (-1) gather the last row; the sentinel overwrites them.
-        gathered = {
-            "rate": rates[rows],
-            "file_size": sizes[rows],
-            "time_diff": starts - stops[rows],
-        }
         prefix = f"{group}.{kind.value}.lag{order}"
         for stat in stats:
-            origin = f"lag:{kind.value}:{order}:{stat}"
-            add(f"{prefix}.{stat}", group, origin, gathered[stat], missing)
+            # Absent lags (-1) gather the last row; the sentinel overwrites them.
+            column = log.starts - log.stops[rows] if stat == "time_diff" else sources[stat][rows]
+            add(f"{prefix}.{stat}", group, f"lag:{kind.value}:{order}:{stat}", column, missing)
         add(f"{prefix}.missing", group, "indicator", missing)
 
     if "E" in spec.groups:

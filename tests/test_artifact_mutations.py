@@ -130,3 +130,15 @@ def test_every_mutation_of_an_artifact_exits_0_or_1_with_one_error_line(chain, t
                     json.loads(out.read_text(), parse_constant=_refuse_constant)
                 runs += 1
     assert runs > len(VALUES)
+
+
+@pytest.mark.parametrize("argv", [argv for readers in READERS.values() for argv in readers],
+                         ids=lambda argv: f"{argv[0]} {argv[argv.index('{}') - 1]}")
+def test_a_file_nested_too_deep_exits_1_naming_it(chain, tmp_path, capsys, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    capsys.readouterr()
+    rc = main([*(arg.format(deep, d=chain) for arg in argv), "--out", str(tmp_path / "out.json")])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith(f"error: {deep}: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err

@@ -1054,6 +1054,56 @@ def test_eval_of_empty_test_subset_exits_1(tmp_path, capsys):
     assert "error: rmse of empty arrays" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("case, detail", [
+    ("header-only", "a chronological split needs at least 2 rows, got 0"),
+    ("subset", "_subset 99999 exceeds side of "),
+], ids=["header-only", "subset"])
+def test_a_holdout_that_cannot_be_drawn_names_the_feature_csv(tmp_path, capsys, command,
+                                                              case, detail):
+    d = str(tmp_path)
+    with open(f"{d}/model.json", "w") as fh:
+        json.dump(_static_features_and_model(d, 300), fh)
+    features = f"{d}/features.csv"
+    if case == "header-only":
+        with open(features) as fh:
+            header = fh.readline()
+        features = f"{d}/header-only.csv"
+        with open(features, "w") as fh:
+            fh.write(header)
+    side = {"train": ["--out", f"{d}/out.json"], "eval": ["--model", f"{d}/model.json"]}[command]
+    subset = ["--train-subset" if command == "train" else "--test-subset", "99999"]
+    capsys.readouterr()
+    assert main([command, "--features", features, *side,
+                 *(subset if case == "subset" else [])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {features}: ") and detail in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("groups, detail", [
+    ("A", "18 feature columns, the model has 20"),
+    ("A,C1", "feature column 19 is 'C1.same_experiment.active_jobs', "
+             "the model's is 'B.day_of_week'"),
+], ids=["count", "name"])
+def test_eval_of_mismatched_columns_names_both_files_and_the_difference(tmp_path, capsys,
+                                                                       groups, detail):
+    d = str(tmp_path)
+    assert main(["synth", "--out", f"{d}/events.csv", "--n", "600", "--seed", "2"]) == 0
+    for name, spec in (("model-features", "A,B"), ("features", groups)):
+        assert main(["features", "--in", f"{d}/events.csv", "--out", f"{d}/{name}.csv",
+                     "--groups", spec]) == 0
+    with open(f"{d}/params.json", "w") as fh:
+        json.dump({"n_estimators": 2, "max_depth": 2}, fh)
+    assert main(["train", "--features", f"{d}/model-features.csv", "--out", f"{d}/model.json",
+                 "--params", f"{d}/params.json"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--features", f"{d}/features.csv", "--model", f"{d}/model.json"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {d}/features.csv: feature columns do not match those of {d}/model.json: "
+        f"{detail}\n"
+    )
+
+
 def test_eval_rejects_mismatched_feature_columns(tmp_path):
     d = str(tmp_path)
     assert main(["synth", "--out", f"{d}/events.csv", "--n", "600", "--seed", "2"]) == 0

@@ -19,7 +19,6 @@ from ratecast.features import (
     FeatureSpec,
     assemble_features,
     compute_time_features,
-    encode_categoricals,
     read_feature_csv,
     write_feature_csv,
 )
@@ -311,12 +310,12 @@ def test_one_hot_block_has_single_one_per_row():
     events = EventLog.from_events(
         [mk_event(id=i, start=i, instrument=ins) for i, ins in enumerate("abcabc")]
     )
-    values, metas = encode_categoricals(events)
+    matrix = assemble_features(events, FeatureSpec.parse("A"))
     instrument_cols = [
-        j for j, m in enumerate(metas) if m.origin.startswith("one_hot:instrument")
+        j for j, m in enumerate(matrix.columns) if m.origin.startswith("one_hot:instrument")
     ]
     assert len(instrument_cols) == 3
-    np.testing.assert_array_equal(values[:, instrument_cols].sum(axis=1), np.ones(6))
+    np.testing.assert_array_equal(matrix.values[:, instrument_cols].sum(axis=1), np.ones(6))
 
 
 def test_experiment_codes_assigned_by_first_appearance():
@@ -325,9 +324,9 @@ def test_experiment_codes_assigned_by_first_appearance():
         mk_event(id=1, experiment="e2"),
         mk_event(id=2, experiment="e1"),
     ])
-    values, metas = encode_categoricals(events)
-    assert metas[0].name == "A.experiment_code"
-    assert values[:, 0].tolist() == [0.0, 1.0, 0.0]
+    matrix = assemble_features(events, FeatureSpec.parse("A"))
+    assert matrix.columns[1].name == "A.experiment_code"
+    assert matrix.values[:, 1].tolist() == [0.0, 1.0, 0.0]
 
 
 # ------------------------------------------------------------------ assembly
