@@ -294,20 +294,20 @@ _CV_FLAGS = {
 }
 
 
-def _add_config_flags(p, config_type, flags: dict[str, str], dest_is_field: bool) -> None:
-    """Add ``flags``, each typed and defaulted by its ``config_type`` field's default (an
-    enum's values are its choices, a seed is a count), and set ``args.config(args)`` to
-    build the config from them. A flag's dest is its field, or else argparse's own."""
-    defaults, dests = config_type(), {}
+def _add_config_flags(p, config_type, flags: dict[str, str]) -> None:
+    """Add ``flags``, each stored under its ``config_type`` field and typed and defaulted by
+    the field's default (an enum's values are its choices, a seed is a count), and set
+    ``args.config(args)`` to build the config from them."""
+    defaults = config_type()
     for flag, field in flags.items():
         default = getattr(defaults, field)
         if isinstance(default, enum.Enum):
             kind = {"choices": [member.value for member in type(default)], "default": default.value}
         else:
             kind = {"type": _count if field == "seed" else type(default), "default": default}
-        dests[field] = p.add_argument(flag, dest=field if dest_is_field else None, **kind).dest
+        p.add_argument(flag, dest=field, **kind)
     p.set_defaults(config=lambda args: config_type(**{
-        field: type(getattr(defaults, field))(getattr(args, dest)) for field, dest in dests.items()
+        field: type(getattr(defaults, field))(getattr(args, field)) for field in flags.values()
     }))
 
 
@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic transfer log")
     p.add_argument("--out", required=True)
     p.add_argument("--sidecar", default=None, help="config/seed JSON path")
-    _add_config_flags(p, SynthConfig, _SYNTH_FLAGS, dest_is_field=False)
+    _add_config_flags(p, SynthConfig, _SYNTH_FLAGS)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("clean", help="apply the cleaning rules to a log")
@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--family", default="gbt", choices=FAMILIES)
-    _add_config_flags(p, CvConfig, _CV_FLAGS, dest_is_field=True)
+    _add_config_flags(p, CvConfig, _CV_FLAGS)
     p.add_argument("--space", default=None, help="JSON file of sampling ranges")
     p.set_defaults(func=_cmd_cv)
 

@@ -52,8 +52,8 @@ class CvConfig:
         for name in ("num_params", "k", "train_width", "test_width", "train_size", "test_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
-        if self.train_size > self.train_width:
-            raise ValueError("train_size must not exceed train_width")
+        if not 2 <= self.train_size <= self.train_width:  # a fit needs two rows
+            raise ValueError("train_size must be at least 2 and at most train_width")
         if self.test_size > self.test_width:
             raise ValueError("test_size must not exceed test_width")
         if self.seed < 0:

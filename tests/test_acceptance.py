@@ -183,7 +183,7 @@ def test_criterion_03_order_preservation_and_leak_freedom():
                 k=int(rng.integers(1, 5)),
                 train_width=train_width,
                 test_width=test_width,
-                train_size=int(rng.integers(1, train_width + 1)),
+                train_size=int(rng.integers(2, train_width + 1)),
                 test_size=int(rng.integers(1, test_width + 1)),
                 seed=int(rng.integers(0, 10**6)),
             )

@@ -14,7 +14,7 @@ import ratecast
 from ratecast import cli
 from ratecast.artifacts import write_json
 from ratecast.cli import build_parser, main
-from ratecast.events import Stage
+from ratecast.events import CSV_COLUMNS, Stage
 from ratecast.features import read_feature_csv
 from ratecast.models import Ensemble, HyperParams, model_to_dict, save_model
 from ratecast.synth import SynthConfig
@@ -363,9 +363,13 @@ def test_a_negative_seed_or_subset_exits_2_naming_the_flag(tmp_path, capsys, com
      ("eval", ["--holdout", "nan"], 2, "argument --holdout: must be strictly between 0 and 1"),
      ("features", ["--groups", "A,Z"], 1, "error: unknown feature groups: ['Z']"),
      ("cv", ["--space", "{d}/space.json"], 1, "space.json'"),
-     ("train", ["--params", "{d}/params.json"], 1, "params.json'")],
+     ("train", ["--params", "{d}/params.json"], 1, "params.json'"),
+     # Each fold's fit failed ("need at least 2 training rows"), blamed on the feature CSV.
+     ("cv", ["--train-size", "1"], 1, "error: train_size must be at least 2"),
+     ("train", ["--family", "xgb"], 2, "argument --family: invalid choice: 'xgb'"),
+     ("cv", ["--family", "xgb"], 2, "argument --family: invalid choice: 'xgb'")],
     ids=["cv-num-params", "cv-k", "train-holdout", "eval-holdout", "features-groups",
-         "cv-space", "train-params"],
+         "cv-space", "train-params", "cv-train-size", "train-family", "cv-family"],
 )
 def test_a_bad_option_is_reported_before_the_input_is_read(tmp_path, capsys, command, option,
                                                            code, message):
@@ -427,7 +431,8 @@ _FEATURES_META = {"groups": ["A"], "column_meta": []}
         ("train", "--params", lambda model: {"max_depth": "deep"}, "max_depth"),
         ("train", "--params", lambda model: {"n_estimators": 2.5}, "n_estimators"),
         ("train", "--params", lambda model: {"learning_rate": float("nan")}, "learning_rate"),
-        ("train", "--params", lambda model: {"learning_rate": 10**400}, "learning_rate"),
+        ("train", "--params", lambda model: {"learning_rate": 10**400},
+         "field 'learning_rate'"),
         ("train", "--params", lambda model: {"n_estimators": 10**400}, "n_estimators"),
         ("train", "--params", lambda model: {"n_estimators": 100_001}, "n_estimators"),
         ("train", "--params", lambda model: {"max_features": float("inf")}, "max_features"),
@@ -442,6 +447,9 @@ _FEATURES_META = {"groups": ["A"], "column_meta": []}
         ("eval", "--model", lambda model: dict(model, trees=5), "trees"),
         ("eval", "--model", lambda model: dict(model, trees=[[1]]), "trees"),
         ("eval", "--model", lambda model: dict(model, feature_names=5), "feature_names"),
+        ("eval", "--model", lambda model: dict(model, trees=[
+            dict(_leaf_tree(len(model["feature_names"]), 1.0), feature=[0.5])]),
+         "tree 0: field 'feature'"),
     ],
     ids=[
         "cv-without-best-params",
@@ -463,6 +471,7 @@ _FEATURES_META = {"groups": ["A"], "column_meta": []}
         "model-with-number-for-trees",
         "model-with-list-for-tree",
         "model-with-number-for-feature-names",
+        "model-with-fractional-feature-index",
     ],
 )
 def test_bad_artifacts_exit_1_without_traceback(tmp_path, capsys, command, flag, make_payload,
@@ -692,13 +701,22 @@ def test_features_of_a_start_time_near_int64_with_tz_offset_exits_1(tmp_path, ca
     )
 
 
+_LOG_ROW = "10,20,1.0,50.0,cxi,e1,h,t,s,n,f,DSS_TO_FFB\n"
+#: An event log whose first data row opens a quote that 20,000 rows never close.
+_UNCLOSED_QUOTE = ",".join(CSV_COLUMNS) + "\n" + _LOG_ROW.replace("cxi", '"cxi') + _LOG_ROW * 20_000
+
+
 @pytest.mark.parametrize(
     "text, detail",
     [
         ("start_time,stop_time\n1,2\n", "missing column 'file_size_gb'"),
         (None, "row 0: stop_time 10 precedes start_time 20"),
+        # csv's field-size error on a quote that never closes was a traceback.
+        (_UNCLOSED_QUOTE, "row 0: field larger than field limit (131072)"),
+        # The quote's row was named instead of the short row ahead of it.
+        (_UNCLOSED_QUOTE.replace("\n", "\n1,2,3\n", 1), "row 0: expected 12 fields, got 3"),
     ],
-    ids=["bad-header", "bad-row"],
+    ids=["bad-header", "bad-row", "quote-never-closes", "short-row-ahead-of-quote"],
 )
 def test_clean_of_a_bad_log_exits_1_naming_the_file(tmp_path, capsys, text, detail):
     path = tmp_path / "e.csv"
@@ -1162,9 +1180,10 @@ def test_synth_writes_sidecar_with_config(tmp_path):
 
 #: (flag, dest, type) of every flag that sets a config field or picks holdout rows.
 _PINNED_FLAGS = {
-    "synth": [("--n", "n", int), ("--instruments", "instruments", int), ("--rho", "rho", float),
-              ("--state-sigma", "state_sigma", float), ("--noise", "noise", float),
-              ("--delay-prob", "delay_prob", float), ("--stage", "stage", None),
+    "synth": [("--n", "n_events", int), ("--instruments", "n_instruments", int),
+              ("--rho", "ar_rho", float), ("--state-sigma", "state_sigma", float),
+              ("--noise", "noise_mbs", float), ("--delay-prob", "delayed_stream_prob", float),
+              ("--stage", "stage", None),
               ("--inject-oversize", "inject_oversize", int),
               ("--inject-zero", "inject_zero", int), ("--seed", "seed", cli._count)],
     "cv": [("--num-params", "num_params", int), ("--cv-k", "k", int),
